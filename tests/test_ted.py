@@ -179,3 +179,41 @@ def test_custom_cost_model():
     a = tree("m", t("x"))
     b = tree("m")
     assert tree_edit_distance(a, b, Doubler()).cost == 2
+
+
+
+def test_same_postorder_labels_different_shape():
+    # x(y, z) and x(z(y)) both read "y z x" in postorder; only the
+    # leftmost-leaf structure tells them apart.
+    a = tree("x", t("y"), t("z"))
+    b = tree("x", t("z", t("y")))
+    script = tree_edit_distance(a, b)
+    assert script.cost == 2
+    assert script.cost == brute_force_distance(a, b, UNIT_COSTS)
+
+
+def test_golden_edit_scripts():
+    # Frozen full EditScripts (cost, counts, mapping, sizes) for seeded
+    # measure pairs under both cost models; an engine or projection change
+    # must reproduce them exactly.
+    import hashlib
+    from builders import random_measure
+    from mtnkit.trees import project_tree
+
+    rng = random.Random(77)
+    measures = [random_measure(rng, f"m{i}") for i in range(160)]
+    pairs = []
+    for i in range(0, len(measures), 2):
+        pairs += [(measures[i], measures[i + 1]), (measures[i], measures[i]),
+                  (measures[i], None)]
+    h = hashlib.sha256()
+    for g, p in pairs:
+        for costs, mode in ((UNIT_COSTS, "structural"),
+                            (SEMANTIC_COSTS, "semantic")):
+            s = tree_edit_distance(project_tree(g, mode),
+                                   project_tree(p, mode), costs)
+            h.update(repr((str(s.cost), s.substitutions, s.deletions,
+                           s.insertions, s.mapping, s.a_size,
+                           s.b_size)).encode())
+    assert h.hexdigest() == (
+        "8b3720d8defb2150386eb359fb16b7c16b43264965477723a680b059d6ff2062")
