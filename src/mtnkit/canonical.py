@@ -24,7 +24,7 @@ from typing import Union
 from . import vocabulary
 from .model import (
     ATTR_STAFF, ATTRIBUTES, CHORD, CLEF, KEY, Measure, MTNWork, NOTE,
-    NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token,
+    NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token, iter_nodes,
 )
 
 Child = Union[Node, Token]
@@ -74,19 +74,12 @@ def _min_position(node: Node) -> tuple[int, tuple[int, int]]:
 
 def _first_stem_rank(node: Node) -> int:
     """0 for stems up, 1 for down, 2 for stemless content."""
-    for sub in _walk_nodes(node):
+    for sub in iter_nodes(node):
         if sub.kind == STEM:
             for tok in sub.children:
                 if isinstance(tok, Token) and tok.label in vocabulary.STEM_DIRECTIONS:
                     return 0 if tok.label == "stem_up" else 1
     return 2
-
-
-def _walk_nodes(node: Node):
-    yield node
-    for child in node.children:
-        if isinstance(child, Node):
-            yield from _walk_nodes(child)
 
 
 def _require_onset(node: Node) -> Fraction:
@@ -165,8 +158,7 @@ def _canonical_node(node: Node) -> Node:
 def canonicalize(measure: Measure) -> Measure:
     """Return the measure with every sibling list in canonical order.
 
-    Raises CanonicalizeError when ordering needs an onset that is absent;
-    run onset inference first for partially timed content.
+    Raises CanonicalizeError when ordering needs an onset that is absent.
     """
     children = tuple(_canonical_node(c) for c in measure.children)
     children = tuple(sorted(children, key=_top_level_key))

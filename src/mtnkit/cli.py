@@ -179,19 +179,20 @@ def cmd_diff(args: argparse.Namespace) -> int:
             print(f"{truth_m.id}: missing from prediction")
             differences += 1
             continue
-        g = project_tree(truth_m, mode="semantic" if args.semantic
-                         else "structural")
-        p = project_tree(pred_m, mode="semantic" if args.semantic
-                         else "structural")
+        g = project_tree(truth_m)
+        p = project_tree(pred_m)
+        if args.semantic:
+            g, p = g.timed(), p.timed()
         script = tree_edit_distance(g, p, costs)
         if script.cost == 0:
             continue
         differences += 1
-        rate, _ = ter_score(truth_m, pred_m)
+        # TER is defined on unit costs.
+        rate = (ter_score(g, p)[0] if args.semantic
+                else Fraction(script.cost) / script.a_size)
         print(f"{truth_m.id}: cost {script.cost} over {script.a_size} "
               f"truth nodes (TER {float(rate):.3f})")
-        gn = g.postorder()
-        pn = p.postorder()
+        gn, pn = g.nodes, p.nodes
         mapped_a = set()
         mapped_b = set()
         for i, j in script.mapping:

@@ -4,12 +4,12 @@ Tier 1 scores primitive detection: per-class precision and recall over
 token labels, matched per measure as the minimum of the two counts, with
 a truth-frequency-weighted aggregate.
 
-Tier 2 is the tree error rate: edit distance between the structural tree
-projections under unit costs, normalized by the truth tree size.
+Tier 2 is the tree error rate: edit distance between the tree projections
+under unit costs, normalized by the truth tree size.
 
-Tier 3 reads the semantic-cost edit mapping and scores the matched note
-events: missed/spurious rates, pitch and staff and time precision, and
-signed average shifts. A note event is a notehead or rest leaf; pitch
+Tier 3 reads the semantic-cost edit mapping over the same projections and
+scores the matched note events: missed/spurious rates, pitch and staff and
+time precision, and signed average shifts. A note event is a notehead or rest leaf; pitch
 metrics apply to notehead pairs, time metrics to all matched events.
 
 All counts are accumulated corpus-wide and divided once at the end, so
@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import Measure
-from .trees import (
-    EMPTY_TREE, LabeledTree, NoteMeta, extract_terminals, project_tree,
-)
+from .trees import LabeledTree, extract_terminals, project_tree
 from .ted import EditScript, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
-from .vocabulary import is_known
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +120,16 @@ def merge_tallies(into: dict[str, ClassTally],
 # ---------------------------------------------------------------------------
 # Tier 2: tree error rate.
 
-def ter_score(truth: Measure,
-              predicted: Measure | None) -> tuple[Fraction, EditScript]:
-    """(tree error rate, edit script) for one measure pair.
+def ter_score(truth: LabeledTree,
+              predicted: LabeledTree) -> tuple[Fraction, EditScript]:
+    """(tree error rate, edit script) for one projected measure pair.
 
-    The rate is the unit-cost structural edit distance divided by the
-    truth tree size; a missing prediction costs one deletion per truth
+    The rate is the unit-cost edit distance divided by the truth tree size;
+    a missing prediction (the empty tree) costs one deletion per truth
     node, i.e. exactly 1.
     """
-    g = project_tree(truth, mode="structural")
-    p = (project_tree(predicted, mode="structural")
-         if predicted is not None else EMPTY_TREE)
-    script = tree_edit_distance(g, p, UNIT_COSTS)
-    return Fraction(script.cost) / g.size, script
+    script = tree_edit_distance(truth, predicted, UNIT_COSTS)
+    return Fraction(script.cost) / len(truth.nodes), script
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +226,19 @@ class Tier3Counts:
         return self.time_diff / self.matched
 
 
-def _note_events(tree: LabeledTree) -> list[NoteMeta]:
-    return [n.meta for n in tree.postorder() if n.meta is not None]
+def tier3_counts(truth: LabeledTree, predicted: LabeledTree) -> Tier3Counts:
+    """Score matched note events from the semantic edit mapping.
 
-
-def tier3_counts(truth: Measure, predicted: Measure | None) -> Tier3Counts:
-    """Score matched note events from the semantic edit mapping."""
-    g = project_tree(truth, mode="semantic")
-    p = (project_tree(predicted, mode="semantic")
-         if predicted is not None else EMPTY_TREE)
+    Raises the timing error of a tree whose events could not be timed.
+    """
+    g, p = truth.timed(), predicted.timed()
     script = tree_edit_distance(g, p, SEMANTIC_COSTS)
     counts = Tier3Counts()
-    counts.truth_events = len(_note_events(g))
-    counts.pred_events = len(_note_events(p))
-    if g.root is None:
-        return counts
-    g_nodes = g.postorder()
-    p_nodes = p.postorder()
+    counts.truth_events = sum(1 for n in g.nodes if n.meta is not None)
+    counts.pred_events = sum(1 for n in p.nodes if n.meta is not None)
     for gi, pi in script.mapping:
-        gm = g_nodes[gi].meta
-        pm = p_nodes[pi].meta
+        gm = g.nodes[gi].meta
+        pm = p.nodes[pi].meta
         if gm is None or pm is None:
             continue
         if gm.is_rest != pm.is_rest:
@@ -286,20 +273,17 @@ class MeasureEval:
     tier1: dict[str, ClassTally]
     tier3: Tier3Counts
 
-    @property
-    def ter(self) -> Fraction:
-        return Fraction(self.cost) / self.truth_size
-
 
 def evaluate_measure(truth: Measure, predicted: Measure | None,
                      include_synthetic: bool = True) -> MeasureEval:
-    rate, script = ter_score(truth, predicted)
+    g, p = project_tree(truth), project_tree(predicted)
+    _, script = ter_score(g, p)
     return MeasureEval(
         measure_id=truth.id,
         cost=Fraction(script.cost),
         truth_size=script.a_size,
         tier1=tally_terminals(truth, predicted, include_synthetic),
-        tier3=tier3_counts(truth, predicted),
+        tier3=tier3_counts(g, p),
     )
 
 
@@ -335,8 +319,3 @@ class CorpusTally:
 
     def tier1(self) -> Tier1Report:
         return tier1_report(self.classes)
-
-
-def check_labels(classes: dict[str, ClassTally]) -> list[str]:
-    """Labels outside the vocabulary, for harness warnings."""
-    return sorted(label for label in classes if not is_known(label))

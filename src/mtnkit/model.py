@@ -10,7 +10,7 @@ builder helpers in the converter. Equality is structural, ids included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -164,12 +164,6 @@ def iter_tokens(item: Node | Measure | Part | MTNWork) -> Iterator[Token]:
                 yield child
             else:
                 yield from iter_tokens(child)
-
-
-def iter_measures(work: MTNWork) -> Iterator[tuple[Part, Measure]]:
-    for part in work.parts:
-        for measure in part.measures:
-            yield part, measure
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,7 +363,3 @@ def validate(work: MTNWork) -> list[Violation]:
     bad content; structural impossibilities are reported as violations.
     """
     return _Validator(work).run()
-
-
-def replace_children(node: Node, children: tuple[Child, ...]) -> Node:
-    return replace(node, children=children)

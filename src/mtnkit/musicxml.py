@@ -381,7 +381,15 @@ class _Converter:
         onset = state.cursor.now
         divisions = elem.findtext("divisions")
         if divisions:
-            state.cursor.divisions = int(divisions)
+            try:
+                value = int(divisions)
+            except ValueError:
+                value = 0
+            if value < 1:
+                raise ConversionError(
+                    f"{self.where}: divisions must be a positive integer, "
+                    f"got {divisions!r}")
+            state.cursor.divisions = value
         staves = elem.findtext("staves")
         if staves:
             state.staves = max(state.staves, int(staves))
@@ -1093,7 +1101,10 @@ def convert_path(path: str | Path,
     data = path.read_bytes()
     if zipfile.is_zipfile(BytesIO(data)):
         data = _read_mxl(data, path)
-    return convert_score(data, options)
+    try:
+        return convert_score(data, options)
+    except ConversionError as exc:
+        raise ConversionError(f"{path}: {exc}") from None
 
 
 def _read_mxl(data: bytes, path: Path) -> bytes:

@@ -40,8 +40,10 @@ def _map_class_tokens(work: MTNWork, label: str, fraction: Fraction,
         state["seen"] += 1
         if not chosen(index):
             return tok
-        state["changed"] += 1
-        return edit(tok)
+        out = edit(tok)
+        if out != tok:
+            state["changed"] += 1
+        return out
 
     def visit(node: Node) -> Node:
         kids = tuple(visit_token(c) if isinstance(c, Token) else visit(c)

@@ -82,27 +82,6 @@ class EditScript:
         return self.substitutions + self.deletions + self.insertions
 
 
-def _flatten(tree: LabeledTree) -> tuple[list[TreeNode], list[int]]:
-    """Postorder nodes and each node's leftmost-leaf postorder index."""
-    nodes: list[TreeNode] = []
-    lml: list[int] = []
-
-    def walk(n: TreeNode) -> int:
-        first = -1
-        for c in n.children:
-            f = walk(c)
-            if first == -1:
-                first = f
-        idx = len(nodes)
-        nodes.append(n)
-        lml.append(first if first != -1 else idx)
-        return lml[idx]
-
-    if tree.root is not None:
-        walk(tree.root)
-    return nodes, lml
-
-
 _EMPTY = (0, -1)
 
 
@@ -112,29 +91,18 @@ def _norm(lo: int, hi: int) -> tuple[int, int]:
 
 def _identity_script(a: LabeledTree, b: LabeledTree,
                      costs: CostModel) -> EditScript | None:
-    """Zero-cost script when the trees align pairwise at zero relabel cost."""
-    an, _ = _flatten(a)
-    bn, _ = _flatten(b)
-    if len(an) != len(bn):
-        return None
+    """Zero-cost script when the trees align pairwise at zero relabel cost.
 
-    def shape(nodes: list[TreeNode], root: TreeNode | None):
-        out = []
-        def rec(n):
-            out.append(len(n.children))
-            for c in n.children:
-                rec(c)
-        if root is not None:
-            rec(root)
-        return out
-
-    if shape(an, a.root) != shape(bn, b.root):
+    Equal leftmost-leaf arrays mean equal shapes: node i's subtree is the
+    postorder interval lml[i]..i.
+    """
+    if a.lml != b.lml:
         return None
-    for x, y in zip(an, bn):
+    for x, y in zip(a.nodes, b.nodes):
         if costs.substitute(x, y) != 0:
             return None
-    mapping = tuple((i, i) for i in range(len(an)))
-    return EditScript(0, 0, 0, 0, mapping, len(an), len(bn))
+    n = len(a.nodes)
+    return EditScript(0, 0, 0, 0, tuple((i, i) for i in range(n)), n, n)
 
 
 def tree_edit_distance(a: LabeledTree, b: LabeledTree,
@@ -143,8 +111,8 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree,
     fast = _identity_script(a, b, costs)
     if fast is not None:
         return fast
-    anodes, almd = _flatten(a)
-    bnodes, blmd = _flatten(b)
+    anodes, almd = a.nodes, a.lml
+    bnodes, blmd = b.nodes, b.lml
     na, nb = len(anodes), len(bnodes)
 
     memo: dict[tuple[int, int, int, int], Cost] = {(0, -1, 0, -1): 0}

@@ -2,28 +2,18 @@
 
 Onsets and durations are fractions of a quarter note. A chord's nominal
 duration follows from its notehead class, stem presence, beam levels, flags
-and dots; tuplet membership scales it by an inferred ratio. Onset inference
-fills the onsets a score author may omit: within a note group only the first
-chord needs explicit timing, the rest chain from accumulated durations.
+and dots; tuplet membership scales it by an inferred ratio. Onsets are never
+inferred: every chord and top-level node carries its own (see
+model.validate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import vocabulary
-from .model import (
-    CHORD, NOTE, NOTE_GROUP, REST, STEM, Measure, Node, Token,
-)
-
-
-class OnsetError(ValueError):
-    """A chord chain is untimeable or contradicts its explicit onsets."""
-
-    def __init__(self, subject: str, message: str):
-        super().__init__(f"{subject}: {message}")
-        self.subject = subject
+from .model import CHORD, NOTE, NOTE_GROUP, REST, STEM, Measure, Node, Token
 
 
 def _dot_count(node: Node) -> int:
@@ -108,7 +98,6 @@ class TimedEvent:
     beams: int
     nominal: Fraction = Fraction(0)
     factor: Fraction = Fraction(1)
-    group: int = -1  # index of the top-level node chain it belongs to
 
     @property
     def onset(self) -> Fraction | None:
@@ -124,22 +113,22 @@ def timed_events(measure: Measure) -> list[TimedEvent]:
     tuplet factors resolved."""
     events: list[TimedEvent] = []
 
-    def walk_group(node: Node, path: tuple[int, ...], beams: int, group: int):
+    def walk_group(node: Node, path: tuple[int, ...], beams: int):
         beams += sum(1 for c in node.children
                      if isinstance(c, Token) and c.label == "beam")
         for i, child in enumerate(node.children):
             if not isinstance(child, Node):
                 continue
             if child.kind == CHORD:
-                events.append(TimedEvent(child, path + (i,), beams, group=group))
+                events.append(TimedEvent(child, path + (i,), beams))
             elif child.kind == NOTE_GROUP:
-                walk_group(child, path + (i,), beams, group)
+                walk_group(child, path + (i,), beams)
 
     for i, child in enumerate(measure.children):
         if child.kind == NOTE_GROUP:
-            walk_group(child, (i,), 0, i)
+            walk_group(child, (i,), 0)
         elif child.kind == REST:
-            events.append(TimedEvent(child, (i,), 0, group=i))
+            events.append(TimedEvent(child, (i,), 0))
     for ev in events:
         ev.nominal = duration_of(ev.node, beams=ev.beams)
     _apply_tuplet_factors(events)
@@ -200,87 +189,3 @@ def _apply_tuplet_factors(events: list[TimedEvent]) -> None:
         ratio = _infer_ratio(members)
         for ev in members:
             ev.factor *= ratio
-
-
-def infer_onsets(measure: Measure) -> Measure:
-    """Fill omitted chord onsets and verify explicit ones.
-
-    Within each top-level note group, chords chain sequentially: each onset
-    is the previous chord's onset plus its duration (grace chords contribute
-    zero, so a grace run shares its principal's onset arithmetic). The first
-    chord of a group must carry an onset. Explicit onsets that contradict
-    the chain raise OnsetError. Fully timed measures pass through unchanged.
-    """
-    events = timed_events(measure)
-    new_onsets: dict[tuple[int, ...], Fraction] = {}
-    by_group: dict[int, list[TimedEvent]] = {}
-    for ev in events:
-        by_group.setdefault(ev.group, []).append(ev)
-    for chain in by_group.values():
-        first = chain[0]
-        if first.onset is None:
-            raise OnsetError(_path_str(measure, first.path),
-                             "first chord of a group needs an explicit onset")
-        cursor = first.onset + first.duration
-        for ev in chain[1:]:
-            if ev.onset is None:
-                new_onsets[ev.path] = cursor
-                cursor += ev.duration
-            else:
-                if ev.onset != cursor:
-                    raise OnsetError(
-                        _path_str(measure, ev.path),
-                        f"onset {ev.onset} contradicts chained time {cursor}")
-                cursor = ev.onset + ev.duration
-    if not new_onsets:
-        return measure
-
-    def rebuild(node: Node, path: tuple[int, ...]) -> Node:
-        children = tuple(
-            rebuild(c, path + (i,)) if isinstance(c, Node) else c
-            for i, c in enumerate(node.children))
-        onset = new_onsets.get(path, node.onset)
-        return replace(node, children=children, onset=onset)
-
-    return replace(measure, children=tuple(
-        rebuild(c, (i,)) for i, c in enumerate(measure.children)))
-
-
-def strip_inferrable_onsets(measure: Measure) -> Measure:
-    """Drop every chord onset that infer_onsets can restore.
-
-    Keeps the first chord of each top-level group timed. Inverse of
-    inference on verified measures.
-    """
-    events = timed_events(measure)
-    keep: set[tuple[int, ...]] = set()
-    seen_groups: set[int] = set()
-    for ev in events:
-        if ev.group not in seen_groups:
-            seen_groups.add(ev.group)
-            keep.add(ev.path)
-    drop = {ev.path for ev in events
-            if ev.path not in keep and ev.node.kind == CHORD}
-
-    def rebuild(node: Node, path: tuple[int, ...]) -> Node:
-        children = tuple(
-            rebuild(c, path + (i,)) if isinstance(c, Node) else c
-            for i, c in enumerate(node.children))
-        onset = None if path in drop else node.onset
-        return replace(node, children=children, onset=onset)
-
-    return replace(measure, children=tuple(
-        rebuild(c, (i,)) for i, c in enumerate(measure.children)))
-
-
-def _path_str(measure: Measure, path: tuple[int, ...]) -> str:
-    return measure.id + "/" + "/".join(str(i) for i in path)
-
-
-def measure_end(measure: Measure) -> Fraction:
-    """Latest offset of any timed content; 0 for an empty measure."""
-    end = Fraction(0)
-    for ev in timed_events(measure):
-        if ev.onset is not None:
-            end = max(end, ev.onset + ev.duration)
-    return end

@@ -2,18 +2,17 @@
 
 Tier 2 and Tier 3 metrics run on these projections rather than the rich
 model: internal nodes are labeled by their structural kind, leaves by their
-token class. Structural mode stops there; semantic mode additionally
-attaches pitch/time metadata to notehead and rest leaves for the refined
-cost model (labels stay identical in both modes, so the structural edit
-distance is unchanged by the metadata).
+token class. Notehead and rest leaves also carry pitch/time metadata for the
+semantic cost model; unit costs compare labels only, so both tiers share one
+projection per measure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import vocabulary
 from .model import NOTE, REST, Measure, Node, Token
@@ -40,108 +39,104 @@ class TreeNode:
     label: str
     children: tuple["TreeNode", ...] = ()
     meta: Optional[NoteMeta] = None
-    token_id: str | None = None
     synthetic: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class LabeledTree:
-    """An ordered labeled tree; root may be absent (the empty tree)."""
+    """An ordered labeled tree; root may be absent (the empty tree).
+
+    nodes lists the tree in postorder and lml[i] is the postorder index of
+    node i's leftmost leaf, so node i's subtree is exactly nodes[lml[i]:i+1].
+    timing_error holds the reason the measure's events could not be timed,
+    in which case no leaf carries metadata.
+    """
 
     root: TreeNode | None = None
+    timing_error: ValueError | None = field(default=None, compare=False)
+    nodes: tuple[TreeNode, ...] = field(init=False, repr=False, compare=False)
+    lml: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        return sum(1 for _ in self.walk())
+    def __post_init__(self) -> None:
+        # Right-to-left preorder, reversed, is left-to-right postorder.
+        order: list[TreeNode] = []
+        todo = [self.root] if self.root is not None else []
+        while todo:
+            n = todo.pop()
+            order.append(n)
+            todo.extend(n.children)
+        order.reverse()
+        sizes: list[int] = []  # sizes of the finished subtrees not yet claimed
+        lml: list[int] = []
+        for i, n in enumerate(order):
+            k = len(n.children)
+            size = 1
+            if k:
+                size += sum(sizes[-k:])
+                del sizes[-k:]
+            sizes.append(size)
+            lml.append(i - size + 1)
+        object.__setattr__(self, "nodes", tuple(order))
+        object.__setattr__(self, "lml", tuple(lml))
 
-    def walk(self) -> Iterator[TreeNode]:
-        def rec(n: TreeNode) -> Iterator[TreeNode]:
-            yield n
-            for c in n.children:
-                yield from rec(c)
-        if self.root is not None:
-            yield from rec(self.root)
-
-    def postorder(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        def rec(n: TreeNode) -> None:
-            for c in n.children:
-                rec(c)
-            out.append(n)
-        if self.root is not None:
-            rec(self.root)
-        return out
+    def timed(self) -> "LabeledTree":
+        """This tree, or the timing error that kept its metadata off."""
+        if self.timing_error is not None:
+            raise self.timing_error
+        return self
 
 
 EMPTY_TREE = LabeledTree(None)
 
 
-def _leaf(token: Token, meta: NoteMeta | None = None,
-          synthetic: bool = False) -> TreeNode:
-    return TreeNode(token.label, meta=meta, token_id=token.id,
-                    synthetic=synthetic)
-
-
-def _semantic_rest_meta(ev: TimedEvent, token: Token) -> NoteMeta:
-    return NoteMeta(staff=token.position.staff, step=0, head=token.label,
+def _meta(token: Token, ev: TimedEvent, is_rest: bool) -> NoteMeta:
+    step = token.position.step
+    return NoteMeta(staff=token.position.staff,
+                    step=0 if is_rest or step is None else step,
+                    head=token.label,
                     onset=ev.onset if ev.onset is not None else Fraction(0),
-                    duration=ev.duration, token_id=token.id, is_rest=True)
+                    duration=ev.duration, token_id=token.id, is_rest=is_rest)
 
 
-def project_tree(measure: Measure | None, mode: str = "structural") -> LabeledTree:
+def project_tree(measure: Measure | None) -> LabeledTree:
     """Project a measure to a labeled tree; None projects to the empty tree.
 
-    mode "structural" labels leaves by token class only; "semantic" also
-    attaches (staff, step, head class, onset, duration) to notehead leaves
-    and (staff, onset, duration) to rest leaves.
+    Leaves are labeled by token class. Notehead leaves carry (staff, step,
+    head class, onset, duration) from their chord's event, rest leaves
+    (staff, onset, duration) from their top-level rest. A measure whose
+    events cannot be timed projects with the same labels, no metadata, and
+    the error kept in timing_error.
     """
-    if mode not in ("structural", "semantic"):
-        raise ValueError(f"unknown projection mode: {mode}")
     if measure is None:
         return EMPTY_TREE
-    semantic = mode == "semantic"
-    ev_by_path: dict[tuple[int, ...], TimedEvent] = {}
-    if semantic:
+    try:
         ev_by_path = {ev.path: ev for ev in timed_events(measure)}
+        error = None
+    except ValueError as exc:
+        ev_by_path, error = {}, exc
 
-    def build(node: Node, path: tuple[int, ...],
-              synthetic: bool) -> TreeNode:
+    def build(node: Node, path: tuple[int, ...], synthetic: bool,
+              parent_ev: TimedEvent | None) -> TreeNode:
         synthetic = synthetic or node.synthetic
         ev = ev_by_path.get(path)
         kids: list[TreeNode] = []
         for i, child in enumerate(node.children):
-            if isinstance(child, Token):
-                meta = None
-                if semantic and node.kind == REST and child.label in vocabulary.RESTS:
-                    rest_ev = ev if ev is not None else None
-                    if rest_ev is not None:
-                        meta = _semantic_rest_meta(rest_ev, child)
-                kids.append(_leaf(child, meta, synthetic))
-            else:
-                kids.append(build(child, path + (i,), synthetic))
-        if semantic and node.kind == NOTE:
-            chord_ev = ev_by_path.get(path[:-1])
-            if chord_ev is not None:
-                kids = [_attach_note_meta(k, node, chord_ev) for k in kids]
+            if isinstance(child, Node):
+                kids.append(build(child, path + (i,), synthetic, ev))
+                continue
+            meta = None
+            if (node.kind == REST and ev is not None
+                    and child.label in vocabulary.RESTS):
+                meta = _meta(child, ev, True)
+            elif (node.kind == NOTE and parent_ev is not None
+                    and child.label in vocabulary.NOTEHEADS):
+                meta = _meta(child, parent_ev, False)
+            kids.append(TreeNode(child.label, meta=meta, synthetic=synthetic))
         return TreeNode(node.kind, tuple(kids), synthetic=synthetic)
 
-    def _attach_note_meta(leaf: TreeNode, note: Node,
-                          ev: TimedEvent) -> TreeNode:
-        if leaf.meta is not None or leaf.label not in vocabulary.NOTEHEADS:
-            return leaf
-        token = next(t for t in note.children
-                     if isinstance(t, Token) and t.id == leaf.token_id)
-        step = token.position.step if token.position.step is not None else 0
-        meta = NoteMeta(staff=token.position.staff, step=step,
-                        head=token.label,
-                        onset=ev.onset if ev.onset is not None else Fraction(0),
-                        duration=ev.duration, token_id=token.id)
-        return TreeNode(leaf.label, leaf.children, meta, leaf.token_id,
-                        leaf.synthetic)
-
-    children = tuple(
-        build(child, (i,), False) for i, child in enumerate(measure.children))
-    return LabeledTree(TreeNode(MEASURE_LABEL, children))
+    children = tuple(build(child, (i,), False, None)
+                     for i, child in enumerate(measure.children))
+    return LabeledTree(TreeNode(MEASURE_LABEL, children), error)
 
 
 def extract_terminals(measure: Measure | None, *,

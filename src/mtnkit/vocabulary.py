@@ -1,8 +1,7 @@
 """Registry of music primitive token classes.
 
-Every token in a tree score carries a label drawn from this registry. The
-registry is a closed set at validation time but extensible at runtime via
-:func:`register_class` for corpora that need extra primitives.
+Every token in a tree score carries a label drawn from this registry, a
+closed set fixed at import: validation rejects any other label.
 """
 
 from __future__ import annotations
@@ -131,26 +130,6 @@ BARLINE_NODE_TOKENS = BARLINE_TOKENS | REPEATS | FERMATA
 TIMESIG_TOKENS = TIMESIG_SYMBOLS | TIMESIG_NUMBER
 
 
-def register_class(label: str, *, positioned: bool = False,
-                   pair_role: str | None = None,
-                   partner: str | None = None) -> None:
-    """Add a token class to the registry.
-
-    Extension hook for corpora with primitives outside the shipped set.
-    Registered classes validate and serialize but take part in no duration
-    or conversion logic.
-    """
-    if label in _ALL:
-        raise ValueError(f"token class already registered: {label}")
-    if pair_role not in (None, "start", "stop"):
-        raise ValueError(f"bad pair role: {pair_role}")
-    if (pair_role == "start") != (partner is not None):
-        raise ValueError("start classes need a partner; others must not have one")
-    _define(label, positioned=positioned, pair_role=pair_role)
-    if partner is not None:
-        PAIR_PARTNERS[label] = frozenset({partner})
-
-
 def is_known(label: str) -> bool:
     return label in _ALL
 
@@ -162,7 +141,3 @@ def is_positioned(label: str) -> bool:
 def pair_role(label: str) -> str | None:
     """Pairing role of a class: "start", "stop", or None for unpaired."""
     return _PAIR_ROLE.get(label)
-
-
-def all_classes() -> frozenset[str]:
-    return frozenset(_ALL)

@@ -112,14 +112,14 @@ def test_error_rate_boundaries():
             w = corpus_work(entry)
             for part in w.parts:
                 for m in part.measures:
-                    rate, _ = ter_score(m, None)
+                    rate, _ = ter_score(project_tree(m), project_tree(None))
                     assert rate == 1, m.id
         motif = parse_work((CORPUS / "motif.mtn.xml").read_bytes())
         relabeled, changed = relabel_fraction(motif, "dyn_p", "dyn_f",
                                               Fraction(1))
         assert changed == 1
-        rate, script = ter_score(motif.parts[0].measures[0],
-                                 relabeled.parts[0].measures[0])
+        rate, script = ter_score(project_tree(motif.parts[0].measures[0]),
+                                 project_tree(relabeled.parts[0].measures[0]))
         assert script.a_size == 5
         assert script.substitutions == 1
         assert rate == Fraction(1, 5)
@@ -170,15 +170,12 @@ def test_single_step_substitution_cost():
                    "1/2 edit cost and 1/|M| step-precision loss"):
         truth = work(five_black_measure(8)).parts[0].measures[0]
         moved = work(five_black_measure(9)).parts[0].measures[0]
-        same = tree_edit_distance(project_tree(truth, "semantic"),
-                                  project_tree(truth, "semantic"),
-                                  SEMANTIC_COSTS).cost
-        delta = tree_edit_distance(project_tree(truth, "semantic"),
-                                   project_tree(moved, "semantic"),
-                                   SEMANTIC_COSTS).cost
+        g, p = project_tree(truth), project_tree(moved)
+        same = tree_edit_distance(g, g, SEMANTIC_COSTS).cost
+        delta = tree_edit_distance(g, p, SEMANTIC_COSTS).cost
         assert same == 0
         assert delta == Fraction(1, 2)
-        counts = tier3_counts(truth, moved)
+        counts = tier3_counts(g, p)
         assert counts.matched == 5
         assert counts.step_precision == 1 - Fraction(1, counts.matched)
         assert counts.pitch_shift == Fraction(1, 5)

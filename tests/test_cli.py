@@ -90,6 +90,17 @@ def test_convert_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_convert_zero_divisions_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "tune.musicxml"
+    src.write_text(MUSICXML.replace("<divisions>2<", "<divisions>0<"),
+                   encoding="utf-8")
+    rc = main(["convert", str(src), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "tune.musicxml" in err and "divisions must be a positive" in err
+    assert "Traceback" not in err
+
+
 # -- validate -----------------------------------------------------------------
 
 def test_validate_clean_file(tmp_path):
@@ -274,6 +285,74 @@ def test_diff_unparseable_input(tmp_path, capsys):
     rc = main(["diff", str(t), str(t)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def untimeable_pair(tmp_path):
+    """Truth fixture and a copy whose first chord lost its notehead t4."""
+    truth = tmp_path / "truth"
+    pred = tmp_path / "pred"
+    truth.mkdir()
+    pred.mkdir()
+    source = (CORPUS / "anthem.mtn.xml").read_text(encoding="utf-8")
+    (truth / "anthem.mtn.xml").write_text(source, encoding="utf-8")
+    lines = [line for line in source.splitlines(keepends=True)
+             if 'id="t4"' not in line]
+    assert len(lines) == len(source.splitlines()) - 1
+    (pred / "anthem.mtn.xml").write_text("".join(lines), encoding="utf-8")
+    return truth, pred
+
+
+def test_diff_untimeable_prediction_still_scripts(tmp_path, capsys):
+    truth, pred = untimeable_pair(tmp_path)
+    rc = main(["diff", str(pred / "anthem.mtn.xml"),
+               str(truth / "anthem.mtn.xml")])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        "m1: cost 1 over 37 truth nodes (TER 0.027)\n"
+        "  missing notehead_black\n")
+
+
+def test_semantic_diff_and_evaluate_reject_untimeable(tmp_path, capsys):
+    truth, pred = untimeable_pair(tmp_path)
+    manifest = tmp_path / "corpus.jsonl"
+    manifest.write_text(write_manifest(manifest_for_work(
+        parse_work((truth / "anthem.mtn.xml").read_bytes()),
+        "anthem.mtn.xml")), encoding="utf-8")
+    for argv in (["diff", "--semantic", str(pred / "anthem.mtn.xml"),
+                  str(truth / "anthem.mtn.xml")],
+                 ["evaluate", "--pred", str(pred), "--truth", str(truth),
+                  "--manifest", str(manifest)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: chord has no noteheads\n"
+        assert captured.out == ""
+
+
+def test_diff_runs_one_edit_distance_per_differing_measure(
+        tmp_path, capsys, monkeypatch):
+    # Counted wherever diff could reach it, so a second (TER) run would show.
+    import mtnkit.cli as cli
+    import mtnkit.metrics as metrics
+    calls = []
+    real = cli.tree_edit_distance
+
+    def counting(a, b, costs):
+        calls.append(costs)
+        return real(a, b, costs)
+
+    monkeypatch.setattr(cli, "tree_edit_distance", counting)
+    monkeypatch.setattr(metrics, "tree_edit_distance", counting)
+    truth = standard_work(n_measures=3)
+    pred, changed = relabel_fraction(truth, "notehead_black",
+                                     "notehead_white", Fraction(1))
+    assert changed == 6
+    t = tmp_path / "truth.mtn.xml"
+    p = tmp_path / "pred.mtn.xml"
+    t.write_bytes(serialize_work(truth))
+    p.write_bytes(serialize_work(pred))
+    assert main(["diff", str(p), str(t)]) == 1
+    assert capsys.readouterr().out.count("truth nodes") == 3
+    assert len(calls) == 3
 
 
 # -- perturb ------------------------------------------------------------------

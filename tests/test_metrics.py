@@ -11,6 +11,7 @@ from mtnkit.metrics import (
     merge_tallies, tally_terminals, ter_score, tier1_report, tier3_counts,
 )
 from mtnkit.model import Measure, Token
+from mtnkit.trees import project_tree
 
 
 def relabel_first(m: Measure, old: str, new: str) -> Measure:
@@ -112,7 +113,7 @@ def test_missing_prediction_tallies():
 
 def test_ter_zero_on_identity():
     m = standard_measure()
-    rate, script = ter_score(m, m)
+    rate, script = ter_score(project_tree(m), project_tree(m))
     assert rate == 0
     assert script.cost == 0
 
@@ -122,14 +123,14 @@ def test_ter_one_leaf_relabeled():
     truth = measure(rest("rest_quarter", onset=0),
                     direction("dyn_p", onset=0))
     pred = relabel_first(truth, "rest_quarter", "rest_half")
-    rate, script = ter_score(truth, pred)
+    rate, script = ter_score(project_tree(truth), project_tree(pred))
     assert script.a_size == 5
     assert rate == Fraction(1, 5)
 
 
 def test_ter_missing_prediction_is_one():
     m = standard_measure()
-    rate, _ = ter_score(m, None)
+    rate, _ = ter_score(project_tree(m), project_tree(None))
     assert rate == 1
 
 
@@ -152,7 +153,7 @@ def four_note_measure(steps, onsets=None):
 
 def test_tier3_perfect():
     m = standard_measure()
-    counts = tier3_counts(m, m)
+    counts = tier3_counts(project_tree(m), project_tree(m))
     assert counts.missed_note_rate == 0
     assert counts.false_positive_rate == 0
     assert counts.pitch_precision == 1
@@ -165,7 +166,7 @@ def test_tier3_perfect():
 def test_tier3_one_step_high():
     truth = four_note_measure([4, 5, 6, 7])
     pred = four_note_measure([4, 5, 6, 8])  # last note a step high
-    counts = tier3_counts(truth, pred)
+    counts = tier3_counts(project_tree(truth), project_tree(pred))
     assert counts.matched_notes == 4
     assert counts.step_precision == Fraction(3, 4)
     assert counts.pitch_precision == Fraction(3, 4)
@@ -177,8 +178,8 @@ def test_tier3_one_step_high():
 def test_tier3_shift_antisymmetry():
     truth = four_note_measure([4, 5, 6, 7])
     pred = four_note_measure([4, 5, 6, 8])
-    forward = tier3_counts(truth, pred)
-    backward = tier3_counts(pred, truth)
+    forward = tier3_counts(project_tree(truth), project_tree(pred))
+    backward = tier3_counts(project_tree(pred), project_tree(truth))
     assert forward.pitch_shift == -backward.pitch_shift
     assert forward.time_shift == -backward.time_shift
 
@@ -186,7 +187,7 @@ def test_tier3_shift_antisymmetry():
 def test_tier3_missed_notes():
     truth = four_note_measure([4, 5, 6, 7])
     pred = four_note_measure([4, 5])
-    counts = tier3_counts(truth, pred)
+    counts = tier3_counts(project_tree(truth), project_tree(pred))
     assert counts.truth_events == 4
     assert counts.pred_events == 2
     assert counts.matched == 2
@@ -197,7 +198,7 @@ def test_tier3_missed_notes():
 def test_tier3_spurious_notes():
     truth = four_note_measure([4, 5])
     pred = four_note_measure([4, 5, 6, 7])
-    counts = tier3_counts(truth, pred)
+    counts = tier3_counts(project_tree(truth), project_tree(pred))
     assert counts.false_positive_rate == Fraction(1, 2)
     assert counts.missed_note_rate == 0
 
@@ -205,7 +206,7 @@ def test_tier3_spurious_notes():
 def test_tier3_rests_count_as_events():
     truth = measure(rest("rest_quarter", onset=0),
                     group(simple_chord(4, 1)))
-    counts = tier3_counts(truth, truth)
+    counts = tier3_counts(project_tree(truth), project_tree(truth))
     assert counts.truth_events == 2
     assert counts.matched == 2
     assert counts.matched_notes == 1
@@ -216,7 +217,7 @@ def test_tier3_time_shift():
     truth = measure(group(simple_chord(4, 0)), group(simple_chord(5, 1)))
     pred = measure(group(simple_chord(4, 0)),
                    group(simple_chord(5, Fraction(3, 2))))
-    counts = tier3_counts(truth, pred)
+    counts = tier3_counts(project_tree(truth), project_tree(pred))
     assert counts.time_correct == 1
     assert counts.time_precision == Fraction(1, 2)
     assert counts.time_shift == Fraction(1, 4)  # (0 + 1/2) / 2
@@ -224,7 +225,7 @@ def test_tier3_time_shift():
 
 def test_tier3_empty_prediction():
     truth = four_note_measure([4, 5, 6, 7])
-    counts = tier3_counts(truth, None)
+    counts = tier3_counts(project_tree(truth), project_tree(None))
     assert counts.missed_note_rate == 1
     assert counts.false_positive_rate is None
     assert counts.pitch_precision is None
@@ -247,7 +248,7 @@ def test_tier3_accumulation():
 def test_evaluate_measure_fields():
     m = standard_measure()
     ev = evaluate_measure(m, m)
-    assert ev.ter == 0
+    assert ev.cost == 0
     assert ev.truth_size > 0
     assert ev.measure_id == m.id
     assert ev.tier3.missed_note_rate == 0

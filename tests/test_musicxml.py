@@ -644,3 +644,14 @@ def test_output_round_trips_through_xml():
     result = convert_score(torture_fixture())
     data = serialize_work(result.work)
     assert serialize_work(parse_work(data)) == data
+
+
+@pytest.mark.parametrize("divisions", ["0", "-2", "1.5", "two"])
+def test_bad_divisions_rejected_with_file_name(tmp_path, divisions):
+    attrs = ATTRS_44.replace("<divisions>4<", f"<divisions>{divisions}<")
+    path = tmp_path / "bad.musicxml"
+    path.write_text(score(f'<measure number="1">{attrs}'
+                          + note("C", 4, 4, "quarter") + "</measure>"))
+    with pytest.raises(ConversionError, match="bad.musicxml: part P1 "
+                       "measure 1: divisions must be a positive integer"):
+        convert_path(path)

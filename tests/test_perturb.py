@@ -107,3 +107,14 @@ def test_missing_class_changes_nothing():
                                     Fraction(1))
     assert changed == 0
     assert serialize_work(out) == serialize_work(w)
+
+
+def test_shift_step_counts_only_changed_tokens():
+    # stem_up is positionless: the shift leaves it as it is, so it counts
+    # for nothing; a zero shift changes nothing either.
+    w = black_head_work(4)
+    out, changed = shift_step_fraction(w, "stem_up", 1, Fraction(1))
+    assert changed == 0
+    assert serialize_work(out) == serialize_work(w)
+    _, changed = shift_step_fraction(w, "notehead_black", 0, Fraction(1))
+    assert changed == 0

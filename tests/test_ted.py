@@ -89,8 +89,8 @@ def test_mapping_is_order_preserving():
         assert len({i for i, _ in pairs}) == len(pairs)
         assert len({j for _, j in pairs}) == len(pairs)
         # mapping cost accounts exactly
-        an = a.postorder()
-        bn = b.postorder()
+        an = a.nodes
+        bn = b.nodes
         mapped_a = {i for i, _ in pairs}
         mapped_b = {j for _, j in pairs}
         cost = sum(UNIT_COSTS.substitute(an[i], bn[j]) for i, j in pairs)
@@ -187,7 +187,10 @@ def test_same_postorder_labels_different_shape():
     # leftmost-leaf structure tells them apart.
     a = tree("x", t("y"), t("z"))
     b = tree("x", t("z", t("y")))
+    assert [n.label for n in a.nodes] == [n.label for n in b.nodes]
+    assert a.lml == (0, 1, 0) and b.lml == (0, 0, 0)
     script = tree_edit_distance(a, b)
+    assert script.mapping != ((0, 0), (1, 1), (2, 2))
     assert script.cost == 2
     assert script.cost == brute_force_distance(a, b, UNIT_COSTS)
 
@@ -208,10 +211,9 @@ def test_golden_edit_scripts():
                   (measures[i], None)]
     h = hashlib.sha256()
     for g, p in pairs:
-        for costs, mode in ((UNIT_COSTS, "structural"),
-                            (SEMANTIC_COSTS, "semantic")):
-            s = tree_edit_distance(project_tree(g, mode),
-                                   project_tree(p, mode), costs)
+        g, p = project_tree(g), project_tree(p)
+        for costs in (UNIT_COSTS, SEMANTIC_COSTS):
+            s = tree_edit_distance(g, p, costs)
             h.update(repr((str(s.cost), s.substitutions, s.deletions,
                            s.insertions, s.mapping, s.a_size,
                            s.b_size)).encode())

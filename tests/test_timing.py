@@ -1,14 +1,9 @@
-"""Durations, tuplet ratios, onset inference and verification."""
+"""Durations, tuplet ratios and event timing."""
 
 from fractions import Fraction
 
-import pytest
-
 import builders as B
-from mtnkit.timing import (
-    OnsetError, duration_of, infer_onsets, measure_end,
-    strip_inferrable_onsets, timed_events,
-)
+from mtnkit.timing import duration_of, timed_events
 
 
 def test_black_notehead_base_quarter():
@@ -92,70 +87,3 @@ def test_quintuplet_ratio():
     events = timed_events(m)
     assert all(ev.factor == Fraction(4, 5) for ev in events)
     assert all(ev.duration == Fraction(1, 5) for ev in events)
-
-
-def test_infer_onsets_chains_and_fills():
-    g = B.group(B.simple_chord(onset=0, flags=1),
-                B.simple_chord(onset=None, flags=1),
-                B.simple_chord(onset=None))
-    m = B.measure(g)
-    out = infer_onsets(m)
-    got = [ev.onset for ev in timed_events(out)]
-    assert got == [Fraction(0), Fraction(1, 2), Fraction(1)]
-
-
-def test_infer_onsets_triplet_grid():
-    # beamed eighth triplet: each 1/2 * 2/3 = 1/3 quarter
-    pair = "tu3"
-    a = B.simple_chord(onset=0, extras=(B.tok("tuplet_start", pair=pair),))
-    b = B.simple_chord(onset=None)
-    c = B.simple_chord(onset=None, extras=(B.tok("tuplet_stop", pair=pair),))
-    m = B.measure(B.group(a, b, c, beams=1))
-    got = [ev.onset for ev in timed_events(infer_onsets(m))]
-    assert got == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
-
-
-def test_infer_onsets_verifies_fully_timed():
-    m = B.standard_measure()
-    assert infer_onsets(m) == m
-
-
-def test_infer_onsets_rejects_contradiction():
-    g = B.group(B.simple_chord(onset=0),
-                B.simple_chord(onset=Fraction(1, 2)))  # quarter, not eighth
-    with pytest.raises(OnsetError):
-        infer_onsets(B.measure(g))
-
-
-def test_infer_onsets_requires_first_onset():
-    g = B.group(B.simple_chord(onset=None))
-    with pytest.raises(OnsetError):
-        infer_onsets(B.measure(g))
-
-
-def test_grace_run_shares_onset_arithmetic():
-    grace = B.chord(B.note("notehead_grace_black", step=8),
-                    stem_node=B.stem(), onset=0)
-    main = B.simple_chord(onset=None, step=6)
-    after = B.simple_chord(onset=None, step=6)
-    m = B.measure(B.group(grace), B.group(main, after))
-    # graces sit in their own group here; main group starts untimed
-    with pytest.raises(OnsetError):
-        infer_onsets(m)
-    m2 = B.measure(B.group(grace, main, after))
-    got = [ev.onset for ev in timed_events(infer_onsets(m2))]
-    assert got == [Fraction(0), Fraction(0), Fraction(1)]
-
-
-def test_strip_then_infer_round_trip():
-    import random
-    rng = random.Random(11)
-    for i in range(25):
-        m = B.random_measure(rng, f"m{i}")
-        stripped = strip_inferrable_onsets(m)
-        assert infer_onsets(stripped) == m
-
-
-def test_measure_end():
-    assert measure_end(B.standard_measure()) == 4
-    assert measure_end(B.measure()) == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import builders as B
-from mtnkit.model import Node
+from mtnkit.model import NODE_KINDS, Node
 from mtnkit.trees import extract_terminals, project_tree
 
 
@@ -23,9 +23,10 @@ def count_nodes(measure):
 def test_labels_structural():
     m = B.measure(B.group(B.simple_chord(step=4), beams=1))
     t = project_tree(m)
-    labels = [n.label for n in t.walk()]
-    assert labels == ["measure", "note_group", "beam", "chord", "stem",
-                      "stem_up", "note", "notehead_black"]
+    labels = [n.label for n in t.nodes]
+    assert labels == ["beam", "stem_up", "stem", "notehead_black", "note",
+                      "chord", "note_group", "measure"]
+    assert t.lml == (0, 1, 1, 3, 3, 1, 0, 0)
 
 
 def test_size_matches_independent_count():
@@ -33,18 +34,13 @@ def test_size_matches_independent_count():
     rng = random.Random(5)
     for i in range(20):
         m = B.random_measure(rng, f"m{i}")
-        assert project_tree(m).size == count_nodes(m)
+        assert len(project_tree(m).nodes) == count_nodes(m)
 
 
 def test_none_projects_to_empty_tree():
     t = project_tree(None)
     assert t.root is None
-    assert t.size == 0
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        project_tree(B.standard_measure(), "fancy")
+    assert t.nodes == () and t.lml == ()
 
 
 def test_terminals_beamed_pair():
@@ -63,8 +59,8 @@ def test_terminals_equal_structural_leaf_labels():
     rng = random.Random(6)
     for i in range(20):
         m = B.random_measure(rng, f"m{i}")
-        leaves = Counter(n.label for n in project_tree(m).walk()
-                         if not n.children and n.token_id is not None)
+        leaves = Counter(n.label for n in project_tree(m).nodes
+                         if not n.children and n.label not in NODE_KINDS)
         assert leaves == extract_terminals(m)
 
 
@@ -83,8 +79,8 @@ def test_semantic_meta_on_noteheads():
     m = B.measure(B.group(
         B.simple_chord(step=6, onset=0),
         B.simple_chord(step=8, onset=Fraction(1, 2)), beams=1))
-    t = project_tree(m, "semantic")
-    heads = [n for n in t.walk() if n.meta is not None and not n.meta.is_rest]
+    t = project_tree(m)
+    heads = [n for n in t.nodes if n.meta is not None and not n.meta.is_rest]
     assert len(heads) == 2
     first, second = sorted(heads, key=lambda n: n.meta.onset)
     assert (first.meta.staff, first.meta.step) == (1, 6)
@@ -96,25 +92,33 @@ def test_semantic_meta_on_noteheads():
 
 def test_semantic_meta_on_rests():
     m = B.measure(B.rest("rest_eighth", onset=Fraction(3, 2)))
-    t = project_tree(m, "semantic")
-    rests = [n for n in t.walk() if n.meta is not None and n.meta.is_rest]
+    t = project_tree(m)
+    rests = [n for n in t.nodes if n.meta is not None and n.meta.is_rest]
     assert len(rests) == 1
     assert rests[0].meta.onset == Fraction(3, 2)
     assert rests[0].meta.duration == Fraction(1, 2)
     assert rests[0].meta.staff == 1
 
 
-def test_semantic_and_structural_labels_identical():
-    m = B.standard_measure()
-    structural = [n.label for n in project_tree(m).walk()]
-    semantic = [n.label for n in project_tree(m, "semantic").walk()]
-    assert structural == semantic
-
-
 def test_synthetic_flag_propagates_to_leaves():
     m = B.measure(B.treble_attributes(synthetic=True),
                   B.group(B.simple_chord()))
     t = project_tree(m)
-    synth = {n.label for n in t.walk() if n.synthetic}
+    synth = {n.label for n in t.nodes if n.synthetic}
     assert "clef_G" in synth
     assert "notehead_black" not in synth
+
+
+def test_untimeable_measure_keeps_labels_and_the_error():
+    headless = B.chord(Node("note"), stem_node=B.stem(), onset=0)
+    m = B.measure(B.group(headless), B.rest("rest_quarter", onset=1))
+    t = project_tree(m)
+    assert [n.label for n in t.nodes] == [
+        "stem_up", "stem", "note", "chord", "note_group", "rest_quarter",
+        "rest", "measure"]
+    assert all(n.meta is None for n in t.nodes)
+    assert str(t.timing_error) == "chord has no noteheads"
+    with pytest.raises(ValueError, match="chord has no noteheads"):
+        t.timed()
+    timed = project_tree(B.standard_measure())
+    assert timed.timing_error is None and timed.timed() is timed
