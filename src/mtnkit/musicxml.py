@@ -366,6 +366,15 @@ class _Converter:
             top.append(Node(BARLINE, tuple(tokens), onset=onset))
         return Measure(measure_id, tuple(top), line_start=line_start)
 
+    def integer(self, text: str, element: str) -> int:
+        """text as an int, or a ConversionError naming element and text."""
+        try:
+            return int(text)
+        except ValueError:
+            raise ConversionError(
+                f"{self.where}: <{element}> must be an integer, "
+                f"got {text!r}") from None
+
     def _duration(self, elem: ET.Element) -> int:
         raw = elem.findtext("duration")
         try:
@@ -392,16 +401,19 @@ class _Converter:
             state.cursor.divisions = value
         staves = elem.findtext("staves")
         if staves:
-            state.staves = max(state.staves, int(staves))
+            state.staves = max(state.staves,
+                               self.integer(staves, "staves"))
         per_staff: dict[int, list[Node]] = {}
 
         for ce in elem.findall("clef"):
-            staff = int(ce.get("number", "1"))
+            staff = self.integer(ce.get("number", "1"), "clef number")
             state.staves = max(state.staves, staff)
             sign = ce.findtext("sign", "G")
             line = ce.findtext("line")
-            octave_change = int(ce.findtext("clef-octave-change") or 0)
-            cs = clef_state(sign, int(line) if line else None, octave_change)
+            octave_change = self.integer(
+                ce.findtext("clef-octave-change") or "0", "clef-octave-change")
+            line_number = self.integer(line, "line") if line else None
+            cs = clef_state(sign, line_number, octave_change)
             if cs is None:
                 self.warn(f"clef sign {sign!r} unsupported; "
                           "treating staff as treble for positions")
@@ -412,14 +424,15 @@ class _Converter:
                 cs.label, staff, cs.line_step),)))
 
         for ke in elem.findall("key"):
-            target_staves = ([int(ke.get("number"))] if ke.get("number")
+            target_staves = ([self.integer(ke.get("number"), "key number")]
+                             if ke.get("number")
                              else list(range(1, state.staves + 1)))
             state.staves = max(state.staves, *target_staves)
             raw = ke.findtext("fifths")
             if raw is None:
                 self.warn("key without fifths")
                 continue
-            fifths = int(raw)
+            fifths = self.integer(raw, "fifths")
             for staff in target_staves:
                 tokens = self.key_tokens(fifths, staff, state)
                 state.fifths[staff] = fifths
@@ -428,7 +441,8 @@ class _Converter:
                         Node(KEY, tuple(tokens)))
 
         for te in elem.findall("time"):
-            target_staves = ([int(te.get("number"))] if te.get("number")
+            target_staves = ([self.integer(te.get("number"), "time number")]
+                             if te.get("number")
                              else list(range(1, state.staves + 1)))
             state.staves = max(state.staves, *target_staves)
             for staff in target_staves:
@@ -490,7 +504,7 @@ class _Converter:
 
     def handle_direction(self, elem: ET.Element,
                          state: _PartState) -> list[Node]:
-        staff = int(elem.findtext("staff") or 1)
+        staff = self.integer(elem.findtext("staff") or "1", "staff")
         onset = state.cursor.now
         offset = elem.findtext("offset")
         if offset:
@@ -593,7 +607,7 @@ class _Converter:
 
     def handle_note(self, elem: ET.Element, state: _PartState,
                     events: list[_ChordEvent], top: list[Node]) -> None:
-        staff = int(elem.findtext("staff") or 1)
+        staff = self.integer(elem.findtext("staff") or "1", "staff")
         state.staves = max(state.staves, staff)
         voice = elem.findtext("voice") or "1"
         grace = elem.find("grace") is not None
@@ -612,14 +626,14 @@ class _Converter:
         unpitched = elem.find("unpitched")
         if pitch is not None:
             letter = pitch.findtext("step", "C")
-            octave = int(pitch.findtext("octave", "4"))
+            octave = self.integer(pitch.findtext("octave", "4"), "octave")
             step = pitch_to_step(letter, octave, state.clef(staff))
         elif unpitched is not None:
             letter = unpitched.findtext("display-step")
             octave_text = unpitched.findtext("display-octave")
             if letter and octave_text:
-                step = pitch_to_step(letter, int(octave_text),
-                                     state.clef(staff))
+                octave = self.integer(octave_text, "display-octave")
+                step = pitch_to_step(letter, octave, state.clef(staff))
             else:
                 self.warn("unpitched note without display position; "
                           "placed on the middle line")
@@ -653,7 +667,7 @@ class _Converter:
         elif stem_text == "none":
             event.stem = "none"
         for be in elem.findall("beam"):
-            level = int(be.get("number", "1"))
+            level = self.integer(be.get("number", "1"), "beam number")
             event.beams[level] = (be.text or "").strip()
         if not event.beams and ntype in _TYPE_FLAGS:
             event.flags = _TYPE_FLAGS[ntype]

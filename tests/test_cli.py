@@ -101,6 +101,21 @@ def test_convert_zero_divisions_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_convert_bad_staff_names_file_and_element(tmp_path, capsys):
+    good = tmp_path / "good.musicxml"
+    good.write_text(MUSICXML, encoding="utf-8")
+    bad = tmp_path / "bad.musicxml"
+    bad.write_text(MUSICXML.replace(
+        "<duration>4</duration><type>half</type></note>",
+        "<duration>4</duration><type>half</type><staff>x</staff></note>", 1),
+        encoding="utf-8")
+    rc = main(["convert", str(good), str(bad), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {bad}: part P1 measure 1: <staff> must be an "
+                   "integer, got 'x'\n")
+
+
 # -- validate -----------------------------------------------------------------
 
 def test_validate_clean_file(tmp_path):

@@ -655,3 +655,41 @@ def test_bad_divisions_rejected_with_file_name(tmp_path, divisions):
     with pytest.raises(ConversionError, match="bad.musicxml: part P1 "
                        "measure 1: divisions must be a positive integer"):
         convert_path(path)
+
+
+_UNPITCHED = ('<note><unpitched><display-step>E</display-step>'
+              '<display-octave>4</display-octave></unpitched>'
+              '<duration>4</duration><type>quarter</type></note>')
+_DIRECTION = ('<direction><direction-type><dynamics><p/></dynamics>'
+              '</direction-type><staff>1</staff></direction>')
+
+
+@pytest.mark.parametrize("old, new, element, bad", [
+    ("<staff>1</staff>", "<staff>x</staff>", "staff", "x"),
+    ("<octave>4</octave>", "<octave>four</octave>", "octave", "four"),
+    ("<display-octave>4<", "<display-octave>4.5<", "display-octave", "4.5"),
+    ("<divisions>4</divisions>",
+     "<divisions>4</divisions><staves>two</staves>", "staves", "two"),
+    ("<clef>", '<clef number="a">', "clef number", "a"),
+    ("<key>", '<key number="I">', "key number", "I"),
+    ("<time>", '<time number="1st">', "time number", "1st"),
+    ("<fifths>0<", "<fifths>+-1<", "fifths", "+-1"),
+    ('<beam number="1">begin', '<beam number="one">begin', "beam number",
+     "one"),
+])
+def test_bad_integer_rejected_naming_element(tmp_path, old, new, element,
+                                             bad):
+    body = (ATTRS_44 + _DIRECTION + _UNPITCHED
+            + note("C", 4, 2, "eighth", '<beam number="1">begin</beam>')
+            + note("D", 4, 2, "eighth", '<beam number="1">end</beam>')
+            + note("E", 4, 4, "quarter", "<staff>1</staff>"))
+    path = tmp_path / "bad.musicxml"
+    path.write_text(score(f'<measure number="1">{body}</measure>'))
+    convert_path(path)  # the unedited score converts
+    assert old in body
+    path.write_text(score(f'<measure number="1">{body.replace(old, new)}'
+                          '</measure>'))
+    with pytest.raises(ConversionError) as info:
+        convert_path(path)
+    assert str(info.value) == (f"{path}: part P1 measure 1: <{element}> "
+                               f"must be an integer, got {bad!r}")

@@ -1,11 +1,13 @@
 """Edit-distance engine against the brute-force oracle and frozen cases."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from builders import random_tree
 from oracles import brute_force_distance
 
+from mtnkit.model import NOTE_GROUP, Node
 from mtnkit.ted import (
     CostModel, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance,
 )
@@ -219,3 +221,62 @@ def test_golden_edit_scripts():
                            s.b_size)).encode())
     assert h.hexdigest() == (
         "8b3720d8defb2150386eb359fb16b7c16b43264965477723a680b059d6ff2062")
+
+
+def _relabel_every_third_black(children):
+    seen = 0
+
+    def visit(child):
+        nonlocal seen
+        if isinstance(child, Node):
+            return replace(child, children=tuple(visit(c)
+                                                 for c in child.children))
+        if child.label != "notehead_black":
+            return child
+        seen += 1
+        if seen % 3 == 1:
+            return replace(child, label="notehead_white")
+        return child
+
+    return tuple(visit(c) for c in children)
+
+
+def test_golden_differential_scripts():
+    # Frozen full EditScripts, taken from the memoized engine this one
+    # replaced: small two-letter trees, where ties between optimal scripts
+    # abound, and 60-120-node measures glued from several random measures,
+    # the prediction relabelled or missing a note group.
+    import hashlib
+    from builders import measure, random_measure
+    from mtnkit.trees import project_tree
+
+    rng = random.Random(3)
+    pairs = []
+    while len(pairs) < 200:
+        a, b = random_tree(rng, 30, "ab"), random_tree(rng, 30, "ab")
+        if a.root is not None and b.root is not None:
+            pairs.append((a, b))
+    for k in range(20):
+        target = rng.randint(60, 100)
+        kids = ()
+        while len(project_tree(measure(*kids)).nodes) < target:
+            kids += random_measure(rng, "m").children
+        if k % 2:
+            pred = _relabel_every_third_black(kids)
+        else:
+            groups = [i for i, c in enumerate(kids) if c.kind == NOTE_GROUP]
+            drop = rng.choice(groups)
+            pred = kids[:drop] + kids[drop + 1:]
+        g, p = project_tree(measure(*kids)), project_tree(measure(*pred))
+        assert g.timing_error is None and p.timing_error is None
+        assert 60 <= len(g.nodes) <= 120
+        pairs.append((g, p))
+    h = hashlib.sha256()
+    for g, p in pairs:
+        for costs in (UNIT_COSTS, SEMANTIC_COSTS):
+            s = tree_edit_distance(g, p, costs)
+            h.update(repr((str(s.cost), s.substitutions, s.deletions,
+                           s.insertions, s.mapping, s.a_size,
+                           s.b_size)).encode())
+    assert h.hexdigest() == (
+        "bfd1365a32574885053eb8b719048199e5b287a38cbd86eb4d9178fc6b5c0770")
