@@ -1,18 +1,29 @@
 """Ordered labeled tree edit distance with edit-mapping extraction.
 
-Memoized forest-distance recursion over postorder intervals (the classic
-keyroot decomposition arises implicitly from the lazy evaluation). Costs are
-exact rationals or ints; the result carries the optimal cost, the operation
-counts, and the node mapping the optimum realizes, which downstream metrics
-consume.
+Zhang and Shasha's keyroot dynamic program (SIAM J. Comput. 18(6), 1989)
+over the postorder arrays of LabeledTree: nodes[i] and lml[i], the index of
+node i's leftmost leaf, so that node i's subtree is the interval lml[i]..i.
+A keyroot is the last node with a given lml; the forest table of each pair
+of keyroot subtrees fills td[i][j], the distance between the subtrees of i
+and j, and mp[i][j], the cost of mapping i to j (their child forests'
+distance plus the relabel), wherever both i and j lie on their keyroot's
+leftmost path. Every node pair lies on exactly one such pair of paths.
 
-Ties between scripts are broken deterministically: substitution is preferred
-over delete+insert, then deletion over insertion, which yields the leftmost
-optimal mapping for the traversal order used here.
+The cost model is called once per node for deletes and inserts and once per
+node pair for relabels. All costs are scaled to integers by the least
+common multiple of their denominators (half-units for the semantic costs),
+so the tables hold plain ints; the result is scaled back exactly.
+
+The backtrace walks the forest table of the two trees, then rebuilds from
+td the table of the two child forests of each mapped pair. At each cell it
+prefers mapping the two rightmost roots, then deleting, then inserting,
+which yields the leftmost optimal mapping for this traversal order.
+tree_distance runs the forward pass alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,7 +35,9 @@ Cost = Union[int, Fraction]
 
 
 class CostModel:
-    """Nonnegative costs for delete/insert/relabel. Subclass to refine."""
+    """Nonnegative int or Fraction costs for delete/insert/relabel.
+
+    Subclass to refine."""
 
     def delete(self, node: TreeNode) -> Cost:
         return 1
@@ -82,13 +95,6 @@ class EditScript:
         return self.substitutions + self.deletions + self.insertions
 
 
-_EMPTY = (0, -1)
-
-
-def _norm(lo: int, hi: int) -> tuple[int, int]:
-    return _EMPTY if hi < lo else (lo, hi)
-
-
 def _identity_script(a: LabeledTree, b: LabeledTree,
                      costs: CostModel) -> EditScript | None:
     """Zero-cost script when the trees align pairwise at zero relabel cost.
@@ -105,93 +111,146 @@ def _identity_script(a: LabeledTree, b: LabeledTree,
     return EditScript(0, 0, 0, 0, tuple((i, i) for i in range(n)), n, n)
 
 
+def _keyroots(lml: tuple[int, ...]) -> list[int]:
+    """The last postorder index of each distinct lml value, ascending."""
+    return sorted({left: i for i, left in enumerate(lml)}.values())
+
+
+class _Tables:
+    """Scaled costs and the Zhang-Shasha tables of one tree pair."""
+
+    def __init__(self, a: LabeledTree, b: LabeledTree, costs: CostModel):
+        an, bn = a.nodes, b.nodes
+        dels = [costs.delete(x) for x in an]
+        ins = [costs.insert(y) for y in bn]
+        subs = [[costs.substitute(x, y) for y in bn] for x in an]
+        self.scale = scale = math.lcm(*{
+            c.denominator for row in (dels, ins, *subs) for c in row})
+        self.dels = [c.numerator * (scale // c.denominator) for c in dels]
+        self.ins = [c.numerator * (scale // c.denominator) for c in ins]
+        self.subs = [[c.numerator * (scale // c.denominator) for c in row]
+                     for row in subs]
+        self.al, self.bl = a.lml, b.lml
+        self.td = [[0] * len(bn) for _ in an]
+        self.mp = [[0] * len(bn) for _ in an]
+        if an and bn:
+            bkeys = _keyroots(b.lml)
+            for k1 in _keyroots(a.lml):
+                for k2 in bkeys:
+                    table = self.forest(a.lml[k1], k1, b.lml[k2], k2)
+        else:
+            table = self.forest(0, len(an) - 1, 0, len(bn) - 1)
+        self.root = table  # the forest table of the two whole trees
+
+    def forest(self, alo: int, ahi: int,
+               blo: int, bhi: int) -> list[list[int]]:
+        """Distances between the prefixes of two postorder intervals.
+
+        fd[x][y] is the distance between nodes alo..alo+x-1 and
+        blo..blo+y-1. Each interval is a keyroot's subtree or a node's child
+        forest, so every node in it has its lml inside it. Where i and j
+        both have lml at the interval's start, their mapping cost and tree
+        distance are stored in mp and td (a rebuilt table stores the same
+        values again); elsewhere td is read.
+        """
+        al, bl, td, mp = self.al, self.bl, self.td, self.mp
+        dels, ins, subs = self.dels, self.ins, self.subs
+        row0 = [0]
+        for j in range(blo, bhi + 1):
+            row0.append(row0[-1] + ins[j])
+        cols = [(j, ins[j], bl[j] - blo) for j in range(blo, bhi + 1)]
+        fd = [row0]
+        prev = row0
+        for i in range(alo, ahi + 1):
+            di = dels[i]
+            tdi = td[i]
+            last = prev[0] + di
+            cur = [last]
+            if al[i] == alo:
+                mpi, subi = mp[i], subs[i]
+                for (j, cj, bo), up, diag in zip(cols, prev[1:], prev):
+                    v = up + di
+                    w = last + cj
+                    if w < v:
+                        v = w
+                    if bo:
+                        w = row0[bo] + tdi[j]
+                        if w < v:
+                            v = w
+                    else:
+                        w = diag + subi[j]
+                        mpi[j] = w
+                        if w < v:
+                            v = w
+                        tdi[j] = v
+                    cur.append(v)
+                    last = v
+            else:
+                left = fd[al[i] - alo]
+                for (j, cj, bo), up in zip(cols, prev[1:]):
+                    v = up + di
+                    w = last + cj
+                    if w < v:
+                        v = w
+                    w = left[bo] + tdi[j]
+                    if w < v:
+                        v = w
+                    cur.append(v)
+                    last = v
+            fd.append(cur)
+            prev = cur
+        return fd
+
+    def cost(self) -> Cost:
+        total = self.root[-1][-1]
+        if total % self.scale:
+            return Fraction(total, self.scale)
+        return total // self.scale
+
+
+def tree_distance(a: LabeledTree, b: LabeledTree,
+                  costs: CostModel = UNIT_COSTS) -> Cost:
+    """Cost of the minimum-cost edit script turning tree a into tree b."""
+    if _identity_script(a, b, costs) is not None:
+        return 0
+    return _Tables(a, b, costs).cost()
+
+
 def tree_edit_distance(a: LabeledTree, b: LabeledTree,
                        costs: CostModel = UNIT_COSTS) -> EditScript:
     """Minimum-cost edit script turning tree a into tree b."""
     fast = _identity_script(a, b, costs)
     if fast is not None:
         return fast
-    anodes, almd = a.nodes, a.lml
-    bnodes, blmd = b.nodes, b.lml
-    na, nb = len(anodes), len(bnodes)
-
-    memo: dict[tuple[int, int, int, int], Cost] = {(0, -1, 0, -1): 0}
-    root = (_norm(0, na - 1) + _norm(0, nb - 1))
-
-    def deps(state):
-        alo, ahi, blo, bhi = state
-        if ahi < alo:
-            return ((alo, ahi) + _norm(blo, bhi - 1),)
-        if bhi < blo:
-            return (_norm(alo, ahi - 1) + (blo, bhi),)
-        left = (_norm(alo, almd[ahi] - 1) + _norm(blo, blmd[bhi] - 1))
-        inner = (_norm(almd[ahi], ahi - 1) + _norm(blmd[bhi], bhi - 1))
-        return (_norm(alo, ahi - 1) + (blo, bhi),
-                (alo, ahi) + _norm(blo, bhi - 1),
-                left, inner)
-
-    stack = [root]
-    while stack:
-        state = stack[-1]
-        if state in memo:
-            stack.pop()
-            continue
-        dd = deps(state)
-        missing = [d for d in dd if d not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        alo, ahi, blo, bhi = state
-        if ahi < alo:
-            memo[state] = memo[dd[0]] + costs.insert(bnodes[bhi])
-        elif bhi < blo:
-            memo[state] = memo[dd[0]] + costs.delete(anodes[ahi])
-        else:
-            c_del = memo[dd[0]] + costs.delete(anodes[ahi])
-            c_ins = memo[dd[1]] + costs.insert(bnodes[bhi])
-            c_mat = (memo[dd[2]] + memo[dd[3]]
-                     + costs.substitute(anodes[ahi], bnodes[bhi]))
-            best = c_mat if c_mat <= c_del else c_del
-            if c_ins < best:
-                best = c_ins
-            memo[state] = best
-        stack.pop()
-
-    # Backtrace: recompute each state's candidates from the memo and follow
-    # the preferred one (substitute, then delete, then insert).
+    t = _Tables(a, b, costs)
+    al, bl, mp = t.al, t.bl, t.mp
+    na, nb = len(al), len(bl)
     mapping: list[tuple[int, int]] = []
     deletions = insertions = substitutions = 0
-    trail = [root]
-    while trail:
-        state = trail.pop()
-        alo, ahi, blo, bhi = state
-        a_empty, b_empty = ahi < alo, bhi < blo
-        if a_empty and b_empty:
-            continue
-        dd = deps(state)
-        total = memo[state]
-        if a_empty:
-            insertions += 1
-            trail.append(dd[0])
-            continue
-        if b_empty:
-            deletions += 1
-            trail.append(dd[0])
-            continue
-        sub = costs.substitute(anodes[ahi], bnodes[bhi])
-        if memo[dd[2]] + memo[dd[3]] + sub == total:
-            mapping.append((ahi, bhi))
-            if sub != 0:
-                substitutions += 1
-            trail.append(dd[2])
-            trail.append(dd[3])
-        elif memo[dd[0]] + costs.delete(anodes[ahi]) == total:
-            deletions += 1
-            trail.append(dd[0])
-        else:
-            insertions += 1
-            trail.append(dd[1])
-
+    todo = [(0, na - 1, 0, nb - 1, t.root)]
+    while todo:
+        alo, ahi, blo, bhi, fd = todo.pop()
+        x, y = ahi - alo + 1, bhi - blo + 1
+        if x and y and fd is None:
+            fd = t.forest(alo, ahi, blo, bhi)
+        while x and y:
+            i, j = alo + x - 1, blo + y - 1
+            total = fd[x][y]
+            li, lj = al[i] - alo, bl[j] - blo
+            if fd[li][lj] + mp[i][j] == total:
+                mapping.append((i, j))
+                if t.subs[i][j]:
+                    substitutions += 1
+                todo.append((al[i], i - 1, bl[j], j - 1, None))
+                x, y = li, lj
+            elif fd[x - 1][y] + t.dels[i] == total:
+                deletions += 1
+                x -= 1
+            else:
+                insertions += 1
+                y -= 1
+        deletions += x
+        insertions += y
     mapping.sort()
-    return EditScript(memo[root], substitutions, deletions, insertions,
+    return EditScript(t.cost(), substitutions, deletions, insertions,
                       tuple(mapping), na, nb)

@@ -9,7 +9,7 @@ from oracles import brute_force_distance
 
 from mtnkit.model import NOTE_GROUP, Node
 from mtnkit.ted import (
-    CostModel, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance,
+    CostModel, SEMANTIC_COSTS, UNIT_COSTS, tree_distance, tree_edit_distance,
 )
 from mtnkit.trees import LabeledTree, NoteMeta, TreeNode
 
@@ -182,6 +182,49 @@ def test_custom_cost_model():
     b = tree("m")
     assert tree_edit_distance(a, b, Doubler()).cost == 2
 
+
+class Thirds(CostModel):
+    # Rational costs that are not half-units: the engine scales by 3.
+    def delete(self, node):
+        return Fraction(1, 3)
+
+    def insert(self, node):
+        return Fraction(2, 3) if node.label == "a" else 1
+
+    def substitute(self, a, b):
+        return 0 if a.label == b.label else Fraction(2, 3)
+
+
+def test_rational_cost_model_matches_oracle():
+    rng = random.Random(31)
+    costs = Thirds()
+    for _ in range(150):
+        a = random_tree(rng, 7, "abc")
+        b = random_tree(rng, 7, "abc")
+        script = tree_edit_distance(a, b, costs)
+        want = brute_force_distance(a, b, costs)
+        assert script.cost == want, (a, b)
+        assert type(script.cost) is (int if want.denominator == 1
+                                     else Fraction)
+        an, bn = a.nodes, b.nodes
+        pairs = script.mapping
+        spent = sum(costs.substitute(an[i], bn[j]) for i, j in pairs)
+        spent += sum(costs.delete(an[i]) for i in
+                     set(range(len(an))) - {i for i, _ in pairs})
+        spent += sum(costs.insert(bn[j]) for j in
+                     set(range(len(bn))) - {j for _, j in pairs})
+        assert spent == want
+
+
+def test_tree_distance_is_the_script_cost():
+    rng = random.Random(8)
+    for costs in (UNIT_COSTS, SEMANTIC_COSTS, Thirds()):
+        for _ in range(100):
+            a = random_tree(rng, 12, "ab")
+            b = random_tree(rng, 12, "ab")
+            assert tree_distance(a, b, costs) == \
+                tree_edit_distance(a, b, costs).cost
+            assert tree_distance(a, a, costs) == 0
 
 
 def test_same_postorder_labels_different_shape():
