@@ -188,7 +188,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
             continue
         differences += 1
         # TER is defined on unit costs.
-        rate = (ter_score(g, p) if args.semantic
+        rate = (ter_score(g, p)[0] if args.semantic
                 else Fraction(script.cost) / script.a_size)
         print(f"{truth_m.id}: cost {script.cost} over {script.a_size} "
               f"truth nodes (TER {float(rate):.3f})")

@@ -24,9 +24,7 @@ from fractions import Fraction
 
 from .model import Measure
 from .trees import LabeledTree, extract_terminals, project_tree
-from .ted import (
-    SEMANTIC_COSTS, UNIT_COSTS, tree_distance, tree_edit_distance,
-)
+from .ted import EditScript, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +120,16 @@ def merge_tallies(into: dict[str, ClassTally],
 # ---------------------------------------------------------------------------
 # Tier 2: tree error rate.
 
-def ter_score(truth: LabeledTree, predicted: LabeledTree) -> Fraction:
-    """Tree error rate of one projected measure pair.
+def ter_score(truth: LabeledTree,
+              predicted: LabeledTree) -> tuple[Fraction, EditScript]:
+    """(tree error rate, edit script) for one projected measure pair.
 
     The rate is the unit-cost edit distance divided by the truth tree size;
     a missing prediction (the empty tree) costs one deletion per truth
     node, i.e. exactly 1.
     """
-    return (Fraction(tree_distance(truth, predicted, UNIT_COSTS))
-            / len(truth.nodes))
+    script = tree_edit_distance(truth, predicted, UNIT_COSTS)
+    return Fraction(script.cost) / len(truth.nodes), script
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +277,11 @@ class MeasureEval:
 def evaluate_measure(truth: Measure, predicted: Measure | None,
                      include_synthetic: bool = True) -> MeasureEval:
     g, p = project_tree(truth), project_tree(predicted)
+    _, script = ter_score(g, p)
     return MeasureEval(
         measure_id=truth.id,
-        cost=Fraction(tree_distance(g, p, UNIT_COSTS)),
-        truth_size=len(g.nodes),
+        cost=Fraction(script.cost),
+        truth_size=script.a_size,
         tier1=tally_terminals(truth, predicted, include_synthetic),
         tier3=tier3_counts(g, p),
     )

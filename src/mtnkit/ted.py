@@ -18,7 +18,6 @@ The backtrace walks the forest table of the two trees, then rebuilds from
 td the table of the two child forests of each mapped pair. At each cell it
 prefers mapping the two rightmost roots, then deleting, then inserting,
 which yields the leftmost optimal mapping for this traversal order.
-tree_distance runs the forward pass alone.
 """
 
 from __future__ import annotations
@@ -206,14 +205,6 @@ class _Tables:
         if total % self.scale:
             return Fraction(total, self.scale)
         return total // self.scale
-
-
-def tree_distance(a: LabeledTree, b: LabeledTree,
-                  costs: CostModel = UNIT_COSTS) -> Cost:
-    """Cost of the minimum-cost edit script turning tree a into tree b."""
-    if _identity_script(a, b, costs) is not None:
-        return 0
-    return _Tables(a, b, costs).cost()
 
 
 def tree_edit_distance(a: LabeledTree, b: LabeledTree,

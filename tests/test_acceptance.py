@@ -112,16 +112,14 @@ def test_error_rate_boundaries():
             w = corpus_work(entry)
             for part in w.parts:
                 for m in part.measures:
-                    rate = ter_score(project_tree(m), project_tree(None))
+                    rate, _ = ter_score(project_tree(m), project_tree(None))
                     assert rate == 1, m.id
         motif = parse_work((CORPUS / "motif.mtn.xml").read_bytes())
         relabeled, changed = relabel_fraction(motif, "dyn_p", "dyn_f",
                                               Fraction(1))
         assert changed == 1
-        g = project_tree(motif.parts[0].measures[0])
-        p = project_tree(relabeled.parts[0].measures[0])
-        rate = ter_score(g, p)
-        script = tree_edit_distance(g, p, UNIT_COSTS)
+        rate, script = ter_score(project_tree(motif.parts[0].measures[0]),
+                                 project_tree(relabeled.parts[0].measures[0]))
         assert script.a_size == 5
         assert script.substitutions == 1
         assert rate == Fraction(1, 5)

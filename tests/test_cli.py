@@ -345,23 +345,18 @@ def test_semantic_diff_and_evaluate_reject_untimeable(tmp_path, capsys):
 
 def test_diff_runs_one_edit_distance_per_differing_measure(
         tmp_path, capsys, monkeypatch):
-    # Both engine entry points are counted wherever diff could reach them,
-    # so a second (TER) run would show.
+    # Counted wherever diff could reach it, so a second (TER) run would show.
     import mtnkit.cli as cli
     import mtnkit.metrics as metrics
-    import mtnkit.ted as ted
     calls = []
+    real = cli.tree_edit_distance
 
-    def counting(real):
-        def wrapper(a, b, costs):
-            calls.append(costs)
-            return real(a, b, costs)
-        return wrapper
+    def counting(a, b, costs):
+        calls.append(costs)
+        return real(a, b, costs)
 
-    for name in ("tree_edit_distance", "tree_distance"):
-        wrapped = counting(getattr(ted, name))
-        for module in (cli, metrics):
-            monkeypatch.setattr(module, name, wrapped, raising=False)
+    monkeypatch.setattr(cli, "tree_edit_distance", counting)
+    monkeypatch.setattr(metrics, "tree_edit_distance", counting)
     truth = standard_work(n_measures=3)
     pred, changed = relabel_fraction(truth, "notehead_black",
                                      "notehead_white", Fraction(1))

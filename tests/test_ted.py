@@ -9,7 +9,7 @@ from oracles import brute_force_distance
 
 from mtnkit.model import NOTE_GROUP, Node
 from mtnkit.ted import (
-    CostModel, SEMANTIC_COSTS, UNIT_COSTS, tree_distance, tree_edit_distance,
+    CostModel, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance,
 )
 from mtnkit.trees import LabeledTree, NoteMeta, TreeNode
 
@@ -214,17 +214,6 @@ def test_rational_cost_model_matches_oracle():
         spent += sum(costs.insert(bn[j]) for j in
                      set(range(len(bn))) - {j for _, j in pairs})
         assert spent == want
-
-
-def test_tree_distance_is_the_script_cost():
-    rng = random.Random(8)
-    for costs in (UNIT_COSTS, SEMANTIC_COSTS, Thirds()):
-        for _ in range(100):
-            a = random_tree(rng, 12, "ab")
-            b = random_tree(rng, 12, "ab")
-            assert tree_distance(a, b, costs) == \
-                tree_edit_distance(a, b, costs).cost
-            assert tree_distance(a, a, costs) == 0
 
 
 def test_same_postorder_labels_different_shape():
