@@ -312,3 +312,91 @@ def test_golden_differential_scripts():
                            s.b_size)).encode())
     assert h.hexdigest() == (
         "bfd1365a32574885053eb8b719048199e5b287a38cbd86eb4d9178fc6b5c0770")
+
+
+def _relabel_some(rng, tree, labels, share):
+    # Same shape, some labels redrawn: equal lml arrays, nonzero cost.
+    def visit(n):
+        label = rng.choice(labels) if rng.random() < share else n.label
+        return TreeNode(label, tuple(visit(c) for c in n.children), n.meta)
+    return LabeledTree(visit(tree.root))
+
+
+def _shift_every_fourth_step(children):
+    seen = 0
+
+    def visit(child):
+        nonlocal seen
+        if isinstance(child, Node):
+            return replace(child, children=tuple(visit(c)
+                                                 for c in child.children))
+        if child.label != "notehead_black":
+            return child
+        seen += 1
+        if seen % 4 == 1:
+            return replace(child, position=replace(
+                child.position, step=child.position.step + 1))
+        return child
+
+    return tuple(visit(c) for c in children)
+
+
+class FreeA(CostModel):
+    # Deleting or inserting an "a" is free, so no distance bound narrows
+    # the search.
+    def delete(self, node):
+        return 0 if node.label == "a" else 1
+
+    def insert(self, node):
+        return 0 if node.label == "a" else 1
+
+
+def test_golden_band_scripts():
+    # Frozen full EditScripts, taken from the unbanded keyroot engine, for
+    # pairs that reach every branch of a distance-banded one: equal shapes
+    # at nonzero cost, unrelated shapes whose first narrow pass falls short,
+    # thirds costs (least delete/insert 1/3), free deletes and inserts of
+    # "a" (no band), empty trees, and 100- and 400-node measures glued from
+    # random ones, the prediction relabelled, step-shifted, or missing a
+    # note group.
+    import hashlib
+    from builders import measure, random_measure
+    from mtnkit.trees import project_tree
+
+    rng = random.Random(44)
+    pairs = []
+    while len(pairs) < 60:
+        a = random_tree(rng, 30, "abc")
+        if a.root is not None:
+            pairs.append((a, _relabel_some(rng, a, "abc", 0.15)))
+    for _ in range(60):
+        pairs.append((random_tree(rng, 25, "abc"),
+                      random_tree(rng, 25, "abc")))
+    small = random_tree(rng, 12, "abc")
+    pairs += [(LabeledTree(None), small), (small, LabeledTree(None)),
+              (LabeledTree(None), LabeledTree(None))]
+    for target in (100, 100, 100, 400, 400):
+        kids = ()
+        while len(project_tree(measure(*kids)).nodes) < target:
+            kids += random_measure(rng, "m").children
+        groups = [i for i, c in enumerate(kids) if c.kind == NOTE_GROUP]
+        drop = rng.choice(groups)
+        preds = [_relabel_every_third_black(kids),
+                 _shift_every_fourth_step(kids),
+                 kids[:drop] + kids[drop + 1:]]
+        g = project_tree(measure(*kids))
+        assert target <= len(g.nodes) <= target + 20
+        pairs += [(g, project_tree(measure(*pred)))
+                  for pred in (preds if target == 100 else preds[::2])]
+    h = hashlib.sha256()
+    for k, (g, p) in enumerate(pairs):
+        models = (UNIT_COSTS, SEMANTIC_COSTS, Thirds())
+        if k < 123:  # random letter trees, where "a" occurs
+            models += (FreeA(),)
+        for costs in models:
+            s = tree_edit_distance(g, p, costs)
+            h.update(repr((str(s.cost), s.substitutions, s.deletions,
+                           s.insertions, s.mapping, s.a_size,
+                           s.b_size)).encode())
+    assert h.hexdigest() == (
+        "6c55834241160e2c41615a2eb3b362e4a2c5b404341d28459b2494a16ce02264")
