@@ -217,8 +217,12 @@ def _evaluate_entry(args: tuple) -> PageOutcome:
             out.matched += 1
         elif config.matched_only:
             continue
-        out.evals.append(evaluate_measure(
-            t, p, include_synthetic=config.include_synthetic))
+        ev = evaluate_measure(t, p, include_synthetic=config.include_synthetic)
+        if ev.untimed is not None:
+            out.warnings.append(
+                f"prediction {Path(entry.path).name}: measure {ev.measure_id} "
+                f"not timed, its truth events count as missed: {ev.untimed}")
+        out.evals.append(ev)
     return out
 
 

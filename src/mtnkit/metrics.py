@@ -229,12 +229,16 @@ class Tier3Counts:
 def tier3_counts(truth: LabeledTree, predicted: LabeledTree) -> Tier3Counts:
     """Score matched note events from the semantic edit mapping.
 
-    Raises the timing error of a tree whose events could not be timed.
+    Raises the timing error of a truth tree whose events could not be
+    timed. A prediction that could not be timed has no events, so every
+    truth event counts as missed.
     """
-    g, p = truth.timed(), predicted.timed()
-    script = tree_edit_distance(g, p, SEMANTIC_COSTS)
+    g, p = truth.timed(), predicted
     counts = Tier3Counts()
     counts.truth_events = sum(1 for n in g.nodes if n.meta is not None)
+    if p.timing_error is not None:
+        return counts
+    script = tree_edit_distance(g, p, SEMANTIC_COSTS)
     counts.pred_events = sum(1 for n in p.nodes if n.meta is not None)
     for gi, pi in script.mapping:
         gm = g.nodes[gi].meta
@@ -272,6 +276,7 @@ class MeasureEval:
     truth_size: int
     tier1: dict[str, ClassTally]
     tier3: Tier3Counts
+    untimed: str | None = None  # why the prediction could not be timed
 
 
 def evaluate_measure(truth: Measure, predicted: Measure | None,
@@ -284,6 +289,7 @@ def evaluate_measure(truth: Measure, predicted: Measure | None,
         truth_size=script.a_size,
         tier1=tally_terminals(truth, predicted, include_synthetic),
         tier3=tier3_counts(g, p),
+        untimed=None if p.timing_error is None else str(p.timing_error),
     )
 
 

@@ -33,6 +33,9 @@ from .model import (
 _LETTERS = {"C": 0, "D": 1, "E": 2, "F": 3, "G": 4, "A": 5, "B": 6}
 
 MIDDLE_STEP = 6  # the middle staff line
+# Largest .mxl archive member the importer unpacks; score XML of a long
+# orchestral work stays well below it.
+MAX_MXL_MEMBER_BYTES = 64 * 2**20
 
 
 class ConversionError(ValueError):
@@ -1125,7 +1128,8 @@ def _read_mxl(data: bytes, path: Path) -> bytes:
     with zipfile.ZipFile(BytesIO(data)) as zf:
         rootfile = None
         try:
-            container = ET.fromstring(zf.read("META-INF/container.xml"))
+            container = ET.fromstring(
+                _read_member(zf, "META-INF/container.xml", path))
             first = container.find(".//rootfile")
             if first is not None:
                 rootfile = first.get("full-path")
@@ -1137,4 +1141,18 @@ def _read_mxl(data: bytes, path: Path) -> bytes:
             if not candidates:
                 raise ConversionError(f"{path}: no score file in archive")
             rootfile = candidates[0]
-        return zf.read(rootfile)
+        try:
+            return _read_member(zf, rootfile, path)
+        except KeyError:
+            raise ConversionError(
+                f"{path}: archive has no member {rootfile!r}") from None
+
+
+def _read_member(zf: zipfile.ZipFile, name: str, path: Path) -> bytes:
+    """An archive member's bytes, refused before reading if too large."""
+    size = zf.getinfo(name).file_size
+    if size > MAX_MXL_MEMBER_BYTES:
+        raise ConversionError(
+            f"{path}: archive member {name!r} unpacks to {size} bytes, "
+            f"over the limit of {MAX_MXL_MEMBER_BYTES}")
+    return zf.read(name)

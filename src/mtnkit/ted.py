@@ -9,10 +9,35 @@ and j, and mp[i][j], the cost of mapping i to j (their child forests'
 distance plus the relabel), wherever both i and j lie on their keyroot's
 leftmost path. Every node pair lies on exactly one such pair of paths.
 
-The cost model is called once per node for deletes and inserts and once per
-node pair for relabels. All costs are scaled to integers by the least
-common multiple of their denominators (half-units for the semantic costs),
-so the tables hold plain ints; the result is scaled back exactly.
+The tables are banded by an upper bound U on the distance (after Touzet,
+"A linear tree edit distance algorithm for similar ordered trees", CPM
+2005). Let c_min be the least delete or insert cost, so a mapping that
+leaves k nodes unmapped costs at least k * c_min. Say a mapping splits at
+(p, q) when it maps a's first p postorder nodes only to b's first q nodes
+and back. It then leaves at least |d| nodes unmapped before the split and
+|D - d| after it, where d = p - q and D = na - nb, so a mapping of cost at
+most U has |d| + |D - d| <= K = floor(U / c_min) at each split: min(0, D)
+- s <= d <= max(0, D) + s with s = floor((K - |D|) / 2). An optimal
+mapping splits at every forest-table cell (alo + x, blo + y) its
+derivation reads, and at (i + 1, j + 1) for each of its pairs (i, j),
+whose td and mp entries the derivation reads. So the tables fill cells,
+and the cost model relabels pairs, only on those diagonals; everything
+else holds INF, which exceeds the cost of every script. INF can only raise
+values off every optimal derivation, so the cost and every equality the
+backtrace tests come out as without the band. Keyroot pairs whose leftmost
+paths meet no diagonal of the band are skipped.
+
+When both trees have the same shape, U is the cost of mapping each node to
+the node with its index, and U = 0 returns that identity script at once.
+Otherwise a first pass with s = 1, which still lets deletes and inserts
+reach the last cell, yields the cost of some mapping, and a second pass
+runs only if that bound needs a wider band. A free delete or insert
+(c_min = 0) leaves no band.
+
+Deletes and inserts are costed once per node. All costs are scaled to
+integers by the least common multiple of their denominators (half-units
+for the semantic costs), so the tables hold plain ints; the result is
+scaled back exactly.
 
 The backtrace walks the forest table of the two trees, then rebuilds from
 td the table of the two child forests of each mapped pair. At each cell it
@@ -25,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from . import vocabulary
@@ -94,52 +120,76 @@ class EditScript:
         return self.substitutions + self.deletions + self.insertions
 
 
-def _identity_script(a: LabeledTree, b: LabeledTree,
-                     costs: CostModel) -> EditScript | None:
-    """Zero-cost script when the trees align pairwise at zero relabel cost.
+def _identity_cost(a: LabeledTree, b: LabeledTree,
+                   costs: CostModel) -> Cost | None:
+    """Cost of mapping node i to node i, or None if the shapes differ.
 
     Equal leftmost-leaf arrays mean equal shapes: node i's subtree is the
     postorder interval lml[i]..i.
     """
     if a.lml != b.lml:
         return None
-    for x, y in zip(a.nodes, b.nodes):
-        if costs.substitute(x, y) != 0:
-            return None
-    n = len(a.nodes)
-    return EditScript(0, 0, 0, 0, tuple((i, i) for i in range(n)), n, n)
-
-
-def _keyroots(lml: tuple[int, ...]) -> list[int]:
-    """The last postorder index of each distinct lml value, ascending."""
-    return sorted({left: i for i, left in enumerate(lml)}.values())
+    return sum(costs.substitute(x, y) for x, y in zip(a.nodes, b.nodes))
 
 
 class _Tables:
-    """Scaled costs and the Zhang-Shasha tables of one tree pair."""
+    """Scaled costs and the banded Zhang-Shasha tables of one tree pair.
 
-    def __init__(self, a: LabeledTree, b: LabeledTree, costs: CostModel):
+    bound is the cost of some mapping, or None for a first, narrow pass
+    whose own cost then bounds the distance.
+    """
+
+    def __init__(self, a: LabeledTree, b: LabeledTree, costs: CostModel,
+                 bound: Cost | None):
         an, bn = a.nodes, b.nodes
+        na, nb = len(an), len(bn)
+        al, bl = self.al, self.bl = a.lml, b.lml
         dels = [costs.delete(x) for x in an]
         ins = [costs.insert(y) for y in bn]
-        subs = [[costs.substitute(x, y) for y in bn] for x in an]
+        self.least = min(dels + ins, default=0)
+        self.slack = slack = self.slack_for(bound)
+        lo = self.lo = min(0, na - nb) - slack
+        hi = self.hi = max(0, na - nb) + slack
+        window = [range(max(0, i - hi), min(nb, i - lo + 1))
+                  for i in range(na)]
+        relabels = [[costs.substitute(x, bn[j]) for j in js]
+                    for x, js in zip(an, window)]
         self.scale = scale = math.lcm(*{
-            c.denominator for row in (dels, ins, *subs) for c in row})
+            c.denominator for c in chain(dels, ins, *relabels)})
         self.dels = [c.numerator * (scale // c.denominator) for c in dels]
         self.ins = [c.numerator * (scale // c.denominator) for c in ins]
-        self.subs = [[c.numerator * (scale // c.denominator) for c in row]
-                     for row in subs]
-        self.al, self.bl = a.lml, b.lml
-        self.td = [[0] * len(bn) for _ in an]
-        self.mp = [[0] * len(bn) for _ in an]
+        relabels = [[c.numerator * (scale // c.denominator) for c in row]
+                    for row in relabels]
+        # INF exceeds the cost of every edit script, which relabels each
+        # node pair at most once.
+        inf = self.inf = (sum(self.dels) + sum(self.ins)
+                          + sum(map(sum, relabels)) + 1)
+        self.subs, self.td, self.mp = ([[inf] * nb for _ in an]
+                                       for _ in range(3))
+        near: dict[int, set[int]] = {}  # a's lml -> b's lml values in band
+        for i, js in enumerate(window):
+            self.subs[i][js.start:js.stop] = relabels[i]
+            near.setdefault(al[i], set()).update(bl[js.start:js.stop])
+        akey = {left: i for i, left in enumerate(al)}  # keyroot of each lml
+        bkey = {left: j for j, left in enumerate(bl)}
+        keys = sorted((akey[la], bkey[lb])
+                      for la, lbs in near.items() for lb in lbs)
         if an and bn:
-            bkeys = _keyroots(b.lml)
-            for k1 in _keyroots(a.lml):
-                for k2 in bkeys:
-                    table = self.forest(a.lml[k1], k1, b.lml[k2], k2)
+            for k1, k2 in keys:
+                table = self.forest(al[k1], k1, bl[k2], k2)
         else:
-            table = self.forest(0, len(an) - 1, 0, len(bn) - 1)
+            table = self.forest(0, na - 1, 0, nb - 1)
         self.root = table  # the forest table of the two whole trees
+
+    def slack_for(self, bound: Cost | None) -> int:
+        """The band's slack s for a bound on the distance, None for the
+        first pass (see the module docstring)."""
+        na, nb = len(self.al), len(self.bl)
+        if not self.least:
+            return na + nb
+        if bound is None:
+            return 1
+        return (bound // self.least - abs(na - nb)) // 2
 
     def forest(self, alo: int, ahi: int,
                blo: int, bhi: int) -> list[list[int]]:
@@ -151,23 +201,46 @@ class _Tables:
         both have lml at the interval's start, their mapping cost and tree
         distance are stored in mp and td (a rebuilt table stores the same
         values again); elsewhere td is read.
+
+        Only cells on the band's diagonals, lo <= (alo + x) - (blo + y) <=
+        hi, are filled; the rest hold INF, and rows or columns no band cell
+        reaches are left out.
         """
         al, bl, td, mp = self.al, self.bl, self.td, self.mp
         dels, ins, subs = self.dels, self.ins, self.subs
-        row0 = [0]
-        for j in range(blo, bhi + 1):
-            row0.append(row0[-1] + ins[j])
-        cols = [(j, ins[j], bl[j] - blo) for j in range(blo, bhi + 1)]
-        fd = [row0]
-        prev = row0
-        for i in range(alo, ahi + 1):
+        c, lo, hi = alo - blo, self.lo, self.hi
+        width = max(0, min(bhi - blo + 1, ahi - alo + 1 + c - lo)) + 1
+        blank = [self.inf] * width
+        row0 = blank[:]
+        if lo <= c <= hi:
+            row0[0] = 0
+            for y in range(1, min(width - 1, c - lo) + 1):
+                row0[y] = row0[y - 1] + ins[blo + y - 1]
+        first = max(1, c + 1 - hi)  # the first column a band cell holds
+        cols = [(j, ins[j], bl[j] - blo)
+                for j in range(blo + first - 1, blo + width - 1)]
+        # Row x holds node alo + x - 1; rows before the band's first row and
+        # after its last are left blank or out.
+        fd = [row0] + [blank] * (max(1, lo - c) - 1)
+        prev = fd[-1]
+        for i in range(alo + len(fd) - 1,
+                       min(ahi + 1, alo + width - 1 + hi - c)):
+            ylo, yhi = i + 1 - blo - hi, i + 1 - blo - lo
+            if yhi >= width:
+                yhi = width - 1
             di = dels[i]
             tdi = td[i]
-            last = prev[0] + di
-            cur = [last]
+            cur = blank[:]
+            if ylo <= 0:
+                cur[0] = prev[0] + di
+                ylo = 1
+            last = cur[ylo - 1]
+            vals = []
+            band = zip(cols[ylo - first:yhi + 1 - first], prev[ylo:yhi + 1],
+                       prev[ylo - 1:yhi])
             if al[i] == alo:
                 mpi, subi = mp[i], subs[i]
-                for (j, cj, bo), up, diag in zip(cols, prev[1:], prev):
+                for (j, cj, bo), up, diag in band:
                     v = up + di
                     w = last + cj
                     if w < v:
@@ -182,11 +255,11 @@ class _Tables:
                         if w < v:
                             v = w
                         tdi[j] = v
-                    cur.append(v)
+                    vals.append(v)
                     last = v
             else:
                 left = fd[al[i] - alo]
-                for (j, cj, bo), up in zip(cols, prev[1:]):
+                for (j, cj, bo), up, _ in band:
                     v = up + di
                     w = last + cj
                     if w < v:
@@ -194,8 +267,9 @@ class _Tables:
                     w = left[bo] + tdi[j]
                     if w < v:
                         v = w
-                    cur.append(v)
+                    vals.append(v)
                     last = v
+            cur[ylo:yhi + 1] = vals
             fd.append(cur)
             prev = cur
         return fd
@@ -210,10 +284,13 @@ class _Tables:
 def tree_edit_distance(a: LabeledTree, b: LabeledTree,
                        costs: CostModel = UNIT_COSTS) -> EditScript:
     """Minimum-cost edit script turning tree a into tree b."""
-    fast = _identity_script(a, b, costs)
-    if fast is not None:
-        return fast
-    t = _Tables(a, b, costs)
+    bound = _identity_cost(a, b, costs)
+    if bound == 0:
+        n = len(a.nodes)
+        return EditScript(0, 0, 0, 0, tuple((i, i) for i in range(n)), n, n)
+    t = _Tables(a, b, costs, bound)
+    if t.slack < t.slack_for(t.cost()):
+        t = _Tables(a, b, costs, t.cost())
     al, bl, mp = t.al, t.bl, t.mp
     na, nb = len(al), len(bl)
     mapping: list[tuple[int, int]] = []

@@ -24,6 +24,10 @@ from .model import (
 )
 
 MTN_VERSION = "1.0"
+# Deepest node nesting under a measure that the parser accepts. The model's
+# walkers recurse once or twice per level, so this stays well inside the
+# interpreter's recursion limit; real note groups nest a few levels deep.
+MAX_NODE_DEPTH = 100
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
@@ -243,6 +247,9 @@ class _Parser:
         elif name in NODE_KINDS:
             if self.measure_attrs is None:
                 self.err(UnknownElementError, f"misplaced <{name}>")
+            if len(self.stack) > MAX_NODE_DEPTH:
+                self.err(FormatError, f"<{name}> nested deeper than "
+                         f"{MAX_NODE_DEPTH} nodes")
             self.check_attrs(name, attrs, _NODE_ATTRS, set())
             self.stack.append((name, attrs, []))
         else:

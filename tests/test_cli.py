@@ -13,6 +13,7 @@ from mtnkit.cli import main
 from mtnkit.harness import manifest_for_work, read_manifest, write_manifest
 from mtnkit.model import validate
 from mtnkit.perturb import relabel_fraction
+from mtnkit.trees import project_tree
 from mtnkit.xmlio import parse_work, serialize_work
 
 CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
@@ -327,20 +328,89 @@ def test_diff_untimeable_prediction_still_scripts(tmp_path, capsys):
         "  missing notehead_black\n")
 
 
-def test_semantic_diff_and_evaluate_reject_untimeable(tmp_path, capsys):
+def test_semantic_diff_rejects_untimeable(tmp_path, capsys):
     truth, pred = untimeable_pair(tmp_path)
+    assert main(["diff", "--semantic", str(pred / "anthem.mtn.xml"),
+                 str(truth / "anthem.mtn.xml")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: chord has no noteheads\n"
+    assert captured.out == ""
+
+
+def anthem_manifest(tmp_path, truth):
     manifest = tmp_path / "corpus.jsonl"
     manifest.write_text(write_manifest(manifest_for_work(
         parse_work((truth / "anthem.mtn.xml").read_bytes()),
         "anthem.mtn.xml")), encoding="utf-8")
-    for argv in (["diff", "--semantic", str(pred / "anthem.mtn.xml"),
-                  str(truth / "anthem.mtn.xml")],
-                 ["evaluate", "--pred", str(pred), "--truth", str(truth),
-                  "--manifest", str(manifest)]):
+    return manifest
+
+
+def _evaluate_json(truth, pred, tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+               "--manifest", str(anthem_manifest(tmp_path, truth)),
+               "--out", str(out), "--quiet"])
+    return rc, json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_evaluate_scores_an_untimeable_prediction(tmp_path, capsys):
+    truth, pred = untimeable_pair(tmp_path)
+    rc, report = _evaluate_json(truth, truth, tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    rc, degraded = _evaluate_json(truth, pred, tmp_path)
+    assert rc == 0
+    warning = ("prediction anthem.mtn.xml: measure m1 not timed, its truth "
+               "events count as missed: chord has no noteheads")
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    assert degraded["warnings"] == [warning]
+    # Tiers 1 and 2 still score m1: one notehead is missing.
+    assert degraded["tier2"]["edit_cost"] == "1"
+    assert degraded["tier1"]["classes"]["notehead_black"]["predicted"] == (
+        report["tier1"]["classes"]["notehead_black"]["predicted"] - 1)
+    # Tier 3: m1's truth events are all missed, its prediction adds none.
+    m1 = project_tree(parse_work(
+        (truth / "anthem.mtn.xml").read_bytes()).parts[0].measures[0])
+    m1_events = sum(1 for n in m1.nodes if n.meta is not None)
+    t3, full = degraded["tier3"], report["tier3"]
+    assert t3["truth_events"] == full["truth_events"]
+    assert t3["predicted_events"] == full["predicted_events"] - m1_events
+    assert t3["matched"] == full["matched"] - m1_events
+
+
+def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys):
+    truth, pred = untimeable_pair(tmp_path)
+    assert main(["evaluate", "--pred", str(truth), "--truth", str(pred),
+                 "--manifest", str(anthem_manifest(tmp_path, truth))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: chord has no noteheads\n"
+    assert captured.out == ""
+
+
+def test_deep_nesting_is_a_format_error(tmp_path, capsys):
+    from test_xmlio import nested_groups
+    truth = tmp_path / "truth"
+    pred = tmp_path / "pred"
+    truth.mkdir()
+    pred.mkdir()
+    (truth / "w.mtn.xml").write_text(nested_groups(4), encoding="utf-8")
+    deep = pred / "w.mtn.xml"
+    deep.write_text(nested_groups(3000), encoding="utf-8")
+    for argv in (["validate", str(deep)],
+                 ["diff", str(deep), str(truth / "w.mtn.xml")]):
         assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: chord has no noteheads\n"
-        assert captured.out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: <note_group> nested deeper than 100 nodes (line 1, ")
+    manifest = tmp_path / "corpus.jsonl"
+    manifest.write_text(write_manifest(manifest_for_work(
+        parse_work((truth / "w.mtn.xml").read_bytes()), "w.mtn.xml")),
+        encoding="utf-8")
+    assert main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                 "--manifest", str(manifest), "--quiet"]) == 0
+    assert capsys.readouterr().err.startswith(
+        "warning: prediction file w.mtn.xml rejected: <note_group> nested "
+        "deeper than 100 nodes")
 
 
 def test_diff_runs_one_edit_distance_per_differing_measure(

@@ -593,6 +593,37 @@ def test_mxl_archive(tmp_path):
     assert from_raw.work_id == "piece"
 
 
+def test_mxl_member_size_is_capped(tmp_path, monkeypatch):
+    import mtnkit.musicxml as musicxml
+    xml = score(f'<measure number="1">{ATTRS_44}'
+                + note("C", 4, 4, "quarter") + "</measure>")
+    mxl = tmp_path / "piece.mxl"
+    with zipfile.ZipFile(mxl, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("META-INF/container.xml",
+                    '<container><rootfiles><rootfile full-path="piece.xml"/>'
+                    "</rootfiles></container>")
+        zf.writestr("piece.xml", xml)
+    monkeypatch.setattr(musicxml, "MAX_MXL_MEMBER_BYTES", len(xml) - 1)
+    with pytest.raises(ConversionError) as info:
+        convert_path(mxl)
+    assert str(info.value) == (
+        f"{mxl}: archive member 'piece.xml' unpacks to {len(xml)} bytes, "
+        f"over the limit of {len(xml) - 1}")
+    monkeypatch.setattr(musicxml, "MAX_MXL_MEMBER_BYTES", len(xml))
+    assert convert_path(mxl).work.parts
+
+
+def test_mxl_missing_rootfile_is_a_conversion_error(tmp_path):
+    mxl = tmp_path / "piece.mxl"
+    with zipfile.ZipFile(mxl, "w") as zf:
+        zf.writestr("META-INF/container.xml",
+                    '<container><rootfiles><rootfile full-path="gone.xml"/>'
+                    "</rootfiles></container>")
+    with pytest.raises(ConversionError,
+                       match="archive has no member 'gone.xml'"):
+        convert_path(mxl)
+
+
 def test_multi_part_and_staves():
     p2_attrs = """<attributes><divisions>4</divisions>
       <staves>2</staves>

@@ -8,9 +8,9 @@ import pytest
 import builders as B
 from mtnkit.model import MTNWork, Part, validate
 from mtnkit.xmlio import (
-    DuplicateIdError, FractionSyntaxError, InvalidWorkError,
-    MalformedXmlError, UnknownAttributeError, UnknownElementError,
-    parse_work, serialize_work,
+    MAX_NODE_DEPTH, DuplicateIdError, FormatError, FractionSyntaxError,
+    InvalidWorkError, MalformedXmlError, UnknownAttributeError,
+    UnknownElementError, parse_work, serialize_work,
 )
 
 
@@ -130,6 +130,31 @@ def test_bad_fraction_has_position():
     with pytest.raises(FractionSyntaxError) as info:
         parse_work(doc)
     assert info.value.line == 4
+
+
+def nested_groups(depth):
+    """A one-measure work whose chord sits under depth - 2 note groups."""
+    groups = depth - 2
+    return ('<work mtn-version="1.0" work_id="w"><part staff_count="1">'
+            '<measure id="m1">' + '<note_group onset="0">' * groups
+            + '<chord onset="0"><note><token id="t1" label="notehead_black"'
+            ' staff="1" step="4"/></note></chord>'
+            + '</note_group>' * groups + '</measure></part></work>')
+
+
+def test_nesting_depth_is_bounded():
+    from mtnkit.ted import SEMANTIC_COSTS, tree_edit_distance
+    from mtnkit.trees import project_tree
+
+    work = parse_work(nested_groups(MAX_NODE_DEPTH))
+    validate(work)
+    assert parse_work(serialize_work(work)) == work
+    tree = project_tree(work.parts[0].measures[0])
+    assert len(tree.nodes) == MAX_NODE_DEPTH + 2
+    assert tree_edit_distance(tree, tree, SEMANTIC_COSTS).cost == 0
+    with pytest.raises(FormatError,
+                       match=f"nested deeper than {MAX_NODE_DEPTH} nodes"):
+        parse_work(nested_groups(MAX_NODE_DEPTH + 1))
 
 
 def test_duplicate_token_id_at_parse():
