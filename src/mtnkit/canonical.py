@@ -53,8 +53,10 @@ def _fingerprint(child: Child):
                 _step_key(child.position.step),
                 child.numeric_value if child.numeric_value is not None else 0,
                 child.pair_id is not None)
+    # () sorts before any onset, so siblings that differ only in carrying
+    # one still compare.
     onset = (child.onset.numerator, child.onset.denominator) \
-        if child.onset is not None else None
+        if child.onset is not None else ()
     return ("N", child.kind, onset, child.synthetic,
             tuple(_fingerprint(c) for c in child.children))
 

@@ -23,7 +23,7 @@ from .model import iter_nodes, validate
 from .musicxml import ConversionError, ConvertOptions, convert_path
 from .perturb import relabel_fraction, shift_step_fraction
 from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
-from .trees import extract_terminals, project_tree
+from .trees import project_tree, token_counts
 from .xmlio import FormatError, InvalidWorkError, parse_work, serialize_work
 
 
@@ -114,8 +114,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         work = _read_work(path, quiet=True)
         for part in work.parts:
             for m in part.measures:
-                counts.update(extract_terminals(
-                    m, include_synthetic=not args.ignore_synthetic))
+                counts.update(token_counts(
+                    project_tree(m),
+                    include_synthetic=not args.ignore_synthetic))
                 measures += 1
     total = sum(counts.values())
     if total == 0:

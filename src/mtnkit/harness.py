@@ -176,7 +176,6 @@ class EvalConfig:
 
 @dataclass(slots=True)
 class PageOutcome:
-    index: int
     evals: list[MeasureEval]
     matched: int = 0
     discarded: int = 0
@@ -201,8 +200,8 @@ def _load_work(path: Path, warnings: list[str],
 
 
 def _evaluate_entry(args: tuple) -> PageOutcome:
-    index, truth_root, pred_root, entry, config = args
-    out = PageOutcome(index=index, evals=[])
+    truth_root, pred_root, entry, config = args
+    out = PageOutcome(evals=[])
     truth = _load_work(Path(truth_root) / entry.path, out.warnings, "truth")
     if truth is None:
         out.skipped = True
@@ -253,8 +252,8 @@ def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
     if config.partition is not None:
         entries = [e for e in entries if e.partition == config.partition]
     report = EvalReport(config=config, tally=CorpusTally())
-    args = [(i, str(truth_root), str(pred_root), entry, config)
-            for i, entry in enumerate(entries)]
+    args = [(str(truth_root), str(pred_root), entry, config)
+            for entry in entries]
     if config.jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_evaluate_entry, args))

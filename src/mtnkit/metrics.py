@@ -1,8 +1,8 @@
 """Three-tier evaluation metrics for predicted measures against truth.
 
 Tier 1 scores primitive detection: per-class precision and recall over
-token labels, matched per measure as the minimum of the two counts, with
-a truth-frequency-weighted aggregate.
+the token leaves of the projections, matched per measure as the minimum
+of the two counts, with a truth-frequency-weighted aggregate.
 
 Tier 2 is the tree error rate: edit distance between the tree projections
 under unit costs, normalized by the truth tree size.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import Measure
-from .trees import LabeledTree, extract_terminals, project_tree
+from .trees import LabeledTree, project_tree, token_counts
 from .ted import EditScript, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
 
 
@@ -67,17 +67,12 @@ class Tier1Report:
     def total_truth(self) -> int:
         return sum(t.truth for t in self.classes.values())
 
-    @property
-    def total_matched(self) -> int:
-        return sum(t.matched for t in self.classes.values())
 
-
-def tally_terminals(truth: Measure, predicted: Measure | None,
+def tally_terminals(truth: LabeledTree, predicted: LabeledTree,
                     include_synthetic: bool = True) -> dict[str, ClassTally]:
-    """Per-class counts for one aligned measure pair."""
-    g = extract_terminals(truth, include_synthetic=include_synthetic)
-    p = (extract_terminals(predicted, include_synthetic=include_synthetic)
-         if predicted is not None else {})
+    """Per-class counts for one projected measure pair."""
+    g = token_counts(truth, include_synthetic=include_synthetic)
+    p = token_counts(predicted, include_synthetic=include_synthetic)
     out: dict[str, ClassTally] = {}
     for label in set(g) | set(p):
         out[label] = ClassTally(truth=g.get(label, 0),
@@ -287,7 +282,7 @@ def evaluate_measure(truth: Measure, predicted: Measure | None,
         measure_id=truth.id,
         cost=Fraction(script.cost),
         truth_size=script.a_size,
-        tier1=tally_terminals(truth, predicted, include_synthetic),
+        tier1=tally_terminals(g, p, include_synthetic),
         tier3=tier3_counts(g, p),
         untimed=None if p.timing_error is None else str(p.timing_error),
     )
@@ -309,13 +304,6 @@ class CorpusTally:
         self.measures += 1
         merge_tallies(self.classes, ev.tier1)
         self.tier3.add(ev.tier3)
-
-    def merge(self, other: "CorpusTally") -> None:
-        self.cost += other.cost
-        self.truth_nodes += other.truth_nodes
-        self.measures += other.measures
-        merge_tallies(self.classes, other.classes)
-        self.tier3.add(other.tier3)
 
     @property
     def ter(self) -> Fraction | None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import zipfile
+import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from io import BytesIO
@@ -991,19 +992,13 @@ def _prune_dangling_pairs(work: MTNWork, conv: _Converter) -> MTNWork:
 # ---------------------------------------------------------------------------
 # Line starts.
 
-def inject_line_starts(work: MTNWork,
-                       breaks: tuple[str, ...] = ()) -> MTNWork:
+def inject_line_starts(work: MTNWork) -> MTNWork:
     """Synthesize clef/key restatements at line-start measures.
 
-    Measures named in breaks are marked line_start first; an unknown id is
-    an error. Each line-start measure then receives a synthetic attributes
-    node at onset 0 restating the active clef and key signature for every
-    staff that does not already state a clef there. Idempotent.
+    Each line-start measure receives a synthetic attributes node at onset 0
+    restating the active clef and key signature for every staff that does
+    not already state a clef there. Idempotent.
     """
-    known = {m.id for p in work.parts for m in p.measures}
-    for mid in breaks:
-        if mid not in known:
-            raise ValueError(f"unknown measure id in line breaks: {mid!r}")
     counter = itertools.count(1)
 
     def fresh(tok: Token) -> Token:
@@ -1016,13 +1011,10 @@ def inject_line_starts(work: MTNWork,
         keys: dict[int, tuple[Token, ...]] = {}
         measures = []
         for m in part.measures:
-            line_start = m.line_start or m.id in breaks
-            if line_start:
-                m = replace(m, line_start=True)
             stated = _staves_with_clef_at_zero(m)
             need = [s for s in range(1, part.staff_count + 1)
                     if s in clefs and s not in stated]
-            if line_start and need:
+            if m.line_start and need:
                 blocks = []
                 for staff in need:
                     kids: list[Node] = [Node(CLEF, (fresh(clefs[staff]),))]
@@ -1125,7 +1117,11 @@ def convert_path(path: str | Path,
 
 
 def _read_mxl(data: bytes, path: Path) -> bytes:
-    with zipfile.ZipFile(BytesIO(data)) as zf:
+    try:
+        archive = zipfile.ZipFile(BytesIO(data))
+    except zipfile.BadZipFile as exc:
+        raise ConversionError(f"{path}: corrupt archive: {exc}") from None
+    with archive as zf:
         rootfile = None
         try:
             container = ET.fromstring(
@@ -1135,6 +1131,9 @@ def _read_mxl(data: bytes, path: Path) -> bytes:
                 rootfile = first.get("full-path")
         except KeyError:
             pass
+        except ET.ParseError as exc:
+            raise ConversionError(
+                f"{path}: unparseable META-INF/container.xml: {exc}") from None
         if rootfile is None:
             candidates = [n for n in zf.namelist()
                           if n.endswith(".xml") and not n.startswith("META-INF")]
@@ -1155,4 +1154,8 @@ def _read_member(zf: zipfile.ZipFile, name: str, path: Path) -> bytes:
         raise ConversionError(
             f"{path}: archive member {name!r} unpacks to {size} bytes, "
             f"over the limit of {MAX_MXL_MEMBER_BYTES}")
-    return zf.read(name)
+    try:
+        return zf.read(name)
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+        raise ConversionError(
+            f"{path}: archive member {name!r} is corrupt: {exc}") from None

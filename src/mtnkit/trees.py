@@ -1,10 +1,10 @@
 """Projection of measures onto plain ordered labeled trees.
 
-Tier 2 and Tier 3 metrics run on these projections rather than the rich
-model: internal nodes are labeled by their structural kind, leaves by their
-token class. Notehead and rest leaves also carry pitch/time metadata for the
-semantic cost model; unit costs compare labels only, so both tiers share one
-projection per measure.
+All three metric tiers run on these projections rather than the rich model:
+internal nodes are labeled by their structural kind, leaves by their token
+class. Tier 1 counts the token leaves. Notehead and rest leaves also carry
+pitch/onset metadata for the semantic cost model; unit costs compare labels
+only, so tiers 2 and 3 share one projection per measure.
 """
 
 from __future__ import annotations
@@ -29,17 +29,20 @@ class NoteMeta:
     step: int
     head: str
     onset: Fraction
-    duration: Fraction
-    token_id: str
     is_rest: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class TreeNode:
+    """A projected node. token marks a leaf made from a token (an internal
+    node with no children is not one); synthetic marks anything under a
+    synthesized line-start attributes node."""
+
     label: str
     children: tuple["TreeNode", ...] = ()
     meta: Optional[NoteMeta] = None
     synthetic: bool = False
+    token: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,17 +98,17 @@ def _meta(token: Token, ev: TimedEvent, is_rest: bool) -> NoteMeta:
                     step=0 if is_rest or step is None else step,
                     head=token.label,
                     onset=ev.onset if ev.onset is not None else Fraction(0),
-                    duration=ev.duration, token_id=token.id, is_rest=is_rest)
+                    is_rest=is_rest)
 
 
 def project_tree(measure: Measure | None) -> LabeledTree:
     """Project a measure to a labeled tree; None projects to the empty tree.
 
     Leaves are labeled by token class. Notehead leaves carry (staff, step,
-    head class, onset, duration) from their chord's event, rest leaves
-    (staff, onset, duration) from their top-level rest. A measure whose
-    events cannot be timed projects with the same labels, no metadata, and
-    the error kept in timing_error.
+    head class, onset) from their chord's event, rest leaves (staff, onset)
+    from their top-level rest. A measure whose events cannot be timed
+    projects with the same labels, no metadata, and the error kept in
+    timing_error.
     """
     if measure is None:
         return EMPTY_TREE
@@ -131,7 +134,8 @@ def project_tree(measure: Measure | None) -> LabeledTree:
             elif (node.kind == NOTE and parent_ev is not None
                     and child.label in vocabulary.NOTEHEADS):
                 meta = _meta(child, parent_ev, False)
-            kids.append(TreeNode(child.label, meta=meta, synthetic=synthetic))
+            kids.append(TreeNode(child.label, meta=meta, synthetic=synthetic,
+                                 token=True))
         return TreeNode(node.kind, tuple(kids), synthetic=synthetic)
 
     children = tuple(build(child, (i,), False, None)
@@ -139,28 +143,12 @@ def project_tree(measure: Measure | None) -> LabeledTree:
     return LabeledTree(TreeNode(MEASURE_LABEL, children), error)
 
 
-def extract_terminals(measure: Measure | None, *,
-                      include_synthetic: bool = True) -> Counter:
-    """Multiset of token class labels in a measure.
+def token_counts(tree: LabeledTree, *,
+                 include_synthetic: bool = True) -> Counter:
+    """Multiset of token class labels in a projected measure.
 
-    Equals the leaf-label multiset of the structural projection. With
-    include_synthetic False, tokens under synthesized line-start attribute
-    nodes are skipped.
+    With include_synthetic False, tokens under synthesized line-start
+    attribute nodes are skipped.
     """
-    counts: Counter = Counter()
-    if measure is None:
-        return counts
-
-    def walk(node: Node, synthetic: bool) -> None:
-        synthetic = synthetic or node.synthetic
-        if synthetic and not include_synthetic:
-            return
-        for child in node.children:
-            if isinstance(child, Token):
-                counts[child.label] += 1
-            else:
-                walk(child, synthetic)
-
-    for child in measure.children:
-        walk(child, False)
-    return counts
+    return Counter(n.label for n in tree.nodes
+                   if n.token and (include_synthetic or not n.synthetic))

@@ -6,8 +6,6 @@ closed set fixed at import: validation rejects any other label.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 # Token classes whose tokens carry a vertical staff step. Everything else is
 # positionless (step must be absent).
 _POSITIONED: set[str] = set()
@@ -45,18 +43,6 @@ NOTEHEADS = _define(
     "notehead_grace_black notehead_cue_black notehead_cue_white",
     positioned=True)
 
-# Grace and cue noteheads occupy no rhythmic time.
-ZERO_DURATION_NOTEHEADS = frozenset(
-    {"notehead_grace_black", "notehead_cue_black", "notehead_cue_white"})
-
-# Nominal duration in quarter notes, before dots/tuplets. Stemless whites
-# are whole notes; a stem turns a white head into a half note. Black heads
-# start at one quarter and each beam or flag halves them.
-WHITE_WITH_STEM = Fraction(2)
-WHITE_WITHOUT_STEM = Fraction(4)
-BLACK_BASE = Fraction(1)
-BREVE = Fraction(8)
-
 STEM_DIRECTIONS = _define("stem_up stem_down")
 BEAM = _define("beam")
 FLAG = _define("flag")
@@ -69,20 +55,6 @@ ACCIDENTALS = _define(
 RESTS = _define(
     "rest_maxima rest_long rest_breve rest_whole rest_half rest_quarter "
     "rest_eighth rest_16th rest_32nd rest_64th rest_128th")
-
-REST_DURATIONS: dict[str, Fraction] = {
-    "rest_maxima": Fraction(32),
-    "rest_long": Fraction(16),
-    "rest_breve": Fraction(8),
-    "rest_whole": Fraction(4),
-    "rest_half": Fraction(2),
-    "rest_quarter": Fraction(1),
-    "rest_eighth": Fraction(1, 2),
-    "rest_16th": Fraction(1, 4),
-    "rest_32nd": Fraction(1, 8),
-    "rest_64th": Fraction(1, 16),
-    "rest_128th": Fraction(1, 32),
-}
 
 CLEFS = _define("clef_G clef_F clef_C clef_oct_G clef_oct_F", positioned=True)
 

@@ -117,6 +117,21 @@ def test_convert_bad_staff_names_file_and_element(tmp_path, capsys):
                    "integer, got 'x'\n")
 
 
+def test_convert_corrupt_mxl_is_usage_error(tmp_path, capsys):
+    import zipfile
+    mxl = tmp_path / "tune.mxl"
+    with zipfile.ZipFile(mxl, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("tune.xml", MUSICXML)
+    data = bytearray(mxl.read_bytes())
+    data[30 + len("tune.xml")] ^= 0xFF  # first byte of the deflated member
+    mxl.write_bytes(bytes(data))
+    rc = main(["convert", str(mxl), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {mxl}: archive member 'tune.xml' is corrupt: Error -3 "
+        "while decompressing data")
+
+
 # -- validate -----------------------------------------------------------------
 
 def test_validate_clean_file(tmp_path):
@@ -385,6 +400,40 @@ def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: chord has no noteheads\n"
     assert captured.out == ""
+
+
+def mixed_onset_clefs(tmp_path):
+    """Truth fixture and a copy whose m1 attr_staff holds two clefs, only
+    the first with an onset (which clefs must not carry)."""
+    truth = tmp_path / "truth"
+    pred = tmp_path / "pred"
+    truth.mkdir()
+    pred.mkdir()
+    source = (CORPUS / "anthem.mtn.xml").read_text(encoding="utf-8")
+    (truth / "anthem.mtn.xml").write_text(source, encoding="utf-8")
+    clef = ('          <clef>\n'
+            '            <token id="t1" label="clef_G" staff="1" step="4"/>\n'
+            '          </clef>\n')
+    assert source.count(clef) == 1
+    (pred / "anthem.mtn.xml").write_text(source.replace(
+        clef, clef.replace("<clef>", '<clef onset="1">')
+        + clef.replace('id="t1"', 'id="t1b"')), encoding="utf-8")
+    return truth, pred
+
+
+def test_validate_reports_a_clef_onset_beside_a_plain_clef(tmp_path, capsys):
+    _, pred = mixed_onset_clefs(tmp_path)
+    assert main(["validate", str(pred / "anthem.mtn.xml")]) == 1
+    assert "[onset-not-allowed] m1/0/0/" in capsys.readouterr().out
+
+
+def test_evaluate_scores_a_clef_onset_beside_a_plain_clef(tmp_path, capsys):
+    truth, pred = mixed_onset_clefs(tmp_path)
+    rc, report = _evaluate_json(truth, pred, tmp_path)
+    assert rc == 0
+    # The second clef node and its token are the only differences.
+    assert report["tier1"]["classes"]["clef_G"]["predicted"] == 2
+    assert report["tier2"]["edit_cost"] == "2"
 
 
 def test_deep_nesting_is_a_format_error(tmp_path, capsys):

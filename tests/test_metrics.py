@@ -40,7 +40,7 @@ def relabel_first(m: Measure, old: str, new: str) -> Measure:
 
 def test_tally_perfect():
     m = standard_measure()
-    tallies = tally_terminals(m, m)
+    tallies = tally_terminals(project_tree(m), project_tree(m))
     for tally in tallies.values():
         assert tally.matched == tally.truth == tally.predicted
 
@@ -52,7 +52,7 @@ def test_recall_two_thirds():
     pred = measure(group(simple_chord(4, 0)),
                    group(simple_chord(5, 1)),
                    group(simple_chord(6, 2, direction="stem_down")))
-    tallies = tally_terminals(truth, pred)
+    tallies = tally_terminals(project_tree(truth), project_tree(pred))
     assert tallies["stem_up"].recall == Fraction(2, 3)
     assert tallies["stem_up"].precision == 1
     assert tallies["stem_down"].truth == 0
@@ -67,8 +67,8 @@ def test_matched_is_per_measure_min():
     p2 = measure(group(simple_chord(4, 0)), group(simple_chord(5, 1)),
                  id="m2")
     classes: dict[str, ClassTally] = {}
-    merge_tallies(classes, tally_terminals(t1, p1))
-    merge_tallies(classes, tally_terminals(t2, p2))
+    merge_tallies(classes, tally_terminals(project_tree(t1), project_tree(p1)))
+    merge_tallies(classes, tally_terminals(project_tree(t2), project_tree(p2)))
     heads = classes["notehead_black"]
     assert heads.truth == heads.predicted == 3
     assert heads.matched == 2  # min(2,1) + min(1,2)
@@ -104,7 +104,7 @@ def test_empty_truth_report():
 
 def test_missing_prediction_tallies():
     m = standard_measure()
-    tallies = tally_terminals(m, None)
+    tallies = tally_terminals(project_tree(m), project_tree(None))
     assert all(t.predicted == 0 for t in tallies.values())
     assert all(t.matched == 0 for t in tallies.values())
 

@@ -1,5 +1,6 @@
 """Converter tests against hand-computed fixture expectations."""
 
+import io
 import zipfile
 from fractions import Fraction
 
@@ -621,6 +622,56 @@ def test_mxl_missing_rootfile_is_a_conversion_error(tmp_path):
                     "</rootfiles></container>")
     with pytest.raises(ConversionError,
                        match="archive has no member 'gone.xml'"):
+        convert_path(mxl)
+
+
+def _mxl(path, xml: str, method: int = zipfile.ZIP_DEFLATED,
+         container: str = ('<container><rootfiles><rootfile '
+                           'full-path="piece.xml"/></rootfiles></container>'),
+         ) -> bytes:
+    """Write an .mxl holding xml as piece.xml; return its bytes."""
+    with zipfile.ZipFile(path, "w", method) as zf:
+        zf.writestr("META-INF/container.xml", container)
+        zf.writestr("piece.xml", xml)
+    return path.read_bytes()
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    out = bytearray(data)
+    out[at] ^= 0xFF
+    return bytes(out)
+
+
+def _score_data_start(data: bytes) -> int:
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo("piece.xml")
+    return info.header_offset + 30 + len("piece.xml") + len(info.extra)
+
+
+@pytest.mark.parametrize("method, damage, message", [
+    (zipfile.ZIP_DEFLATED, lambda d: _flip(d, _score_data_start(d)),
+     "archive member 'piece.xml' is corrupt: Error -3 while decompressing"),
+    (zipfile.ZIP_STORED, lambda d: _flip(d, _score_data_start(d) + 40),
+     "archive member 'piece.xml' is corrupt: Bad CRC-32 for file"),
+    (zipfile.ZIP_STORED, lambda d: _flip(d, d.index(b"PK\x01\x02")),
+     "corrupt archive: Bad magic number for central directory"),
+], ids=["deflate-error", "crc-mismatch", "central-directory"])
+def test_corrupt_mxl_is_a_conversion_error(tmp_path, method, damage,
+                                           message):
+    xml = score(f'<measure number="1">{ATTRS_44}'
+                + note("C", 4, 4, "quarter") + "</measure>")
+    mxl = tmp_path / "piece.mxl"
+    mxl.write_bytes(damage(_mxl(mxl, xml, method)))
+    with pytest.raises(ConversionError) as info:
+        convert_path(mxl)
+    assert str(info.value).startswith(f"{mxl}: {message}")
+
+
+def test_malformed_mxl_container_is_a_conversion_error(tmp_path):
+    mxl = tmp_path / "piece.mxl"
+    _mxl(mxl, "<score-partwise/>", container="<container>")
+    with pytest.raises(ConversionError, match=(
+            "unparseable META-INF/container.xml: no element found")):
         convert_path(mxl)
 
 

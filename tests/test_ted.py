@@ -23,8 +23,7 @@ def tree(label, *kids):
 
 
 def head(staff, step, kind="notehead_black", onset=0):
-    meta = NoteMeta(staff=staff, step=step, head=kind,
-                    onset=Fraction(onset), duration=Fraction(1), token_id="t")
+    meta = NoteMeta(staff=staff, step=step, head=kind, onset=Fraction(onset))
     return TreeNode(kind, (), meta=meta)
 
 

@@ -1,4 +1,4 @@
-"""Tree projection and terminal extraction."""
+"""Tree projection and token counts."""
 
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 
 import builders as B
 from mtnkit.model import NODE_KINDS, Node
-from mtnkit.trees import extract_terminals, project_tree
+from mtnkit.trees import project_tree, token_counts
 
 
 def count_nodes(measure):
@@ -48,7 +48,7 @@ def test_terminals_beamed_pair():
                           B.simple_chord(step=8, onset=Fraction(1, 2),
                                          direction="stem_down"),
                           beams=1))
-    got = extract_terminals(m)
+    got = token_counts(project_tree(m))
     assert got == Counter({"notehead_black": 2, "stem_up": 1,
                            "stem_down": 1, "beam": 1})
     assert sum(got.values()) == 5
@@ -61,16 +61,16 @@ def test_terminals_equal_structural_leaf_labels():
         m = B.random_measure(rng, f"m{i}")
         leaves = Counter(n.label for n in project_tree(m).nodes
                          if not n.children and n.label not in NODE_KINDS)
-        assert leaves == extract_terminals(m)
+        assert leaves == token_counts(project_tree(m))
 
 
 def test_terminals_synthetic_switch():
     m = B.measure(
         B.treble_attributes(synthetic=True),
         B.group(B.simple_chord()))
-    full = extract_terminals(m)
+    full = token_counts(project_tree(m))
     assert full["clef_G"] == 1
-    skipped = extract_terminals(m, include_synthetic=False)
+    skipped = token_counts(project_tree(m), include_synthetic=False)
     assert skipped["clef_G"] == 0
     assert skipped["notehead_black"] == 1
 
@@ -85,7 +85,6 @@ def test_semantic_meta_on_noteheads():
     first, second = sorted(heads, key=lambda n: n.meta.onset)
     assert (first.meta.staff, first.meta.step) == (1, 6)
     assert first.meta.onset == 0
-    assert first.meta.duration == Fraction(1, 2)
     assert second.meta.onset == Fraction(1, 2)
     assert second.meta.head == "notehead_black"
 
@@ -96,7 +95,6 @@ def test_semantic_meta_on_rests():
     rests = [n for n in t.nodes if n.meta is not None and n.meta.is_rest]
     assert len(rests) == 1
     assert rests[0].meta.onset == Fraction(3, 2)
-    assert rests[0].meta.duration == Fraction(1, 2)
     assert rests[0].meta.staff == 1
 
 
@@ -122,3 +120,12 @@ def test_untimeable_measure_keeps_labels_and_the_error():
         t.timed()
     timed = project_tree(B.standard_measure())
     assert timed.timing_error is None and timed.timed() is timed
+
+
+def test_token_counts_tell_tokens_from_empty_nodes():
+    # Childless nodes are not tokens, and a token keeps its label whatever
+    # it reads.
+    assert token_counts(project_tree(B.measure())) == Counter()
+    m = B.measure(B.group(Node("chord", onset=0)),
+                  B.barline(onset=1, label="chord"))
+    assert token_counts(project_tree(m)) == Counter({"chord": 1})
