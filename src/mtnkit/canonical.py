@@ -154,17 +154,27 @@ def _canonical_node(node: Node) -> Node:
             children,
             key=lambda c: ((0, _token_sort_key(c)) if isinstance(c, Token)
                            else (1, _fingerprint(c)))))
-    return replace(node, children=children)
+    return _with_children(node, children)
+
+
+def _with_children(item, children: tuple):
+    """item itself when children are its own, in order; else a copy."""
+    if all(a is b for a, b in zip(children, item.children)):
+        return item
+    return replace(item, children=children)
 
 
 def canonicalize(measure: Measure) -> Measure:
     """Return the measure with every sibling list in canonical order.
 
+    A measure already in canonical order is returned itself, so
+    ``canonicalize(m) is m`` tells whether anything moved.
+
     Raises CanonicalizeError when ordering needs an onset that is absent.
     """
     children = tuple(_canonical_node(c) for c in measure.children)
     children = tuple(sorted(children, key=_top_level_key))
-    return replace(measure, children=children)
+    return _with_children(measure, children)
 
 
 def canonicalize_work(work: MTNWork) -> MTNWork:

@@ -68,7 +68,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if target in written:
             raise ValueError(f"two inputs map to the same output {target}")
         written.add(target)
-        target.write_bytes(serialize_work(result.work))
+        target.write_bytes(result.data)
         print(f"wrote {target}")
         entries.extend(manifest_for_work(result.work, target.name,
                                          partition=args.partition))

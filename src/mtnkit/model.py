@@ -219,11 +219,12 @@ class _Validator:
                           f"{_note_kind_name(child)} not allowed under a measure")
                 continue
             self.check_node(part, child, path)
-        # Canonical order is validated measure-wide: compare against the
-        # canonicalized form. Imported lazily to avoid a module cycle.
+        # Canonical order is validated measure-wide: canonicalize returns
+        # the measure itself when nothing moved. Imported lazily to avoid a
+        # module cycle.
         from .canonical import canonicalize, CanonicalizeError
         try:
-            if canonicalize(measure) != measure:
+            if canonicalize(measure) is not measure:
                 self.fail("non-canonical", measure.id,
                           "children are not in canonical reading order")
         except CanonicalizeError:

@@ -28,8 +28,9 @@ from .canonical import assign_ids, canonicalize_work
 from .model import (
     ATTR_STAFF, ATTRIBUTES, BARLINE, CHORD, CLEF, DIRECTION, KEY, MTNWork,
     Measure, NOTE, NOTE_GROUP, Node, Part, REST, STEM, StaffPosition,
-    TIME_SIG, Token, validate,
+    TIME_SIG, Token,
 )
+from .xmlio import InvalidWorkError, serialize_work
 
 _LETTERS = {"C": 0, "D": 1, "E": 2, "F": 3, "G": 4, "A": 5, "B": 6}
 
@@ -240,6 +241,7 @@ class ConvertOptions:
 class ConversionResult:
     work: MTNWork
     warnings: list[str]
+    data: bytes  # serialize_work(work)
 
 
 class _Converter:
@@ -306,12 +308,12 @@ class _Converter:
         work = _prune_dangling_pairs(work, self)
         work = inject_line_starts(work)
         work = assign_ids(canonicalize_work(work))
-        problems = validate(work)
-        if problems:
+        try:
+            data = serialize_work(work)
+        except InvalidWorkError as exc:
             raise ConversionError(
-                "conversion produced an invalid work: "
-                + "; ".join(str(v) for v in problems[:5]))
-        return ConversionResult(work, self.warnings)
+                f"conversion produced an invalid work: {exc}") from None
+        return ConversionResult(work, self.warnings, data)
 
     def convert_part(self, pe: ET.Element, breaks: set[str]) -> Part:
         part_id = pe.get("id", "P")

@@ -12,11 +12,10 @@ through the warning callback.
 
 from __future__ import annotations
 
+import re
 import xml.parsers.expat
 from fractions import Fraction
 from typing import Callable
-
-from xml.sax.saxutils import quoteattr
 
 from .canonical import CanonicalizeError, canonicalize
 from .model import (
@@ -96,9 +95,27 @@ def _node_attrs(node: Node) -> dict[str, str]:
     return attrs
 
 
+_NEEDS_ESCAPE = re.compile('[&<>"\n\r\t]').search
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                          "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def _quote_attr(value: str) -> str:
+    """value escaped and quoted as xml.sax.saxutils.quoteattr does it."""
+    if _NEEDS_ESCAPE(value) is None:
+        return '"' + value + '"'
+    value = value.translate(_ESCAPES)
+    if '"' not in value:
+        return '"' + value + '"'
+    if "'" not in value:
+        return "'" + value + "'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def _open_tag(name: str, attrs: dict[str, str], indent: int,
               self_close: bool = False) -> str:
-    parts = "".join(f" {k}={quoteattr(v)}" for k, v in sorted(attrs.items()))
+    parts = "".join(f" {k}={_quote_attr(v)}"
+                    for k, v in sorted(attrs.items()))
     closer = "/>" if self_close else ">"
     return f"{'  ' * indent}<{name}{parts}{closer}"
 
@@ -289,7 +306,7 @@ class _Parser:
             ordered = canonicalize(measure)
         except CanonicalizeError:
             return measure  # validation will name the missing onsets
-        if ordered != measure:
+        if ordered is not measure:
             self.on_warning(
                 f"measure {measure.id} was not in canonical order; reordered")
         return ordered
