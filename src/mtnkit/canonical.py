@@ -172,7 +172,8 @@ def canonicalize(measure: Measure) -> Measure:
 
     Raises CanonicalizeError when ordering needs an onset that is absent.
     """
-    children = tuple(_canonical_node(c) for c in measure.children)
+    children = tuple(_canonical_node(c) if isinstance(c, Node) else c
+                     for c in measure.children)
     children = tuple(sorted(children, key=_top_level_key))
     return _with_children(measure, children)
 

@@ -307,10 +307,6 @@ class _Validator:
             self.fail("duplicate-token-id", token.id,
                       "token id appears more than once")
         self.token_ids[token.id] = token.label
-        if not vocabulary.is_known(token.label):
-            self.fail("unknown-label", token.id,
-                      f"label {token.label} is not in the vocabulary")
-            return
         pos = token.position
         if pos.staff < 1 or pos.staff > part.staff_count:
             self.fail("staff-range", token.id,

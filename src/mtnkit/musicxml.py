@@ -1123,6 +1123,8 @@ def _read_mxl(data: bytes, path: Path) -> bytes:
         archive = zipfile.ZipFile(BytesIO(data))
     except zipfile.BadZipFile as exc:
         raise ConversionError(f"{path}: corrupt archive: {exc}") from None
+    except NotImplementedError as exc:  # a zip version zipfile cannot read
+        raise ConversionError(f"{path}: unreadable archive: {exc}") from None
     with archive as zf:
         rootfile = None
         try:
@@ -1158,6 +1160,12 @@ def _read_member(zf: zipfile.ZipFile, name: str, path: Path) -> bytes:
             f"over the limit of {MAX_MXL_MEMBER_BYTES}")
     try:
         return zf.read(name)
-    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        # ValueError: a header offset that seeks before the archive start
         raise ConversionError(
             f"{path}: archive member {name!r} is corrupt: {exc}") from None
+    except RuntimeError as exc:
+        # Encrypted, or (NotImplementedError) compressed by a method or
+        # flagged with a feature zipfile cannot read.
+        raise ConversionError(
+            f"{path}: archive member {name!r} cannot be read: {exc}") from None

@@ -3,11 +3,17 @@ construction-order independence."""
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import builders as B
 from mtnkit.canonical import assign_ids, canonicalize, canonicalize_work
 from mtnkit.model import Measure, Node
+from mtnkit.musicxml import convert_path
+from mtnkit.xmlio import parse_work
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def kinds(measure):
@@ -175,3 +181,37 @@ def test_construction_order_independence_end_to_end():
         a = assign_ids(canonicalize_work(B.work(m, normalize=False)))
         b = assign_ids(canonicalize_work(B.work(m2, normalize=False)))
         assert a == b
+
+
+def test_canonical_measures_come_back_unchanged():
+    measures = []
+    for path in sorted((FIXTURES / "corpus").glob("*.mtn.xml")):
+        warnings = []
+        work = parse_work(path.read_bytes(), on_warning=warnings.append)
+        assert warnings == []
+        measures += [m for part in work.parts for m in part.measures]
+    for path in sorted((FIXTURES / "musicxml").glob("*.musicxml")):
+        work = convert_path(path).work
+        measures += [m for part in work.parts for m in part.measures]
+    assert measures
+    for m in measures:
+        assert canonicalize(m) is m
+
+
+def _shuffled(item, rng):
+    """item with every sibling list below it shuffled."""
+    children = [_shuffled(c, rng) if isinstance(c, Node) else c
+                for c in item.children]
+    rng.shuffle(children)
+    return replace(item, children=tuple(children))
+
+
+def test_random_works_canonicalize_whatever_the_construction_order():
+    rng = random.Random(4711)
+    for i in range(40):
+        work = B.random_work_checked(rng, f"w{i}")
+        for m in (m for part in work.parts for m in part.measures):
+            assert canonicalize(m) is m
+            once = canonicalize(_shuffled(m, rng))
+            assert once == m
+            assert canonicalize(once) is once

@@ -4,13 +4,19 @@ from fractions import Fraction
 
 import builders as B
 from mtnkit.model import (
-    CHORD, MTNWork, NOTE, Node, Part, StaffPosition, Token,
-    validate,
+    CLEF, CHORD, DIRECTION, MTNWork, NOTE, NOTE_GROUP, Node, Part, REST,
+    StaffPosition, Token, validate,
 )
 
 
 def rules(work):
     return {v.rule for v in validate(work)}
+
+
+def found(rule, *children):
+    """(subject, message) of each violation of rule in a one-measure work."""
+    w = B.work(B.measure(*children), normalize=False)
+    return [(v.subject, v.message) for v in validate(w) if v.rule == rule]
 
 
 def test_standard_work_is_valid():
@@ -162,3 +168,62 @@ def test_random_works_validate_clean():
     rng = random.Random(31337)
     for i in range(25):
         B.random_work_checked(rng, f"w{i}")
+
+
+def test_child_kind_cites_measure_children_and_nested_nodes():
+    assert found(
+        "child-kind",
+        B.simple_chord(onset=0),
+        Node(NOTE_GROUP, (B.simple_chord(onset=1), B.rest(onset=1)),
+             onset=Fraction(1)),
+        B.tok("rest_quarter"),
+    ) == [("m1/0", "chord not allowed under a measure"),
+          ("m1/1/1", "rest not allowed under note_group"),
+          ("m1/2", "token rest_quarter not allowed under a measure")]
+
+
+def test_chord_without_a_note():
+    assert found("chord-notes", B.group(B.chord(stem_node=B.stem()))) == [
+        ("m1/0/0", "chord has no note")]
+
+
+def test_stem_holds_exactly_one_direction():
+    flag_only = Node(CHORD, (Node("stem", (B.tok("flag"),)), B.note()),
+                     onset=Fraction(0))
+    assert found("stem-tokens", B.group(flag_only)) == [
+        ("m1/0/0/0", "stem has 0 direction tokens, wants exactly 1")]
+
+
+def test_direction_holds_exactly_one_token():
+    assert found(
+        "direction-tokens",
+        Node(DIRECTION, (B.tok("dyn_p"), B.tok("dyn_f")), onset=Fraction(0)),
+        Node(DIRECTION, (), onset=Fraction(1)),
+    ) == [("m1/0", "direction holds exactly one token"),
+          ("m1/1", "direction holds exactly one token")]
+
+
+def test_note_group_without_chords():
+    assert found("group-empty",
+                 Node(NOTE_GROUP, (B.tok("beam"),), onset=Fraction(0))) == [
+        ("m1/0", "note group has no chords")]
+
+
+def test_empty_structural_nodes():
+    assert found(
+        "node-empty",
+        B.attributes(B.attr_staff(Node(CLEF, ()))),
+        Node("barline", (), onset=Fraction(4)),
+    ) == [("m1/0/0/0", "clef has no children"),
+          ("m1/1", "barline has no children")]
+
+
+def test_unknown_label_cites_the_token():
+    assert found(
+        "unknown-label",
+        Node(DIRECTION, (Token("u1", "dyn_zzz", StaffPosition(1)),),
+             onset=Fraction(0)),
+        Node(REST, (Token("u2", "rest_quarterX", StaffPosition(1)),),
+             onset=Fraction(1)),
+    ) == [("u1", "label dyn_zzz is not in the vocabulary"),
+          ("u2", "label rest_quarterX is not in the vocabulary")]

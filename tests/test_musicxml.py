@@ -1,11 +1,14 @@
 """Converter tests against hand-computed fixture expectations."""
 
 import io
+import struct
 import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mtnkit.cli import main
 from mtnkit.model import (
     ATTRIBUTES, BARLINE, CHORD, DIRECTION, NOTE_GROUP, REST, Token, validate,
 )
@@ -15,6 +18,8 @@ from mtnkit.musicxml import (
     pitch_to_step,
 )
 from mtnkit.xmlio import serialize_work
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "musicxml"
 
 
 def score(measures: str, part_id: str = "P1") -> str:
@@ -665,6 +670,56 @@ def test_corrupt_mxl_is_a_conversion_error(tmp_path, method, damage,
     with pytest.raises(ConversionError) as info:
         convert_path(mxl)
     assert str(info.value).startswith(f"{mxl}: {message}")
+
+
+def _patch(data: bytes, at: int, fmt: str, value: int) -> bytes:
+    out = bytearray(data)
+    struct.pack_into(fmt, out, at, value)
+    return bytes(out)
+
+
+def _score_entry(data: bytes) -> int:
+    """Offset of piece.xml's central directory entry."""
+    return data.rindex(b"PK\x01\x02")
+
+
+def _cd_offset_field(data: bytes) -> int:
+    """Offset of the end record's central directory offset field."""
+    return data.rindex(b"PK\x05\x06") + 16
+
+
+# Mutants of a zipped fixture that zipfile refuses with an exception other
+# than BadZipFile.
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: _patch(d, _score_entry(d) + 8, "<H", 0x1),
+     "archive member 'piece.xml' cannot be read: File 'piece.xml' is "
+     "encrypted"),
+    (lambda d: _patch(d, _score_entry(d) + 10, "<H", 99),
+     "archive member 'piece.xml' cannot be read: That compression method "
+     "is not supported"),
+    (lambda d: _patch(d, _score_entry(d) + 6, "<H", 255),
+     "unreadable archive: zip file version 25.5"),
+    (lambda d: _patch(d, _cd_offset_field(d), "<I",
+                      d.rindex(b"PK\x01\x02", 0, _score_entry(d)) + 0x10000),
+     "archive member 'META-INF/container.xml' is corrupt: negative seek "
+     "value -65536"),
+], ids=["encrypted", "compression-method", "zip-version",
+        "central-directory-offset"])
+def test_unreadable_mxl_exits_2_naming_file(tmp_path, capsys, damage,
+                                             message):
+    xml = (FIXTURES / "simple.musicxml").read_text(encoding="utf-8")
+    mxl = tmp_path / "piece.mxl"
+    mxl.write_bytes(damage(_mxl(mxl, xml)))
+    assert main(["convert", str(mxl), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mxl}: {message}")
+    assert "Traceback" not in err
+
+
+def test_conversion_result_holds_the_serialized_work():
+    for path in sorted(FIXTURES.glob("*.musicxml")):
+        result = convert_path(path)
+        assert result.data == serialize_work(result.work)
 
 
 def test_malformed_mxl_container_is_a_conversion_error(tmp_path):

@@ -10,7 +10,7 @@ from mtnkit.model import MTNWork, Part, validate
 from mtnkit.xmlio import (
     MAX_NODE_DEPTH, DuplicateIdError, FormatError, FractionSyntaxError,
     InvalidWorkError, MalformedXmlError, UnknownAttributeError,
-    UnknownElementError, parse_work, serialize_work,
+    UnknownElementError, _quote_attr, parse_work, serialize_work,
 )
 
 
@@ -85,6 +85,15 @@ def test_serialize_refuses_invalid_work():
     with pytest.raises(InvalidWorkError) as info:
         serialize_work(bad)
     assert info.value.violation.rule == "staff-count"
+
+
+def test_serialize_refuses_out_of_order_work():
+    late = B.group(B.simple_chord(onset=2))
+    w = B.work(B.measure(late, B.rest(onset=0)), normalize=False)
+    with pytest.raises(InvalidWorkError) as info:
+        serialize_work(w)
+    assert (info.value.violation.rule, info.value.violation.subject) == (
+        "non-canonical", "m1")
 
 
 def test_malformed_xml_has_position():
@@ -206,3 +215,14 @@ def test_escaping_in_ids():
     w = B.work(m, work_id='w&<">')
     data = serialize_work(w)
     assert parse_work(data) == w
+
+
+def test_attribute_escaper_matches_quoteattr():
+    from xml.sax.saxutils import quoteattr
+    rng = random.Random(1701)
+    alphabet = "aZ0 &<>\"'\n\r\t;#\u00e9\u266d"
+    values = ["", *alphabet] + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+        for _ in range(5000)]
+    for value in values:
+        assert _quote_attr(value) == quoteattr(value), value
