@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import builders as B
 from mtnkit.model import (
-    CLEF, CHORD, DIRECTION, MTNWork, NOTE, NOTE_GROUP, Node, Part, REST,
+    CHORD, CLEF, DIRECTION, MTNWork, NOTE, NOTE_GROUP, Node, Part,
     StaffPosition, Token, validate,
 )
 
@@ -41,6 +41,11 @@ def test_duplicate_measure_id():
 def test_unknown_label():
     m = B.measure(Node("rest", (B.tok("rest_quarterX"),), onset=Fraction(0)))
     assert "unknown-label" in rules(B.work(m, normalize=False))
+    assert found(
+        "unknown-label",
+        Node(DIRECTION, (Token("u1", "dyn_zzz", StaffPosition(1)),),
+             onset=Fraction(0)),
+    ) == [("u1", "label dyn_zzz is not in the vocabulary")]
 
 
 def test_chord_with_two_stems_cites_the_chord():
@@ -137,6 +142,16 @@ def test_child_kind_rules():
     m = B.measure(Node("note_group", (B.tok("rest_quarter"),
                                       B.simple_chord()), onset=Fraction(0)))
     assert "child-kind" in rules(B.work(m, normalize=False))
+    # a chord and a token under a measure, a rest node under a note group
+    assert found(
+        "child-kind",
+        B.simple_chord(onset=0),
+        Node(NOTE_GROUP, (B.simple_chord(onset=1), B.rest(onset=1)),
+             onset=Fraction(1)),
+        B.tok("rest_quarter"),
+    ) == [("m1/0", "chord not allowed under a measure"),
+          ("m1/1/1", "rest not allowed under note_group"),
+          ("m1/2", "token rest_quarter not allowed under a measure")]
 
 
 def test_staff_range():
@@ -168,18 +183,6 @@ def test_random_works_validate_clean():
     rng = random.Random(31337)
     for i in range(25):
         B.random_work_checked(rng, f"w{i}")
-
-
-def test_child_kind_cites_measure_children_and_nested_nodes():
-    assert found(
-        "child-kind",
-        B.simple_chord(onset=0),
-        Node(NOTE_GROUP, (B.simple_chord(onset=1), B.rest(onset=1)),
-             onset=Fraction(1)),
-        B.tok("rest_quarter"),
-    ) == [("m1/0", "chord not allowed under a measure"),
-          ("m1/1/1", "rest not allowed under note_group"),
-          ("m1/2", "token rest_quarter not allowed under a measure")]
 
 
 def test_chord_without_a_note():
@@ -216,14 +219,3 @@ def test_empty_structural_nodes():
         Node("barline", (), onset=Fraction(4)),
     ) == [("m1/0/0/0", "clef has no children"),
           ("m1/1", "barline has no children")]
-
-
-def test_unknown_label_cites_the_token():
-    assert found(
-        "unknown-label",
-        Node(DIRECTION, (Token("u1", "dyn_zzz", StaffPosition(1)),),
-             onset=Fraction(0)),
-        Node(REST, (Token("u2", "rest_quarterX", StaffPosition(1)),),
-             onset=Fraction(1)),
-    ) == [("u1", "label dyn_zzz is not in the vocabulary"),
-          ("u2", "label rest_quarterX is not in the vocabulary")]
