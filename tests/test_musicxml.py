@@ -416,6 +416,67 @@ def test_tie_tokens():
     assert ties[0].pair_id == ties[1].pair_id
 
 
+def whole_note_warnings(direction: str, mark: str) -> list[str]:
+    """Warnings from one measure: direction (may be empty), then a whole
+    note carrying mark."""
+    body = (f'<measure number="1">{ATTRS_44}{direction}'
+            + note("C", 5, 16, "whole", mark) + "</measure>")
+    return convert_score(score(body)).warnings
+
+
+@pytest.mark.parametrize("element, name", [
+    ("<notations><slur {}/></notations>", "slur"),
+    ("<notations><tied {}/></notations>", "tie"),
+    ("<tie {}/>", "tie"),
+    ("<notations><tuplet {}/></notations>", "tuplet"),
+    ("<direction><direction-type><wedge {}/></direction-type></direction>",
+     "wedge"),
+])
+def test_spanner_warning_text(element, name):
+    def warnings(stype):
+        mark = element.format(f'type="{stype}"')
+        if name == "wedge":
+            return whole_note_warnings(mark, "")
+        return whole_note_warnings("", mark)
+
+    assert warnings("stop") == [
+        f"part P1 measure 1: {name} stop without a start; dropped"]
+    assert warnings("sideways") == [
+        f"part P1 measure 1: {name} type 'sideways' unsupported"]
+
+
+@pytest.mark.parametrize("mark", [
+    '<notations><slur type="continue"/></notations>',
+    '<notations><tied type="continue"/></notations>',
+    '<notations><tied type="let-ring"/></notations>',
+    '<tie type="continue"/>',
+    '<tie type="let-ring"/>',
+])
+def test_spanner_continuations_are_silent(mark):
+    assert whole_note_warnings("", mark) == []
+
+
+def test_dangling_pair_warnings_name_each_pair():
+    slur = '<notations><slur type="{}"/></notations>'
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 4, "quarter", slur.format("start"))   # q1
+            + note("D", 5, 4, "quarter", slur.format("start"))   # q2
+            + '<direction><direction-type><wedge type="crescendo"/>'
+            "</direction-type></direction>"                      # q3
+            + note("E", 5, 4, "quarter", slur.format("stop"))    # closes q2
+            + note("F", 5, 4, "quarter") + "</measure>")
+    result = convert_score(score(body))
+    assert result.warnings == [
+        "spanner pair q1 never completed; its token was dropped",
+        "spanner pair q3 never completed; its token was dropped",
+    ]
+    measure = result.work.parts[0].measures[0]
+    assert sorted(t.label for t in tokens_of(measure)
+                  if t.pair_id is not None) == ["slur_start", "slur_stop"]
+    assert not [c for c in measure.children if c.kind == DIRECTION]
+    assert validate(result.work) == []
+
+
 # -- dynamics and barlines ----------------------------------------------------
 
 def test_dynamics_direction():
