@@ -17,6 +17,7 @@ regardless of construction order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from typing import Union
@@ -25,6 +26,7 @@ from . import vocabulary
 from .model import (
     ATTR_STAFF, ATTRIBUTES, CHORD, CLEF, KEY, Measure, MTNWork, NOTE,
     NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token, iter_nodes,
+    map_tokens,
 )
 
 Child = Union[Node, Token]
@@ -193,28 +195,13 @@ def assign_ids(work: MTNWork) -> MTNWork:
     measures are canonicalized and ids are normalized; converters call this
     as their final step.
     """
-    counter = 0
+    token_numbers = itertools.count(1)
     pair_ids: dict[str, str] = {}
 
     def new_token(tok: Token) -> Token:
-        nonlocal counter
-        counter += 1
-        pair = None
-        if tok.pair_id is not None:
-            if tok.pair_id not in pair_ids:
-                pair_ids[tok.pair_id] = f"p{len(pair_ids) + 1}"
-            pair = pair_ids[tok.pair_id]
-        return replace(tok, id=f"t{counter}", pair_id=pair)
+        pair = tok.pair_id
+        if pair is not None:
+            pair = pair_ids.setdefault(pair, f"p{len(pair_ids) + 1}")
+        return replace(tok, id=f"t{next(token_numbers)}", pair_id=pair)
 
-    def rebuild(child: Child) -> Child:
-        if isinstance(child, Token):
-            return new_token(child)
-        return replace(child, children=tuple(rebuild(c) for c in child.children))
-
-    parts = []
-    for part in work.parts:
-        measures = tuple(
-            replace(m, children=tuple(rebuild(c) for c in m.children))
-            for m in part.measures)
-        parts.append(replace(part, measures=measures))
-    return replace(work, parts=tuple(parts))
+    return map_tokens(work, new_token)

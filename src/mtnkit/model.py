@@ -10,9 +10,9 @@ builder helpers in the converter. Equality is structural, ids included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from . import vocabulary
 
@@ -164,6 +164,35 @@ def iter_tokens(item: Node | Measure | Part | MTNWork) -> Iterator[Token]:
                 yield child
             else:
                 yield from iter_tokens(child)
+
+
+def map_tokens(work: MTNWork,
+               fn: Callable[[Token], Token | None]) -> MTNWork:
+    """Rebuild work with fn applied to every token in document order.
+
+    A token that fn maps to None is dropped, and so is every node that this
+    leaves without children. Nodes that were empty already stay, and so do
+    measures.
+    """
+    def children(items: tuple) -> tuple:
+        out = []
+        for child in items:
+            new = fn(child) if isinstance(child, Token) else node(child)
+            if new is not None:
+                out.append(new)
+        return tuple(out)
+
+    def node(item: Node) -> Node | None:
+        kids = children(item.children)
+        if item.children and not kids:
+            return None
+        return replace(item, children=kids)
+
+    return replace(work, parts=tuple(
+        replace(part, measures=tuple(
+            replace(m, children=children(m.children))
+            for m in part.measures))
+        for part in work.parts))
 
 
 @dataclass(frozen=True, slots=True)

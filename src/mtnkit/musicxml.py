@@ -28,7 +28,7 @@ from .canonical import assign_ids, canonicalize_work
 from .model import (
     ATTR_STAFF, ATTRIBUTES, BARLINE, CHORD, CLEF, DIRECTION, KEY, MTNWork,
     Measure, NOTE, NOTE_GROUP, Node, Part, REST, STEM, StaffPosition,
-    TIME_SIG, Token,
+    TIME_SIG, Token, map_tokens,
 )
 from .xmlio import InvalidWorkError, serialize_work
 
@@ -136,8 +136,7 @@ class TimeCursor:
 
     def __init__(self, divisions: int = 1):
         self.divisions = divisions
-        self.now = Fraction(0)
-        self.high_water = Fraction(0)
+        self.reset()
 
     def reset(self) -> None:
         self.now = Fraction(0)
@@ -159,9 +158,6 @@ class TimeCursor:
         if self.now < 0:
             self.now = Fraction(0)
 
-    def forward(self, duration_divisions: int) -> None:
-        self.advance(duration_divisions)
-
 
 # ---------------------------------------------------------------------------
 # Conversion context and event types.
@@ -182,6 +178,14 @@ _DYNAMICS_WORDS = {
     "fffff", "ffffff", "mp", "mf", "sf", "sfp", "sfpp", "fp", "rf", "rfz",
     "sfz", "sffz", "fz", "n", "pf", "sfzp",
 }
+# Spanner token prefix -> (name in warnings, types that open a pair, types
+# passed over without a warning). A pair closes on type "stop".
+_SPANNERS = {
+    "slur": ("slur", ("start",), ("continue",)),
+    "tied": ("tie", ("start",), ("continue", "let-ring")),
+    "tuplet": ("tuplet", ("start",), ()),
+    "wedge": ("wedge", ("crescendo", "diminuendo"), ()),
+}
 
 
 @dataclass(slots=True)
@@ -190,8 +194,7 @@ class _NoteInfo:
 
     staff: int
     step: int | None
-    tokens: list[Token] = field(default_factory=list)  # modifiers
-    head: str = "notehead_black"
+    tokens: list[Token]  # notehead or rest, then modifiers
 
 
 @dataclass(slots=True)
@@ -203,19 +206,6 @@ class _ChordEvent:
     beams: dict[int, str] = field(default_factory=dict)
     flags: int = 0
     kind: str = "black"  # black | half | whole | breve
-    grace: bool = False
-
-
-class _IdGen:
-    def __init__(self) -> None:
-        self._tokens = itertools.count(1)
-        self._pairs = itertools.count(1)
-
-    def token(self) -> str:
-        return f"t{next(self._tokens)}"
-
-    def pair(self) -> str:
-        return f"q{next(self._pairs)}"
 
 
 @dataclass(slots=True)
@@ -247,7 +237,7 @@ class ConversionResult:
 class _Converter:
     def __init__(self, options: ConvertOptions):
         self.options = options
-        self.ids = _IdGen()
+        self.pair_numbers = itertools.count(1)
         self.warnings: list[str] = []
         self.open_spanners: dict[tuple, str] = {}
         self.spanner_members: dict[str, int] = {}
@@ -262,18 +252,33 @@ class _Converter:
 
     def token(self, label: str, staff: int, step: int | None = None,
               pair: str | None = None, value: int | None = None) -> Token:
+        """A token without an id: assign_ids numbers them all at the end."""
         if pair is not None:
             self.spanner_members[pair] = self.spanner_members.get(pair, 0) + 1
-        return Token(self.ids.token(), label, StaffPosition(staff, step),
+        return Token("", label, StaffPosition(staff, step),
                      pair_id=pair, numeric_value=value)
 
-    def open_pair(self, key: tuple) -> str:
-        pair = self.ids.pair()
-        self.open_spanners[(self.part_scope,) + key] = pair
-        return pair
-
-    def close_pair(self, key: tuple) -> str | None:
-        return self.open_spanners.pop((self.part_scope,) + key, None)
+    def spanner(self, prefix: str, elem: ET.Element, staff: int,
+                step: int | None) -> list[Token]:
+        """[start or stop token] of a slur, tie, tuplet or wedge element, or
+        []. Ties pair by staff position, the others by number attribute."""
+        name, starts, silent = _SPANNERS[prefix]
+        stype = elem.get("type")
+        key = (self.part_scope, prefix,
+               (staff, step) if prefix == "tied" else elem.get("number", "1"))
+        if stype in starts:
+            pair = f"q{next(self.pair_numbers)}"
+            self.open_spanners[key] = pair
+        elif stype == "stop":
+            pair = self.open_spanners.pop(key, None)
+            if pair is None:
+                self.warn(f"{name} stop without a start; dropped")
+                return []
+        else:
+            if stype not in silent:
+                self.warn(f"{name} type {stype!r} unsupported")
+            return []
+        return [self.token(f"{prefix}_{stype}", staff, pair=pair)]
 
     # -- conversion -------------------------------------------------------
 
@@ -353,7 +358,7 @@ class _Converter:
             elif tag == "backup":
                 state.cursor.backup(self._duration(elem))
             elif tag == "forward":
-                state.cursor.forward(self._duration(elem))
+                state.cursor.advance(self._duration(elem))
             elif tag == "direction":
                 top.extend(self.handle_direction(elem, state))
             elif tag == "barline":
@@ -380,6 +385,16 @@ class _Converter:
             raise ConversionError(
                 f"{self.where}: <{element}> must be an integer, "
                 f"got {text!r}") from None
+
+    def staff_step(self, letter: str, octave: str, prefix: str,
+                   clef: ClefState) -> int:
+        """Staff step of <step> and <octave>, or with prefix "display-"."""
+        octave_number = self.integer(octave, f"{prefix}octave")
+        if letter not in _LETTERS:
+            raise ConversionError(
+                f"{self.where}: <{prefix}step> must be one of A-G, "
+                f"got {letter!r}")
+        return pitch_to_step(letter, octave_number, clef)
 
     def _duration(self, elem: ET.Element) -> int:
         raw = elem.findtext("duration")
@@ -539,26 +554,10 @@ class _Converter:
                 else:
                     self.warn(f"dynamics mark <{mark.tag}> unsupported")
         elif tag == "wedge":
-            wtype = child.get("type")
-            number = child.get("number", "1")
-            if wtype in ("crescendo", "diminuendo"):
-                pair = self.open_pair(("wedge", number))
-                nodes.append(Node(DIRECTION, (self.token(
-                    f"wedge_{wtype}", staff, pair=pair),), onset=onset))
-            elif wtype == "stop":
-                pair = self.close_pair(("wedge", number))
-                if pair is None:
-                    self.warn("wedge stop without a start; dropped")
-                else:
-                    nodes.append(Node(DIRECTION, (self.token(
-                        "wedge_stop", staff, pair=pair),), onset=onset))
-            else:
-                self.warn(f"wedge type {wtype!r} unsupported")
-        elif tag == "segno":
-            nodes.append(Node(DIRECTION, (self.token("segno", staff),),
-                              onset=onset))
-        elif tag == "coda":
-            nodes.append(Node(DIRECTION, (self.token("coda", staff),),
+            nodes.extend(Node(DIRECTION, (tok,), onset=onset)
+                         for tok in self.spanner(tag, child, staff, None))
+        elif tag in ("segno", "coda"):
+            nodes.append(Node(DIRECTION, (self.token(tag, staff),),
                               onset=onset))
         elif tag in ("words", "rehearsal", "metronome", "octave-shift",
                      "pedal", "dashes", "bracket", "principal-voice",
@@ -631,15 +630,15 @@ class _Converter:
         pitch = elem.find("pitch")
         unpitched = elem.find("unpitched")
         if pitch is not None:
-            letter = pitch.findtext("step", "C")
-            octave = self.integer(pitch.findtext("octave", "4"), "octave")
-            step = pitch_to_step(letter, octave, state.clef(staff))
+            step = self.staff_step(pitch.findtext("step", "C"),
+                                   pitch.findtext("octave", "4"), "",
+                                   state.clef(staff))
         elif unpitched is not None:
             letter = unpitched.findtext("display-step")
             octave_text = unpitched.findtext("display-octave")
             if letter and octave_text:
-                octave = self.integer(octave_text, "display-octave")
-                step = pitch_to_step(letter, octave, state.clef(staff))
+                step = self.staff_step(letter, octave_text, "display-",
+                                       state.clef(staff))
             else:
                 self.warn("unpitched note without display position; "
                           "placed on the middle line")
@@ -658,11 +657,9 @@ class _Converter:
 
         ntype = elem.findtext("type")
         head, kind = self.head_class(elem, ntype, duration, state, grace)
-        info = _NoteInfo(staff=staff, step=step, head=head)
-        info.tokens.append(self.token(head, staff, step))
+        info = _NoteInfo(staff, step, [self.token(head, staff, step)])
         self.note_modifiers(elem, info, staff, step)
         event.notes.append(info)
-        event.grace = event.grace or grace
         # a mixed chord keeps a stem if any member is a stemmed shape
         if (len(event.notes) == 1
                 or _KIND_RANK[kind] < _KIND_RANK[event.kind]):
@@ -729,13 +726,9 @@ class _Converter:
         for notations in elem.findall("notations"):
             for item in notations:
                 tag = item.tag
-                if tag == "slur":
-                    self.slur_token(item, info, staff)
-                elif tag == "tied":
-                    self.tie_token(item, info, staff, step)
-                    handled_tie = True
-                elif tag == "tuplet":
-                    self.tuplet_token(item, info, staff)
+                if tag in ("slur", "tied", "tuplet"):
+                    info.tokens.extend(self.spanner(tag, item, staff, step))
+                    handled_tie = handled_tie or tag == "tied"
                 elif tag == "articulations":
                     for art in item:
                         if art.tag in _ARTICULATIONS:
@@ -775,56 +768,7 @@ class _Converter:
                     self.warn(f"notation <{tag}> unsupported")
         if not handled_tie:
             for tie in elem.findall("tie"):
-                self.tie_token(tie, info, staff, step)
-
-    def slur_token(self, item: ET.Element, info: _NoteInfo,
-                   staff: int) -> None:
-        stype = item.get("type")
-        number = item.get("number", "1")
-        if stype == "start":
-            pair = self.open_pair(("slur", number))
-            info.tokens.append(self.token("slur_start", staff, pair=pair))
-        elif stype == "stop":
-            pair = self.close_pair(("slur", number))
-            if pair is None:
-                self.warn("slur stop without a start; dropped")
-            else:
-                info.tokens.append(self.token("slur_stop", staff, pair=pair))
-        elif stype != "continue":
-            self.warn(f"slur type {stype!r} unsupported")
-
-    def tie_token(self, item: ET.Element, info: _NoteInfo, staff: int,
-                  step: int | None) -> None:
-        ttype = item.get("type")
-        key = ("tied", staff, step)
-        if ttype == "start":
-            pair = self.open_pair(key)
-            info.tokens.append(self.token("tied_start", staff, pair=pair))
-        elif ttype == "stop":
-            pair = self.close_pair(key)
-            if pair is None:
-                self.warn("tie stop without a start; dropped")
-            else:
-                info.tokens.append(self.token("tied_stop", staff, pair=pair))
-        elif ttype not in ("continue", "let-ring"):
-            self.warn(f"tie type {ttype!r} unsupported")
-
-    def tuplet_token(self, item: ET.Element, info: _NoteInfo,
-                     staff: int) -> None:
-        ttype = item.get("type")
-        number = item.get("number", "1")
-        if ttype == "start":
-            pair = self.open_pair(("tuplet", number))
-            info.tokens.append(self.token("tuplet_start", staff, pair=pair))
-        elif ttype == "stop":
-            pair = self.close_pair(("tuplet", number))
-            if pair is None:
-                self.warn("tuplet stop without a start; dropped")
-            else:
-                info.tokens.append(self.token("tuplet_stop", staff,
-                                              pair=pair))
-        else:
-            self.warn(f"tuplet type {ttype!r} unsupported")
+                info.tokens.extend(self.spanner("tied", tie, staff, step))
 
     def rest_node(self, elem: ET.Element, rest_elem: ET.Element, staff: int,
                   onset: Fraction, quarters: Fraction) -> Node:
@@ -840,8 +784,7 @@ class _Converter:
             if label is None:
                 self.warn(f"rest type {ntype!r} unsupported; using duration")
                 label = _rest_for_duration(quarters)
-        info = _NoteInfo(staff=staff, step=None)
-        info.tokens.append(self.token(label, staff))
+        info = _NoteInfo(staff, None, [self.token(label, staff)])
         self.note_modifiers(elem, info, staff, None)
         return Node(REST, tuple(info.tokens), onset=onset)
 
@@ -958,37 +901,14 @@ def _prune_dangling_pairs(work: MTNWork, conv: _Converter) -> MTNWork:
     """Remove spanner tokens whose pair never completed."""
     dangling = {pid for pid, count in conv.spanner_members.items()
                 if count != 2}
-    dangling.update(conv.open_spanners.values())
     if not dangling:
         return work
     for pid in sorted(dangling):
         conv.warnings.append(
             f"spanner pair {pid} never completed; its token was dropped")
-
-    def scrub(node: Node) -> Node | None:
-        kids = []
-        for child in node.children:
-            if isinstance(child, Token):
-                if child.pair_id in dangling:
-                    continue
-                kids.append(child)
-            else:
-                sub = scrub(child)
-                if sub is not None:
-                    kids.append(sub)
-        if not kids and node.kind in (DIRECTION,):
-            return None
-        return replace(node, children=tuple(kids))
-
-    parts = []
-    for part in work.parts:
-        measures = []
-        for m in part.measures:
-            children = tuple(c for c in (scrub(c) for c in m.children)
-                             if c is not None)
-            measures.append(replace(m, children=children))
-        parts.append(replace(part, measures=tuple(measures)))
-    return replace(work, parts=tuple(parts))
+    # a dropped wedge empties its direction node, which goes with it
+    return map_tokens(work, lambda tok: None if tok.pair_id in dangling
+                      else tok)
 
 
 # ---------------------------------------------------------------------------
@@ -999,13 +919,9 @@ def inject_line_starts(work: MTNWork) -> MTNWork:
 
     Each line-start measure receives a synthetic attributes node at onset 0
     restating the active clef and key signature for every staff that does
-    not already state a clef there. Idempotent.
+    not already state a clef there. The restated tokens keep the ids of
+    the tokens they copy; assign_ids makes them unique. Idempotent.
     """
-    counter = itertools.count(1)
-
-    def fresh(tok: Token) -> Token:
-        return replace(tok, id=f"ls{next(counter)}")
-
     parts = []
     for part in work.parts:
         # active clef/key tokens per staff, carried across measures
@@ -1019,10 +935,9 @@ def inject_line_starts(work: MTNWork) -> MTNWork:
             if m.line_start and need:
                 blocks = []
                 for staff in need:
-                    kids: list[Node] = [Node(CLEF, (fresh(clefs[staff]),))]
+                    kids: list[Node] = [Node(CLEF, (clefs[staff],))]
                     if keys.get(staff):
-                        kids.append(Node(KEY, tuple(
-                            fresh(t) for t in keys[staff])))
+                        kids.append(Node(KEY, keys[staff]))
                     blocks.append(Node(ATTR_STAFF, tuple(kids)))
                 synthetic = Node(ATTRIBUTES, tuple(blocks),
                                  onset=Fraction(0), synthetic=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .canonical import canonicalize_work
-from .model import MTNWork, Node, Token
+from .model import MTNWork, Token, map_tokens
 
 
 def _selector(fraction: Fraction) -> Callable[[int], bool]:
@@ -45,17 +45,7 @@ def _map_class_tokens(work: MTNWork, label: str, fraction: Fraction,
             state["changed"] += 1
         return out
 
-    def visit(node: Node) -> Node:
-        kids = tuple(visit_token(c) if isinstance(c, Token) else visit(c)
-                     for c in node.children)
-        return replace(node, children=kids)
-
-    parts = tuple(
-        replace(part, measures=tuple(
-            replace(m, children=tuple(visit(c) for c in m.children))
-            for m in part.measures))
-        for part in work.parts)
-    out = canonicalize_work(replace(work, parts=parts))
+    out = canonicalize_work(map_tokens(work, visit_token))
     return out, state["changed"]
 
 

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from builders import (
     barline, group, measure, simple_chord, standard_measure, standard_work,
     tok, work,
@@ -115,6 +117,24 @@ def test_convert_bad_staff_names_file_and_element(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: {bad}: part P1 measure 1: <staff> must be an "
                    "integer, got 'x'\n")
+
+
+@pytest.mark.parametrize("old, new, element", [
+    ("<step>E</step>", "<step>H</step>", "step"),
+    ("<pitch><step>C</step><octave>4</octave></pitch>",
+     "<unpitched><display-step>H</display-step>"
+     "<display-octave>4</display-octave></unpitched>", "display-step"),
+], ids=["step", "display-step"])
+def test_convert_bad_pitch_letter_names_file_and_element(tmp_path, capsys,
+                                                         old, new, element):
+    bad = tmp_path / "bad.musicxml"
+    assert old in MUSICXML
+    bad.write_text(MUSICXML.replace(old, new), encoding="utf-8")
+    rc = main(["convert", str(bad), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: part P1 measure 1: <{element}> must be one of A-G, "
+        "got 'H'\n")
 
 
 def test_convert_corrupt_mxl_is_usage_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Each example edits one fixture `.mtn.xml` line by line, then runs every
 file-reading subcommand on it through main(): each must return 0, 1 or 2,
-never raise.
+never raise. The converter gets the same treatment from MusicXML fixtures
+whose element texts are rewritten.
 """
 
 import contextlib
@@ -16,7 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mtnkit.cli import main
-from mtnkit.model import NODE_KINDS
+from mtnkit.model import NODE_KINDS, validate
+from mtnkit.xmlio import parse_work
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NAMES = sorted(p.name for p in (FIXTURES / "corpus").glob("*.mtn.xml"))
@@ -110,3 +112,44 @@ def test_commands_never_raise_on_mutated_fixtures(name, ops):
                       "--pred", str(pred_root), "--manifest", str(manifest),
                       "--quiet"]):
             assert run(argv) in (0, 1, 2), argv
+
+
+MUSICXML = sorted(p.name for p in (FIXTURES / "musicxml").glob("*.musicxml"))
+_TEXT = re.compile(r"<(duration|divisions|step|type|staff|voice|octave"
+                   r"|fifths)>[^<]*</\1>")
+TEXTS = ["", " ", "0", "1", "2", "3", "-1", "-8", "7", "9", "64",
+         "100000", "1.5", "x", "C", "G", "H", "c", "quarter", "eighth",
+         "half", "whole", "breve", "long", "1024th"]
+
+
+def retext(text: str, edits) -> str:
+    """Set the text of the at-th mutable element (mod their count)."""
+    for at, value in edits:
+        found = list(_TEXT.finditer(text))
+        hit = found[at % len(found)]
+        text = (text[:hit.start()] + f"<{hit.group(1)}>{value}"
+                f"</{hit.group(1)}>" + text[hit.end():])
+    return text
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(MUSICXML),
+       edits=st.lists(st.tuples(st.integers(0, 200), st.sampled_from(TEXTS)),
+                      min_size=1, max_size=3))
+def test_convert_never_raises_on_mutated_musicxml(name, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / name
+        source.write_text(retext((FIXTURES / "musicxml" / name).read_text(
+            encoding="utf-8"), edits), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["convert", str(source), "-o", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert f"error: {source}: " in err.getvalue()
+        if rc == 0:
+            work = parse_work((out / (source.stem + ".mtn.xml")).read_bytes())
+            assert validate(work) == []

@@ -1,11 +1,12 @@
 """Model constraints and the validator."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import builders as B
 from mtnkit.model import (
-    CHORD, CLEF, DIRECTION, MTNWork, NOTE, NOTE_GROUP, Node, Part,
-    StaffPosition, Token, validate,
+    BARLINE, CHORD, CLEF, DIRECTION, MTNWork, NOTE, NOTE_GROUP, Node, Part,
+    StaffPosition, Token, iter_tokens, map_tokens, validate,
 )
 
 
@@ -219,3 +220,43 @@ def test_empty_structural_nodes():
         Node("barline", (), onset=Fraction(4)),
     ) == [("m1/0/0/0", "clef has no children"),
           ("m1/1", "barline has no children")]
+
+
+# -- map_tokens ---------------------------------------------------------------
+
+def test_map_tokens_calls_fn_in_document_order():
+    w = B.standard_work(n_measures=3)
+    seen = []
+
+    def record(tok):
+        seen.append(tok)
+        return tok
+
+    assert map_tokens(w, record) == w
+    assert seen == list(iter_tokens(w))
+    assert [t.id for t in seen] == [f"t{i + 1}" for i in range(len(seen))]
+
+
+def test_map_tokens_drops_none_and_the_nodes_it_empties():
+    dyn = B.direction("dyn_p", onset=0)
+    lower, upper = B.note(step=2), B.note(step=6)
+    both = B.chord(lower, upper, onset=1, stem_node=B.stem())
+    lone = B.simple_chord(step=4, onset=2)
+    w = B.work(B.measure(dyn, B.group(both), B.group(lone)),
+               normalize=False)
+    gone = {dyn.children[0], upper.children[0], *iter_tokens(lone)}
+    out = map_tokens(w, lambda tok: None if tok in gone else tok)
+    # the direction, the upper note and the whole second group are gone
+    assert out.parts[0].measures[0].children == (
+        B.group(replace(both, children=(both.children[0], lower))),)
+
+
+def test_map_tokens_keeps_empty_nodes_and_every_measure():
+    empty = Node(BARLINE, (), onset=Fraction(4))
+    w = B.work(B.measure(B.rest(onset=0), empty, id="m1"),
+               B.measure(B.direction("dyn_f", onset=0), id="m2"),
+               normalize=False)
+    out = map_tokens(w, lambda tok: None)
+    assert [(m.id, m.children) for m in out.parts[0].measures] == [
+        ("m1", (empty,)), ("m2", ())]
+    assert map_tokens(w, lambda tok: tok) == w
