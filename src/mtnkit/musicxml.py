@@ -184,7 +184,7 @@ _SPANNERS = {
     "slur": ("slur", ("start",), ("continue",)),
     "tied": ("tie", ("start",), ("continue", "let-ring")),
     "tuplet": ("tuplet", ("start",), ()),
-    "wedge": ("wedge", ("crescendo", "diminuendo"), ()),
+    "wedge": ("wedge", ("crescendo", "diminuendo"), ("continue",)),
 }
 
 
@@ -214,6 +214,10 @@ class _PartState:
     cursor: TimeCursor = field(default_factory=TimeCursor)
     clefs: dict[int, ClefState] = field(default_factory=dict)
     fifths: dict[int, int] = field(default_factory=dict)
+    # the last clef token and key tokens per staff (no key tokens after a
+    # cancellation), which a line start restates
+    last_clef: dict[int, Token] = field(default_factory=dict)
+    last_key: dict[int, tuple[Token, ...]] = field(default_factory=dict)
     staves: int = 1
 
     def clef(self, staff: int) -> ClefState:
@@ -240,7 +244,7 @@ class _Converter:
         self.pair_numbers = itertools.count(1)
         self.warnings: list[str] = []
         self.open_spanners: dict[tuple, str] = {}
-        self.spanner_members: dict[str, int] = {}
+        self.unclosed_pairs: set[str] = set()  # started, not yet stopped
         self.where = ""
         self.part_scope = ""  # spanners never pair across parts
 
@@ -253,8 +257,6 @@ class _Converter:
     def token(self, label: str, staff: int, step: int | None = None,
               pair: str | None = None, value: int | None = None) -> Token:
         """A token without an id: assign_ids numbers them all at the end."""
-        if pair is not None:
-            self.spanner_members[pair] = self.spanner_members.get(pair, 0) + 1
         return Token("", label, StaffPosition(staff, step),
                      pair_id=pair, numeric_value=value)
 
@@ -269,11 +271,13 @@ class _Converter:
         if stype in starts:
             pair = f"q{next(self.pair_numbers)}"
             self.open_spanners[key] = pair
+            self.unclosed_pairs.add(pair)
         elif stype == "stop":
             pair = self.open_spanners.pop(key, None)
             if pair is None:
                 self.warn(f"{name} stop without a start; dropped")
                 return []
+            self.unclosed_pairs.remove(pair)
         else:
             if stype not in silent:
                 self.warn(f"{name} type {stype!r} unsupported")
@@ -311,7 +315,6 @@ class _Converter:
             parts.append(self.convert_part(pe, breaks))
         work = MTNWork(work_id, tuple(parts))
         work = _prune_dangling_pairs(work, self)
-        work = inject_line_starts(work)
         work = assign_ids(canonicalize_work(work))
         try:
             data = serialize_work(work)
@@ -344,13 +347,18 @@ class _Converter:
     def convert_measure(self, me: ET.Element, state: _PartState,
                         measure_id: str, line_start: bool) -> Measure:
         state.cursor.reset()
+        # staff -> (clef token, key tokens) in force at the measure start; a
+        # line start restates those of each staff without a clef at onset 0
+        restate = ({staff: (clef, state.last_key.get(staff, ()))
+                    for staff, clef in state.last_clef.items()}
+                   if line_start else {})
         top: list[Node] = []          # rests, directions, attributes
         events: list[_ChordEvent] = []
         barlines: list[tuple[str, list[Token]]] = []  # (location, tokens)
         for elem in me:
             tag = elem.tag
             if tag == "attributes":
-                node = self.handle_attributes(elem, state)
+                node = self.handle_attributes(elem, state, restate)
                 if node is not None:
                     top.append(node)
             elif tag == "note":
@@ -375,6 +383,12 @@ class _Converter:
         for location, tokens in barlines:
             onset = Fraction(0) if location == "left" else end
             top.append(Node(BARLINE, tuple(tokens), onset=onset))
+        if restate:
+            top.append(Node(ATTRIBUTES, tuple(
+                Node(ATTR_STAFF, (Node(CLEF, (clef,)),)
+                     + ((Node(KEY, key),) if key else ()))
+                for _, (clef, key) in sorted(restate.items())),
+                onset=Fraction(0), synthetic=True))
         return Measure(measure_id, tuple(top), line_start=line_start)
 
     def integer(self, text: str, element: str) -> int:
@@ -399,15 +413,20 @@ class _Converter:
     def _duration(self, elem: ET.Element) -> int:
         raw = elem.findtext("duration")
         try:
-            return int(raw)
+            value = int(raw)
         except (TypeError, ValueError):
+            value = -1
+        if value < 0:
             self.warn(f"missing or bad duration in <{elem.tag}>")
             return 0
+        return value
 
     # -- attributes -------------------------------------------------------
 
-    def handle_attributes(self, elem: ET.Element,
-                          state: _PartState) -> Node | None:
+    def handle_attributes(self, elem: ET.Element, state: _PartState,
+                          restate: dict[int, tuple]) -> Node | None:
+        """The attributes node, or None; a clef at onset 0 takes its staff
+        out of restate (see convert_measure)."""
         onset = state.cursor.now
         divisions = elem.findtext("divisions")
         if divisions:
@@ -441,8 +460,11 @@ class _Converter:
                 state.clefs[staff] = replace(ClefState.treble(), label=None)
                 continue
             state.clefs[staff] = cs
-            per_staff.setdefault(staff, []).append(Node(CLEF, (self.token(
-                cs.label, staff, cs.line_step),)))
+            state.last_clef[staff] = self.token(cs.label, staff, cs.line_step)
+            per_staff.setdefault(staff, []).append(
+                Node(CLEF, (state.last_clef[staff],)))
+            if onset == 0:
+                restate.pop(staff, None)
 
         for ke in elem.findall("key"):
             target_staves = ([self.integer(ke.get("number"), "key number")]
@@ -457,6 +479,7 @@ class _Converter:
             for staff in target_staves:
                 tokens = self.key_tokens(fifths, staff, state)
                 state.fifths[staff] = fifths
+                state.last_key[staff] = tuple(tokens) if fifths else ()
                 if tokens:
                     per_staff.setdefault(staff, []).append(
                         Node(KEY, tuple(tokens)))
@@ -899,8 +922,7 @@ def _rest_for_duration(quarters: Fraction) -> str:
 
 def _prune_dangling_pairs(work: MTNWork, conv: _Converter) -> MTNWork:
     """Remove spanner tokens whose pair never completed."""
-    dangling = {pid for pid, count in conv.spanner_members.items()
-                if count != 2}
+    dangling = conv.unclosed_pairs
     if not dangling:
         return work
     for pid in sorted(dangling):
@@ -909,77 +931,6 @@ def _prune_dangling_pairs(work: MTNWork, conv: _Converter) -> MTNWork:
     # a dropped wedge empties its direction node, which goes with it
     return map_tokens(work, lambda tok: None if tok.pair_id in dangling
                       else tok)
-
-
-# ---------------------------------------------------------------------------
-# Line starts.
-
-def inject_line_starts(work: MTNWork) -> MTNWork:
-    """Synthesize clef/key restatements at line-start measures.
-
-    Each line-start measure receives a synthetic attributes node at onset 0
-    restating the active clef and key signature for every staff that does
-    not already state a clef there. The restated tokens keep the ids of
-    the tokens they copy; assign_ids makes them unique. Idempotent.
-    """
-    parts = []
-    for part in work.parts:
-        # active clef/key tokens per staff, carried across measures
-        clefs: dict[int, Token] = {}
-        keys: dict[int, tuple[Token, ...]] = {}
-        measures = []
-        for m in part.measures:
-            stated = _staves_with_clef_at_zero(m)
-            need = [s for s in range(1, part.staff_count + 1)
-                    if s in clefs and s not in stated]
-            if m.line_start and need:
-                blocks = []
-                for staff in need:
-                    kids: list[Node] = [Node(CLEF, (clefs[staff],))]
-                    if keys.get(staff):
-                        kids.append(Node(KEY, keys[staff]))
-                    blocks.append(Node(ATTR_STAFF, tuple(kids)))
-                synthetic = Node(ATTRIBUTES, tuple(blocks),
-                                 onset=Fraction(0), synthetic=True)
-                m = replace(m, children=m.children + (synthetic,))
-            _update_attr_state(m, clefs, keys)
-            measures.append(m)
-        parts.append(replace(part, measures=tuple(measures)))
-    return replace(work, parts=tuple(parts))
-
-
-def _staves_with_clef_at_zero(m: Measure) -> set[int]:
-    stated: set[int] = set()
-    for child in m.children:
-        if child.kind == ATTRIBUTES and child.onset == 0:
-            for block in child.children:
-                for sub in block.children:
-                    if isinstance(sub, Node) and sub.kind == CLEF:
-                        for t in sub.children:
-                            stated.add(t.position.staff)
-    return stated
-
-
-def _update_attr_state(m: Measure, clefs: dict[int, Token],
-                       keys: dict[int, tuple[Token, ...]]) -> None:
-    for child in m.children:
-        if child.kind != ATTRIBUTES or child.synthetic:
-            continue
-        for block in child.children:
-            for sub in block.children:
-                if not isinstance(sub, Node):
-                    continue
-                if sub.kind == CLEF:
-                    for t in sub.children:
-                        clefs[t.position.staff] = t
-                elif sub.kind == KEY:
-                    toks = tuple(t for t in sub.children
-                                 if isinstance(t, Token))
-                    if toks:
-                        naturals = all(t.label == "accidental_natural"
-                                       for t in toks)
-                        keys[toks[0].position.staff] = () if naturals else toks
-    return None
 
 
 # ---------------------------------------------------------------------------

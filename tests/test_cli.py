@@ -137,6 +137,22 @@ def test_convert_bad_pitch_letter_names_file_and_element(tmp_path, capsys,
         "got 'H'\n")
 
 
+def test_convert_negative_duration_is_a_bad_duration(tmp_path, capsys):
+    fixture = (Path(__file__).resolve().parent.parent / "fixtures"
+               / "musicxml" / "simple.musicxml").read_text(encoding="utf-8")
+    negated = re.sub(r"<duration>(\d+)</duration>",
+                     r"<duration>-\1</duration>", fixture)
+    assert negated != fixture
+    src = tmp_path / "neg.musicxml"
+    src.write_text(negated, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["convert", str(src), "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("neg.musicxml: part P1 measure 1: missing or bad "
+                     "duration in <note>\n") == negated.count("<duration>")
+    assert validate(parse_work((out / "neg.mtn.xml").read_bytes())) == []
+
+
 def test_convert_corrupt_mxl_is_usage_error(tmp_path, capsys):
     import zipfile
     mxl = tmp_path / "tune.mxl"

@@ -77,6 +77,31 @@ def test_manifest_skips_blank_lines():
     assert len(read_manifest(text)) == 1
 
 
+GOOD_ENTRY = {"work": "w", "page": "1", "path": "p", "measures": ["m1"]}
+
+
+@pytest.mark.parametrize("entry, message", [
+    (["w", "1", "p", ["m1"]], "entry must be an object"),
+    ({**GOOD_ENTRY, "work": 1}, "work must be a string"),
+    ({**GOOD_ENTRY, "page": None}, "page must be a string"),
+    ({k: v for k, v in GOOD_ENTRY.items() if k != "path"},
+     "path must be a string"),
+    ({**GOOD_ENTRY, "measures": []},
+     "measures must be a non-empty string list"),
+    ({**GOOD_ENTRY, "measures": "m1"},
+     "measures must be a non-empty string list"),
+    ({**GOOD_ENTRY, "measures": ["m1", 2]},
+     "measures must be a non-empty string list"),
+    ({**GOOD_ENTRY, "partition": 3}, "partition must be a string"),
+], ids=["array", "work", "page", "path", "measures-empty",
+        "measures-not-list", "measures-non-string", "partition"])
+def test_manifest_type_errors_name_their_line(entry, message):
+    text = json.dumps(GOOD_ENTRY) + "\n\n" + json.dumps(entry) + "\n"
+    with pytest.raises(ManifestError) as exc:
+        read_manifest(text)
+    assert str(exc.value) == f"line 3: {message}"
+
+
 # -- alignment ----------------------------------------------------------------
 
 def test_align_by_id():

@@ -14,8 +14,7 @@ from mtnkit.model import (
 )
 from mtnkit.musicxml import (
     ClefState, ConversionError, ConvertOptions, TimeCursor, clef_state,
-    convert_path, convert_score, inject_line_starts, key_signature_steps,
-    pitch_to_step,
+    convert_path, convert_score, key_signature_steps, pitch_to_step,
 )
 from mtnkit.xmlio import serialize_work
 
@@ -456,6 +455,21 @@ def test_spanner_continuations_are_silent(mark):
     assert whole_note_warnings("", mark) == []
 
 
+def test_wedge_continue_is_silent():
+    wedge = ('<direction><direction-type><wedge type="{}"/>'
+             "</direction-type></direction>")
+    body = (f'<measure number="1">{ATTRS_44}{wedge.format("crescendo")}'
+            + note("C", 5, 8, "half") + wedge.format("continue")
+            + note("D", 5, 8, "half") + wedge.format("stop") + "</measure>")
+    result = convert_score(score(body))
+    assert result.warnings == []
+    wedges = [t for t in tokens_of(result.work.parts[0].measures[0])
+              if t.label.startswith("wedge_")]
+    assert sorted(t.label for t in wedges) == ["wedge_crescendo",
+                                               "wedge_stop"]
+    assert wedges[0].pair_id == wedges[1].pair_id
+
+
 def test_dangling_pair_warnings_name_each_pair():
     slur = '<notations><slur type="{}"/></notations>'
     body = (f'<measure number="1">{ATTRS_44}'
@@ -558,15 +572,6 @@ def test_print_new_system_marks_line_start():
     assert any(t.label == "clef_G" for t in clef_tokens)
     # measure 2 got no synthetic restatement
     assert not any(c.kind == ATTRIBUTES for c in measures[1].children)
-
-
-def test_inject_line_starts_idempotent():
-    m1 = f'<measure number="1">{ATTRS_44}' + note("C", 5, 16, "whole") + "</measure>"
-    m2 = ('<measure number="2"><print new-page="yes"/>'
-          + note("D", 5, 16, "whole") + "</measure>")
-    work = convert_score(score(m1 + m2)).work
-    again = inject_line_starts(work)
-    assert serialize_work(again) == serialize_work(work)
 
 
 def test_explicit_breaks():
