@@ -7,8 +7,12 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import builders as B
-from mtnkit.canonical import assign_ids, canonicalize, canonicalize_work
+from mtnkit.canonical import (
+    CanonicalizeError, assign_ids, canonicalize, canonicalize_work,
+)
 from mtnkit.model import Measure, Node
 from mtnkit.musicxml import convert_path
 from mtnkit.xmlio import parse_work
@@ -215,3 +219,50 @@ def test_random_works_canonicalize_whatever_the_construction_order():
             once = canonicalize(_shuffled(m, rng))
             assert once == m
             assert canonicalize(once) is once
+
+
+def _group_at_zero(*children):
+    return Node("note_group", children, onset=Fraction(0))
+
+
+def _beam_only_group():
+    return _group_at_zero(B.tok("beam"))
+
+
+# case -> (measure builder, whether canonicalize raises)
+FAILURE_CASES = {
+    "well-formed": (B.standard_measure, False),
+    "top-level-node-without-onset": (
+        lambda: B.measure(Node("rest", (B.tok("rest_quarter"),))), True),
+    "chord-without-onset-in-group": (
+        lambda: B.measure(_group_at_zero(B.simple_chord(onset=None))), True),
+    "chord-without-onset-in-nested-group": (
+        lambda: B.measure(_group_at_zero(
+            B.simple_chord(onset=0),
+            _group_at_zero(B.simple_chord(onset=None)))), True),
+    "beam-only-group-at-top-level": (
+        lambda: B.measure(_beam_only_group()), False),
+    "beam-only-group-nested": (
+        lambda: B.measure(_group_at_zero(
+            B.simple_chord(onset=0), _beam_only_group())), True),
+    "empty-stem-in-chord-in-group": (
+        lambda: B.measure(B.group(B.chord(
+            B.note(step=4), onset=0, stem_node=Node("stem", ())))), True),
+    "empty-direction": (
+        lambda: B.measure(Node("direction", (), onset=Fraction(0))), True),
+    "empty-attr-staff": (
+        lambda: B.measure(B.attributes(B.attr_staff())), True),
+    "token-under-measure": (
+        lambda: B.measure(B.rest(onset=0), B.tok("barline_tok_regular")),
+        True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+def test_which_measures_cannot_be_ordered(case):
+    build, raises = FAILURE_CASES[case]
+    if raises:
+        with pytest.raises(CanonicalizeError):
+            canonicalize(build())
+    else:
+        canonicalize(build())
