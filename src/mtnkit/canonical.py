@@ -20,143 +20,111 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple
 
-from . import vocabulary
 from .model import (
     ATTR_STAFF, ATTRIBUTES, CHORD, CLEF, KEY, Measure, MTNWork, NOTE,
-    NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token, iter_nodes,
-    map_tokens,
+    NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token, map_tokens,
 )
-
-Child = Union[Node, Token]
-
 
 class CanonicalizeError(ValueError):
     """A measure cannot be ordered, e.g. a timed node is missing its onset."""
 
 
+class _Facts(NamedTuple):
+    """An ordered subtree and what sort keys read of it, built from its
+    children's facts so that each subtree is walked once."""
+
+    item: Node | Token
+    fingerprint: tuple  # content only: ids and pair-id values excluded
+    position: tuple  # uppermost (staff, step key) of the tokens below
+    stem: int  # first stem direction: 0 up, 1 down, 2 none
+    onset: Fraction | None  # a note group's earliest chord onset, else own
+    key: tuple | None  # a token's sort key; None for a node
+
+
 _NO_STEP = (1, 0)  # positioned tokens sort before positionless ones
+_ATTR_ORDER = {CLEF: 0, KEY: 1, TIME_SIG: 2}
+_STEM_RANK = {"stem_up": 0, "stem_down": 1}
 
 
-def _step_key(step: int | None) -> tuple[int, int]:
-    return _NO_STEP if step is None else (0, step)
+def _token_facts(tok: Token) -> _Facts:
+    staff, step = tok.position.staff, tok.position.step
+    step_key = _NO_STEP if step is None else (0, step)
+    value = tok.numeric_value if tok.numeric_value is not None else 0
+    return _Facts(
+        tok, ("T", tok.label, staff, step_key, value, tok.pair_id is not None),
+        (staff, step_key), _STEM_RANK.get(tok.label, 2), None,
+        (staff, step_key, tok.label, value))
 
 
-def _token_sort_key(tok: Token):
-    return (tok.position.staff, _step_key(tok.position.step), tok.label,
-            tok.numeric_value if tok.numeric_value is not None else 0)
+def _leaf_key(f: _Facts):
+    # Leaf-only kinds (clef, key, time sig, barline, direction, stem, note,
+    # rest) hold tokens; any node among them follows the tokens.
+    return (0, f.key) if f.key is not None else (1, f.fingerprint)
 
 
-def _fingerprint(child: Child):
-    """Content-only identity of a subtree: ids and pair-id values excluded."""
-    if isinstance(child, Token):
-        return ("T", child.label, child.position.staff,
-                _step_key(child.position.step),
-                child.numeric_value if child.numeric_value is not None else 0,
-                child.pair_id is not None)
+def _group_key(f: _Facts):
+    if f.key is not None:
+        return (0, f.key)  # beam tokens before grouped content
+    if f.onset is None:
+        raise CanonicalizeError(
+            "note group has no chords" if f.item.kind == NOTE_GROUP
+            else f"{f.item.kind} node is missing its onset")
+    return (1, f.onset, f.position, f.stem, f.fingerprint)
+
+
+def _chord_key(f: _Facts):
+    kind = getattr(f.item, "kind", None)  # stem, then notes low to high
+    return (0 if kind == STEM else 1,
+            f.position if kind == NOTE else (0, (0, 0)), f.fingerprint)
+
+
+_SIBLING_KEY = {
+    ATTRIBUTES: lambda f: f.position,  # staves top down
+    ATTR_STAFF: lambda f: (_ATTR_ORDER.get(getattr(f.item, "kind", None), 9),
+                           f.fingerprint),
+    NOTE_GROUP: _group_key,
+    CHORD: _chord_key,
+}
+
+
+def _order(node: Node) -> _Facts:
+    """node with every sibling list below it in canonical order, and the
+    facts of the ordered subtree."""
+    kind = node.kind
+    if not node.children:
+        # its position would be needed by the top-level sort key above it
+        raise CanonicalizeError(f"{kind} node has no tokens")
+    facts = [_order(c) if isinstance(c, Node) else _token_facts(c)
+             for c in node.children]
+    facts.sort(key=_SIBLING_KEY.get(kind, _leaf_key))
+    items, fingerprints, positions, _, _, _ = zip(*facts)
+    # the first stem in document order: a stem's own direction token (its
+    # tokens sort first), else the first child node's
+    stem = 2
+    for f in facts:
+        if f.stem != 2 and (f.key is None or kind == STEM):
+            stem = f.stem
+            break
+    onset = node.onset
+    if kind == NOTE_GROUP:
+        onset = min((f.onset for f in facts if f.key is None), default=None)
     # () sorts before any onset, so siblings that differ only in carrying
     # one still compare.
-    onset = (child.onset.numerator, child.onset.denominator) \
-        if child.onset is not None else ()
-    return ("N", child.kind, onset, child.synthetic,
-            tuple(_fingerprint(c) for c in child.children))
+    own_onset = (node.onset.numerator, node.onset.denominator) \
+        if node.onset is not None else ()
+    return _Facts(_with_children(node, items),
+                  ("N", kind, own_onset, node.synthetic, fingerprints),
+                  min(positions), stem, onset, None)
 
 
-def _min_position(node: Node) -> tuple[int, tuple[int, int]]:
-    """(staff, step key) over all tokens below node, uppermost first."""
-    best: tuple[int, tuple[int, int]] | None = None
-    for child in node.children:
-        cand = ((child.position.staff, _step_key(child.position.step))
-                if isinstance(child, Token) else _min_position(child))
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        raise CanonicalizeError(f"{node.kind} node has no tokens")
-    return best
-
-
-def _first_stem_rank(node: Node) -> int:
-    """0 for stems up, 1 for down, 2 for stemless content."""
-    for sub in iter_nodes(node):
-        if sub.kind == STEM:
-            for tok in sub.children:
-                if isinstance(tok, Token) and tok.label in vocabulary.STEM_DIRECTIONS:
-                    return 0 if tok.label == "stem_up" else 1
-    return 2
-
-
-def _require_onset(node: Node) -> Fraction:
+def _top_level_key(f: _Facts):
+    node = f.item
     if node.onset is None:
         raise CanonicalizeError(f"{node.kind} node is missing its onset")
-    return node.onset
-
-
-def _min_onset(node: Node) -> Fraction:
-    """Earliest chord onset below a grouping node."""
-    if node.kind != NOTE_GROUP:
-        return _require_onset(node)
-    onsets = [_min_onset(c) for c in node.children if isinstance(c, Node)]
-    if not onsets:
-        raise CanonicalizeError("note group has no chords")
-    return min(onsets)
-
-
-def _top_level_key(node: Node):
-    if not isinstance(node, Node) or node.kind not in TOP_LEVEL_RANK:
-        raise CanonicalizeError("measure child is not a top-level node")
-    return (_require_onset(node), TOP_LEVEL_RANK[node.kind],
-            _min_position(node),
-            _first_stem_rank(node) if node.kind == NOTE_GROUP else 0,
-            _fingerprint(node))
-
-
-def _group_child_key(child: Child):
-    # Beam tokens before grouped content.
-    if isinstance(child, Token):
-        return (0, Fraction(0), (0, (0, 0)), 0, _token_sort_key(child))
-    return (1, _min_onset(child), _min_position(child),
-            _first_stem_rank(child), _fingerprint(child))
-
-
-_ATTR_ORDER = {CLEF: 0, KEY: 1, TIME_SIG: 2}
-
-
-def _staff_block_key(child: Child):
-    if isinstance(child, Token):
-        return (child.position.staff, _step_key(child.position.step))
-    return _min_position(child)
-
-
-def _canonical_node(node: Node) -> Node:
-    children = tuple(
-        _canonical_node(c) if isinstance(c, Node) else c
-        for c in node.children)
-    kind = node.kind
-    if kind == ATTRIBUTES:
-        children = tuple(sorted(children, key=_staff_block_key))
-    elif kind == ATTR_STAFF:
-        children = tuple(sorted(
-            children,
-            key=lambda c: (_ATTR_ORDER.get(getattr(c, "kind", None), 9),
-                           _fingerprint(c))))
-    elif kind == NOTE_GROUP:
-        children = tuple(sorted(children, key=_group_child_key))
-    elif kind == CHORD:
-        children = tuple(sorted(
-            children,
-            key=lambda c: (0 if getattr(c, "kind", None) == STEM else 1,
-                           _min_position(c) if getattr(c, "kind", None) == NOTE
-                           else (0, (0, 0)),
-                           _fingerprint(c))))
-    else:
-        # Leaf-only kinds: clef, key, time sig, barline, direction, stem,
-        # note, rest all hold tokens.
-        children = tuple(sorted(
-            children,
-            key=lambda c: ((0, _token_sort_key(c)) if isinstance(c, Token)
-                           else (1, _fingerprint(c)))))
-    return _with_children(node, children)
+    return (node.onset, TOP_LEVEL_RANK[node.kind], f.position,
+            f.stem if node.kind == NOTE_GROUP else 0, f.fingerprint)
 
 
 def _with_children(item, children: tuple):
@@ -172,12 +140,14 @@ def canonicalize(measure: Measure) -> Measure:
     A measure already in canonical order is returned itself, so
     ``canonicalize(m) is m`` tells whether anything moved.
 
-    Raises CanonicalizeError when ordering needs an onset that is absent.
+    Raises CanonicalizeError when ordering needs an onset that is absent,
+    a node holds nothing, or a measure child is not a top-level node.
     """
-    children = tuple(_canonical_node(c) if isinstance(c, Node) else c
-                     for c in measure.children)
-    children = tuple(sorted(children, key=_top_level_key))
-    return _with_children(measure, children)
+    for child in measure.children:
+        if not isinstance(child, Node) or child.kind not in TOP_LEVEL_RANK:
+            raise CanonicalizeError("measure child is not a top-level node")
+    facts = sorted(map(_order, measure.children), key=_top_level_key)
+    return _with_children(measure, tuple(f.item for f in facts))
 
 
 def canonicalize_work(work: MTNWork) -> MTNWork:
