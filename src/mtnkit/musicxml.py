@@ -214,10 +214,6 @@ class _PartState:
     cursor: TimeCursor = field(default_factory=TimeCursor)
     clefs: dict[int, ClefState] = field(default_factory=dict)
     fifths: dict[int, int] = field(default_factory=dict)
-    # the last clef token and key tokens per staff (no key tokens after a
-    # cancellation), which a line start restates
-    last_clef: dict[int, Token] = field(default_factory=dict)
-    last_key: dict[int, tuple[Token, ...]] = field(default_factory=dict)
     staves: int = 1
 
     def clef(self, staff: int) -> ClefState:
@@ -347,10 +343,10 @@ class _Converter:
     def convert_measure(self, me: ET.Element, state: _PartState,
                         measure_id: str, line_start: bool) -> Measure:
         state.cursor.reset()
-        # staff -> (clef token, key tokens) in force at the measure start; a
-        # line start restates those of each staff without a clef at onset 0
-        restate = ({staff: (clef, state.last_key.get(staff, ()))
-                    for staff, clef in state.last_clef.items()}
+        # staff -> (clef, fifths) in force at the measure start; a line
+        # start restates those of each staff without a clef at onset 0
+        restate = ({staff: (clef, state.fifths.get(staff, 0))
+                    for staff, clef in state.clefs.items()}
                    if line_start else {})
         top: list[Node] = []          # rests, directions, attributes
         events: list[_ChordEvent] = []
@@ -383,13 +379,27 @@ class _Converter:
         for location, tokens in barlines:
             onset = Fraction(0) if location == "left" else end
             top.append(Node(BARLINE, tuple(tokens), onset=onset))
-        if restate:
-            top.append(Node(ATTRIBUTES, tuple(
-                Node(ATTR_STAFF, (Node(CLEF, (clef,)),)
-                     + ((Node(KEY, key),) if key else ()))
-                for _, (clef, key) in sorted(restate.items())),
-                onset=Fraction(0), synthetic=True))
+        blocks = tuple(filter(None, (self.restatement(staff, clef, fifths)
+                                     for staff, (clef, fifths)
+                                     in sorted(restate.items()))))
+        if blocks:
+            top.append(Node(ATTRIBUTES, blocks, onset=Fraction(0),
+                            synthetic=True))
         return Measure(measure_id, tuple(top), line_start=line_start)
+
+    def restatement(self, staff: int, clef: ClefState,
+                    fifths: int) -> Node | None:
+        """The attr_staff node restating a clef and key on a line start:
+        no clef token for an unsupported clef, no key node for no key."""
+        kids = []
+        if clef.label is not None:
+            kids.append(Node(CLEF, (self.token(clef.label, staff,
+                                               clef.line_step),)))
+        label, steps = key_signature_steps(fifths, clef)
+        if steps:
+            kids.append(Node(KEY, tuple(self.token(label, staff, s)
+                                        for s in steps)))
+        return Node(ATTR_STAFF, tuple(kids)) if kids else None
 
     def integer(self, text: str, element: str) -> int:
         """text as an int, or a ConversionError naming element and text."""
@@ -454,17 +464,16 @@ class _Converter:
                 ce.findtext("clef-octave-change") or "0", "clef-octave-change")
             line_number = self.integer(line, "line") if line else None
             cs = clef_state(sign, line_number, octave_change)
+            if onset == 0:
+                restate.pop(staff, None)
             if cs is None:
                 self.warn(f"clef sign {sign!r} unsupported; "
                           "treating staff as treble for positions")
                 state.clefs[staff] = replace(ClefState.treble(), label=None)
                 continue
             state.clefs[staff] = cs
-            state.last_clef[staff] = self.token(cs.label, staff, cs.line_step)
             per_staff.setdefault(staff, []).append(
-                Node(CLEF, (state.last_clef[staff],)))
-            if onset == 0:
-                restate.pop(staff, None)
+                Node(CLEF, (self.token(cs.label, staff, cs.line_step),)))
 
         for ke in elem.findall("key"):
             target_staves = ([self.integer(ke.get("number"), "key number")]
@@ -479,7 +488,6 @@ class _Converter:
             for staff in target_staves:
                 tokens = self.key_tokens(fifths, staff, state)
                 state.fifths[staff] = fifths
-                state.last_key[staff] = tuple(tokens) if fifths else ()
                 if tokens:
                     per_staff.setdefault(staff, []).append(
                         Node(KEY, tuple(tokens)))
@@ -953,17 +961,14 @@ def _timewise_to_partwise(root: ET.Element) -> ET.Element:
     return out
 
 
-def convert_score(source: bytes | str | ET.Element,
+def convert_score(source: bytes | str,
                   options: ConvertOptions | None = None) -> ConversionResult:
     """Convert a MusicXML document to a canonical tree-score work."""
     options = options or ConvertOptions()
-    if isinstance(source, (bytes, str)):
-        try:
-            root = ET.fromstring(source)
-        except ET.ParseError as exc:
-            raise ConversionError(f"unparseable MusicXML: {exc}") from exc
-    else:
-        root = source
+    try:
+        root = ET.fromstring(source)
+    except ET.ParseError as exc:
+        raise ConversionError(f"unparseable MusicXML: {exc}") from exc
     work_id = options.work_id or "work"
     return _Converter(options).convert(root, work_id)
 

@@ -15,7 +15,9 @@ import hashlib
 
 import pytest
 
+from mtnkit.model import iter_tokens
 from mtnkit.musicxml import convert_score
+from mtnkit.xmlio import parse_work
 
 CLEFS = ('<clef number="1"><sign>G</sign><line>2</line></clef>'
          '<clef number="2"><sign>F</sign><line>4</line></clef>')
@@ -66,7 +68,8 @@ CASES = {
         "<key><fifths>2</fifths></key>" + CLEFS,
         BREAK + attributes("<key><fifths>-1</fifths></key>") + BOTH),
     # staff 2 turns alto halfway: the bass clef of the measure start is
-    # restated, and the next line start restates the alto clef
+    # restated, and the next line start restates the alto clef with the
+    # key at the alto clef's steps
     "clef-mid-measure": two_staff(
         "<key><fifths>1</fifths></key>" + CLEFS,
         BREAK + whole(1, "C", 5) + BACKUP + half(2, "C", 3)
@@ -92,9 +95,9 @@ CASES = {
     "per-staff-key": two_staff(
         CLEFS + '<key number="2"><fifths>-2</fifths></key>',
         BREAK + BOTH),
-    # staff 2 turns to a percussion clef, which has no token: the bass
-    # clef token is restated at both later line starts, also where the
-    # unsupported clef stands at onset 0
+    # staff 2 turns to a percussion clef, which has no token: the next
+    # line start restates staff 2's key alone, at treble steps, and where
+    # the unsupported clef stands at onset 0 staff 2 is not restated
     "unsupported-clef-sign": two_staff(
         "<key><fifths>4</fifths></key>" + CLEFS,
         attributes('<clef number="2"><sign>percussion</sign></clef>')
@@ -112,7 +115,7 @@ GOLDEN = {
     "key-at-line-start":
         "8f91435a35ab75c734fbadd1e5f6a2b1de495b33c2b25437e7ee414103bf354d",
     "clef-mid-measure":
-        "afecaefef2e2b29986a7db90e4532e965d9d0a0d46b1c4c6ec6dd7962841823c",
+        "43e37f89027cdcd2af27a3100177f3479bdbca9a8f62d0bcafee0191731e9a7b",
     "clef-at-zero":
         "a412a37b6295069ba883176fe74e07715890cf1aa67186424d44e9244d76c708",
     "clef-at-zero-after-backup":
@@ -122,7 +125,7 @@ GOLDEN = {
     "per-staff-key":
         "10072ed4dd4af9d8c574cbbbaea6dd126fc53ddd25a90b8fc13c947acbb2d613",
     "unsupported-clef-sign":
-        "d2706770f4eae4ed6b8b2a0fdea88ef90158333b2dba7e50551a54078c9b332c",
+        "23234b47392d13b64b2c895f01da49bd6abbc001b7f3edd39b8038bfde160ae6",
 }
 
 
@@ -132,3 +135,31 @@ def test_golden_line_start_restatements(case):
     digest = hashlib.sha256(
         result.data + b"\0" + "\n".join(result.warnings).encode())
     assert digest.hexdigest() == GOLDEN[case]
+
+
+def restated(case: str) -> dict[str, list[tuple[str, int, int | None]]]:
+    """measure id -> (label, staff, step) of each token its line start
+    restates."""
+    work = parse_work(convert_score(CASES[case]).data)
+    return {m.id: [(t.label, t.position.staff, t.position.step)
+                   for node in m.children if node.synthetic
+                   for t in iter_tokens(node)]
+            for m in work.parts[0].measures
+            if any(node.synthetic for node in m.children)}
+
+
+def test_line_starts_restate_the_key_under_the_clef_in_force():
+    # F-sharp sits on step 8 under the bass clef and on step 9 under the
+    # alto clef
+    assert restated("clef-mid-measure")["P1.3"] == [
+        ("clef_G", 1, 4), ("accidental_sharp", 1, 10),
+        ("clef_C", 2, 6), ("accidental_sharp", 2, 9)]
+
+
+def test_line_starts_restate_no_clef_token_for_an_unsupported_clef():
+    treble_sharps = [("accidental_sharp", staff, step)
+                     for staff in (1, 2) for step in (7, 8, 10, 11)]
+    assert restated("unsupported-clef-sign") == {
+        "P1.3": [("clef_G", 1, 4)] + treble_sharps,
+        "P1.4": [("clef_G", 1, 4)] + treble_sharps[:4],
+    }
