@@ -10,7 +10,8 @@ import pytest
 
 from mtnkit.cli import main
 from mtnkit.model import (
-    ATTRIBUTES, BARLINE, CHORD, DIRECTION, NOTE_GROUP, REST, Token, validate,
+    ATTRIBUTES, BARLINE, CHORD, DIRECTION, NOTE_GROUP, REST, Token,
+    iter_tokens, validate,
 )
 from mtnkit.musicxml import (
     ClefState, ConversionError, ConvertOptions, TimeCursor, clef_state,
@@ -468,6 +469,38 @@ def test_wedge_continue_is_silent():
     assert sorted(t.label for t in wedges) == ["wedge_crescendo",
                                                "wedge_stop"]
     assert wedges[0].pair_id == wedges[1].pair_id
+
+
+NOTATIONS = "<notations>{}</notations>"
+
+
+@pytest.mark.parametrize("mark, warning, added", [
+    ("<accidental>quarter-sharp</accidental>",
+     "accidental 'quarter-sharp' unsupported", []),
+    (NOTATIONS.format("<articulations><strong-accent/></articulations>"),
+     "strong accent approximated as accent", ["accent"]),
+    (NOTATIONS.format("<articulations><breath-mark/></articulations>"),
+     "breath mark is not representable", []),
+    (NOTATIONS.format("<articulations><doit/></articulations>"),
+     "articulation <doit> unsupported", []),
+    (NOTATIONS.format("<ornaments><delayed-turn/></ornaments>"),
+     "delayed-turn approximated as a turn", ["turn"]),
+    (NOTATIONS.format("<ornaments><inverted-turn/></ornaments>"),
+     "inverted-turn approximated as a turn", ["turn"]),
+    (NOTATIONS.format("<ornaments><mordent/></ornaments>"),
+     "ornament <mordent> unsupported", []),
+    (NOTATIONS.format('<glissando type="start"/>'),
+     "notation <glissando> unsupported", []),
+])
+def test_note_modifier_warning_text(mark, warning, added):
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 16, "whole", mark) + "</measure>")
+    result = convert_score(score(body))
+    assert result.warnings == [f"part P1 measure 1: {warning}"]
+    measure = result.work.parts[0].measures[0]
+    (group,) = [c for c in measure.children if c.kind == NOTE_GROUP]
+    assert sorted(t.label for t in iter_tokens(group)) == sorted(
+        ["notehead_white"] + added)
 
 
 def test_dangling_pair_warnings_name_each_pair():
