@@ -27,6 +27,7 @@ from .model import (
     NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token, map_tokens,
 )
 
+
 class CanonicalizeError(ValueError):
     """A measure cannot be ordered, e.g. a timed node is missing its onset."""
 

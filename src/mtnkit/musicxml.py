@@ -379,11 +379,11 @@ class _Converter:
         for location, tokens in barlines:
             onset = Fraction(0) if location == "left" else end
             top.append(Node(BARLINE, tuple(tokens), onset=onset))
-        blocks = tuple(filter(None, (self.restatement(staff, clef, fifths)
-                                     for staff, (clef, fifths)
-                                     in sorted(restate.items()))))
+        blocks = [self.restatement(staff, clef, fifths)
+                  for staff, (clef, fifths) in sorted(restate.items())]
+        blocks = [block for block in blocks if block is not None]
         if blocks:
-            top.append(Node(ATTRIBUTES, blocks, onset=Fraction(0),
+            top.append(Node(ATTRIBUTES, tuple(blocks), onset=Fraction(0),
                             synthetic=True))
         return Measure(measure_id, tuple(top), line_start=line_start)
 
