@@ -15,16 +15,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .harness import (
-    EvalConfig, ManifestError, evaluate_corpus, manifest_for_work,
-    read_manifest, render_report, report_to_json, write_manifest,
+    EvalConfig, evaluate_corpus, manifest_for_work, read_manifest,
+    render_report, report_to_json, write_manifest,
 )
 from .metrics import ter_score
 from .model import iter_nodes, validate
-from .musicxml import ConversionError, ConvertOptions, convert_path
-from .perturb import relabel_fraction, shift_step_fraction
 from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
 from .trees import project_tree, token_counts
-from .xmlio import FormatError, InvalidWorkError, parse_work, serialize_work
+from .xmlio import parse_work, serialize_work
 
 
 def _read_work(path: Path, quiet: bool = False):
@@ -49,6 +47,8 @@ def _iter_work_files(paths: list[str]) -> list[Path]:
 # -- convert ------------------------------------------------------------------
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from .musicxml import ConvertOptions, convert_path
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -218,6 +218,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 # -- perturb ------------------------------------------------------------------
 
 def cmd_perturb(args: argparse.Namespace) -> int:
+    from .perturb import relabel_fraction, shift_step_fraction
+
     work = _read_work(Path(args.input))
     fraction = Fraction(args.fraction)
     if args.relabel:
@@ -309,8 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InvalidWorkError, ConversionError, ManifestError,
-            OSError, ValueError) as exc:
+    # FormatError, InvalidWorkError, ManifestError and the converter's
+    # ConversionError are all ValueErrors.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

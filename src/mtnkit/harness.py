@@ -21,7 +21,6 @@ report byte-identical for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -255,6 +254,7 @@ def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
     args = [(str(truth_root), str(pred_root), entry, config)
             for entry in entries]
     if config.jobs > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_evaluate_entry, args))
     else:

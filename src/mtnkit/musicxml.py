@@ -58,6 +58,11 @@ class ClefState:
         return ClefState("clef_G", 4, 28)
 
 
+# A staff with no <clef> or an unsupported one: treble positions and no
+# clef token.
+_NO_CLEF_TOKEN = replace(ClefState.treble(), label=None)
+
+
 def clef_state(sign: str, line: int | None, octave_change: int = 0) -> ClefState | None:
     """Clef element to state; None for unpositioned signs (percussion, TAB).
 
@@ -344,9 +349,12 @@ class _Converter:
                         measure_id: str, line_start: bool) -> Measure:
         state.cursor.reset()
         # staff -> (clef, fifths) in force at the measure start; a line
-        # start restates those of each staff without a clef at onset 0
-        restate = ({staff: (clef, state.fifths.get(staff, 0))
-                    for staff, clef in state.clefs.items()}
+        # start restates those of each staff without a clef at onset 0.
+        # A staff that never had a <clef> restates no clef token, as for
+        # an unsupported clef.
+        restate = ({staff: (state.clefs.get(staff, _NO_CLEF_TOKEN),
+                            state.fifths.get(staff, 0))
+                    for staff in state.clefs.keys() | state.fifths.keys()}
                    if line_start else {})
         top: list[Node] = []          # rests, directions, attributes
         events: list[_ChordEvent] = []
@@ -469,7 +477,7 @@ class _Converter:
             if cs is None:
                 self.warn(f"clef sign {sign!r} unsupported; "
                           "treating staff as treble for positions")
-                state.clefs[staff] = replace(ClefState.treble(), label=None)
+                state.clefs[staff] = _NO_CLEF_TOKEN
                 continue
             state.clefs[staff] = cs
             per_staff.setdefault(staff, []).append(

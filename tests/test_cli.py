@@ -1,7 +1,10 @@
 """End-to-end command tests through main(): exit codes and outputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +21,8 @@ from mtnkit.perturb import relabel_fraction
 from mtnkit.trees import project_tree
 from mtnkit.xmlio import parse_work, serialize_work
 
-CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "fixtures" / "corpus"
 
 MUSICXML = """<score-partwise version="4.0">
   <part-list><score-part id="P1"><part-name>x</part-name></score-part></part-list>
@@ -287,6 +291,30 @@ def test_evaluate_missing_manifest(tmp_path, capsys):
                "--manifest", str(tmp_path / "absent.jsonl")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Every command is a fresh interpreter, so evaluate must not pay for the
+# converter, the perturber or a process pool it does not run.
+EVALUATE_IN_A_FRESH_INTERPRETER = """
+import sys
+from mtnkit.cli import main
+rc = main(sys.argv[1:])
+unused = ("mtnkit.musicxml", "mtnkit.perturb", "concurrent.futures",
+          "multiprocessing")
+print(rc, [name for name in unused if name in sys.modules])
+"""
+
+
+def test_evaluate_imports_only_what_it_runs():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", EVALUATE_IN_A_FRESH_INTERPRETER, "evaluate",
+         "--pred", str(CORPUS), "--truth", str(CORPUS),
+         "--manifest", str(ROOT / "fixtures" / "manifest.jsonl"),
+         "--jobs", "1", "--quiet"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
 
 
 # -- diff ---------------------------------------------------------------------

@@ -3,15 +3,18 @@
 Each example edits one fixture `.mtn.xml` line by line, then runs every
 file-reading subcommand on it through main(): each must return 0, 1 or 2,
 never raise. The converter gets the same treatment from MusicXML fixtures
-whose element texts are rewritten.
+whose element texts are rewritten, or whose elements are deleted,
+duplicated or given an `<alter>`.
 """
 
 import contextlib
+import copy
 import io
 import json
 import re
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -142,6 +145,67 @@ def test_convert_never_raises_on_mutated_musicxml(name, edits):
         source = Path(tmp) / name
         source.write_text(retext((FIXTURES / "musicxml" / name).read_text(
             encoding="utf-8"), edits), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["convert", str(source), "-o", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert f"error: {source}: " in err.getvalue()
+        if rc == 0:
+            work = parse_work((out / (source.stem + ".mtn.xml")).read_bytes())
+            assert validate(work) == []
+
+
+ALTERS = ["", "x", "1", "-1", "2", "-2", "0.5", "100"]
+
+
+def restructure(text: str, ops) -> str:
+    """Delete or duplicate the at-th element below the root, or set the
+    <alter> of the at-th <pitch> (mod their counts)."""
+    root = ET.fromstring(text)
+    for op, at, value in ops:
+        if op == "alter":
+            pitches = list(root.iter("pitch"))
+            if not pitches:
+                continue
+            pitch = pitches[at % len(pitches)]
+            alter = pitch.find("alter")
+            if alter is None:
+                alter = ET.Element("alter")
+                pitch.insert(1, alter)  # after <step>
+            alter.text = value
+            continue
+        edges = [(parent, index) for parent in root.iter()
+                 for index in range(len(parent))]
+        if not edges:
+            break
+        parent, index = edges[at % len(edges)]
+        if op == "delete":
+            del parent[index]
+        else:
+            parent.insert(index + 1, copy.deepcopy(parent[index]))
+    return ET.tostring(root, encoding="unicode")
+
+
+RESTRUCTURES = st.one_of(
+    st.tuples(st.sampled_from(["delete", "duplicate"]),
+              st.integers(0, 400), st.none()),
+    st.tuples(st.just("alter"), st.integers(0, 20), st.sampled_from(ALTERS)),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(MUSICXML),
+       ops=st.lists(RESTRUCTURES, min_size=1, max_size=3))
+def test_convert_never_raises_on_restructured_musicxml(name, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / name
+        source.write_text(restructure((FIXTURES / "musicxml" / name)
+                                      .read_text(encoding="utf-8"), ops),
+                          encoding="utf-8")
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \

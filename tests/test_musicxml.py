@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_golden_line_starts import BOTH, BREAK, two_staff
+
 from mtnkit.cli import main
 from mtnkit.model import (
     ATTRIBUTES, BARLINE, CHORD, DIRECTION, NOTE_GROUP, REST, Token,
@@ -619,6 +621,21 @@ def test_unknown_explicit_break_is_an_error():
     m1 = f'<measure number="1">{ATTRS_44}' + note("C", 5, 16, "whole") + "</measure>"
     with pytest.raises(ConversionError):
         convert_score(score(m1), ConvertOptions(explicit_breaks=("9",)))
+
+
+def test_line_start_restates_the_key_of_a_staff_without_a_clef():
+    # MusicXML's default clef is treble: the key is restated at treble
+    # steps, and no clef token is restated, as none was ever emitted
+    xml = two_staff("<key><fifths>2</fifths></key>", BREAK + BOTH)
+    first, second = convert_score(xml).work.parts[0].measures
+    assert not any(t.label.startswith("clef_") for t in tokens_of(first))
+    synth = [c for c in second.children
+             if c.kind == ATTRIBUTES and c.synthetic]
+    assert len(synth) == 1
+    assert [(t.label, t.position.staff, t.position.step)
+            for t in iter_tokens(synth[0])] == [
+        ("accidental_sharp", staff, step)
+        for staff in (1, 2) for step in (7, 10)]
 
 
 # -- the timing torture fixture ----------------------------------------------
