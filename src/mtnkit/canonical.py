@@ -173,6 +173,7 @@ def assign_ids(work: MTNWork) -> MTNWork:
         pair = tok.pair_id
         if pair is not None:
             pair = pair_ids.setdefault(pair, f"p{len(pair_ids) + 1}")
-        return replace(tok, id=f"t{next(token_numbers)}", pair_id=pair)
+        return Token(f"t{next(token_numbers)}", tok.label, tok.position, pair,
+                     tok.numeric_value)
 
     return map_tokens(work, new_token)

@@ -4,13 +4,13 @@ A work holds parts, a part holds measures, and a measure is an ordered tree:
 internal nodes are structural kinds (note groups, chords, stems, ...), leaves
 are tokens (music primitives with optional staff position).
 
-All types are immutable; editing goes through ``dataclasses.replace`` or the
-builder helpers in the converter. Equality is structural, ids included.
+All types are immutable; edits build new values with the constructors or
+``dataclasses.replace``. Equality is structural, ids included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
@@ -186,11 +186,11 @@ def map_tokens(work: MTNWork,
         kids = children(item.children)
         if item.children and not kids:
             return None
-        return replace(item, children=kids)
+        return Node(item.kind, kids, item.onset, item.synthetic)
 
-    return replace(work, parts=tuple(
-        replace(part, measures=tuple(
-            replace(m, children=children(m.children))
+    return MTNWork(work.work_id, tuple(
+        Part(part.staff_count, tuple(
+            Measure(m.id, children(m.children), m.line_start)
             for m in part.measures))
         for part in work.parts))
 

@@ -298,6 +298,11 @@ class _Converter:
         part_elems = root.findall("part")
         if not part_elems:
             raise ConversionError("score has no parts")
+        part_ids = [pe.get("id", "P") for pe in part_elems]
+        for part_id in part_ids:
+            if part_ids.count(part_id) > 1:
+                raise ConversionError(
+                    f"part id {part_id!r} is used by more than one part")
         if self.options.use_print_breaks:
             for pe in part_elems:
                 for me in pe.findall("measure"):

@@ -70,31 +70,6 @@ class InvalidWorkError(ValueError):
 # ---------------------------------------------------------------------------
 # Writing.
 
-def _fmt_fraction(value: Fraction) -> str:
-    return str(value)  # lowest terms; integers render bare
-
-
-def _token_attrs(tok: Token) -> dict[str, str]:
-    attrs = {"id": tok.id, "label": tok.label,
-             "staff": str(tok.position.staff)}
-    if tok.position.step is not None:
-        attrs["step"] = str(tok.position.step)
-    if tok.pair_id is not None:
-        attrs["pair"] = tok.pair_id
-    if tok.numeric_value is not None:
-        attrs["value"] = str(tok.numeric_value)
-    return attrs
-
-
-def _node_attrs(node: Node) -> dict[str, str]:
-    attrs: dict[str, str] = {}
-    if node.onset is not None:
-        attrs["onset"] = _fmt_fraction(node.onset)
-    if node.synthetic:
-        attrs["synthetic"] = "true"
-    return attrs
-
-
 _NEEDS_ESCAPE = re.compile('[&<>"\n\r\t]').search
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
                           "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
@@ -112,23 +87,27 @@ def _quote_attr(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-def _open_tag(name: str, attrs: dict[str, str], indent: int,
-              self_close: bool = False) -> str:
-    parts = "".join(f" {k}={_quote_attr(v)}"
-                    for k, v in sorted(attrs.items()))
-    closer = "/>" if self_close else ">"
-    return f"{'  ' * indent}<{name}{parts}{closer}"
-
-
 def _write_node(node: Node, indent: int, out: list[str]) -> None:
-    out.append(_open_tag(node.kind, _node_attrs(node), indent))
+    # Attributes go straight into the line in alphabetical order. Integers
+    # and onsets hold nothing to escape, so only strings are quoted.
+    pad = "  " * indent
+    onset = "" if node.onset is None else f' onset="{node.onset!s}"'
+    synthetic = ' synthetic="true"' if node.synthetic else ""
+    out.append(f"{pad}<{node.kind}{onset}{synthetic}>")
     for child in node.children:
         if isinstance(child, Token):
-            out.append(_open_tag("token", _token_attrs(child), indent + 1,
-                                 self_close=True))
+            pos = child.position
+            pair = ("" if child.pair_id is None
+                    else f" pair={_quote_attr(child.pair_id)}")
+            step = "" if pos.step is None else f' step="{pos.step}"'
+            value = ("" if child.numeric_value is None
+                     else f' value="{child.numeric_value}"')
+            out.append(f"{pad}  <token id={_quote_attr(child.id)} "
+                       f"label={_quote_attr(child.label)}{pair} "
+                       f'staff="{pos.staff}"{step}{value}/>')
         else:
             _write_node(child, indent + 1, out)
-    out.append(f"{'  ' * indent}</{node.kind}>")
+    out.append(f"{pad}</{node.kind}>")
 
 
 def serialize_work(work: MTNWork) -> bytes:
@@ -140,16 +119,14 @@ def serialize_work(work: MTNWork) -> bytes:
     problems = validate(work)
     if problems:
         raise InvalidWorkError(problems[0])
-    out = [_HEADER.rstrip("\n")]
-    out.append(_open_tag("work", {"mtn-version": MTN_VERSION,
-                                  "work_id": work.work_id}, 0))
+    out = [_HEADER.rstrip("\n"),
+           f'<work mtn-version="{MTN_VERSION}" '
+           f"work_id={_quote_attr(work.work_id)}>"]
     for part in work.parts:
-        out.append(_open_tag("part", {"staff_count": str(part.staff_count)}, 1))
+        out.append(f'  <part staff_count="{part.staff_count}">')
         for m in part.measures:
-            attrs = {"id": m.id}
-            if m.line_start:
-                attrs["line_start"] = "true"
-            out.append(_open_tag("measure", attrs, 2))
+            line_start = ' line_start="true"' if m.line_start else ""
+            out.append(f"    <measure id={_quote_attr(m.id)}{line_start}>")
             for child in m.children:
                 _write_node(child, 3, out)
             out.append("    </measure>")

@@ -157,6 +157,17 @@ def test_convert_negative_duration_is_a_bad_duration(tmp_path, capsys):
     assert validate(parse_work((out / "neg.mtn.xml").read_bytes())) == []
 
 
+def test_convert_duplicated_part_id_is_usage_error(tmp_path, capsys):
+    part = re.search(r"<part id=.*?</part>", MUSICXML, re.S)
+    src = tmp_path / "twice.musicxml"
+    src.write_text(MUSICXML[:part.end()] + part.group(0)
+                   + MUSICXML[part.end():], encoding="utf-8")
+    rc = main(["convert", str(src), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {src}: part id 'P1' is used by more than one part\n")
+
+
 def test_convert_corrupt_mxl_is_usage_error(tmp_path, capsys):
     import zipfile
     mxl = tmp_path / "tune.mxl"

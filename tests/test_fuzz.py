@@ -2,9 +2,10 @@
 
 Each example edits one fixture `.mtn.xml` line by line, then runs every
 file-reading subcommand on it through main(): each must return 0, 1 or 2,
-never raise. The converter gets the same treatment from MusicXML fixtures
-whose element texts are rewritten, or whose elements are deleted,
-duplicated or given an `<alter>`.
+never raise, and `evaluate` must score the edited prediction and return 0.
+The converter gets the same treatment from MusicXML fixtures whose element
+texts are rewritten, or whose elements are deleted, duplicated or given an
+`<alter>`, and from `.mxl` archives of them with bytes flipped.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import json
 import re
 import tempfile
+import zipfile
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -117,6 +119,28 @@ def test_commands_never_raise_on_mutated_fixtures(name, ops):
             assert run(argv) in (0, 1, 2), argv
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(NAMES), ops=st.lists(OPS, min_size=1,
+                                                 max_size=3))
+def test_evaluate_never_aborts_on_a_mutated_prediction(name, ops):
+    # a malformed prediction is scored or counted; the corpus still runs
+    truth = FIXTURES / "corpus" / name
+    with tempfile.TemporaryDirectory() as tmp:
+        pred_root = Path(tmp) / "pred"
+        pred_root.mkdir()
+        (pred_root / name).write_text(
+            mutate(truth.read_text(encoding="utf-8"), ops), encoding="utf-8")
+        manifest = Path(tmp) / "manifest.jsonl"
+        manifest.write_text("".join(
+            line + "\n" for line in
+            (FIXTURES / "manifest.jsonl").read_text().splitlines()
+            if json.loads(line)["path"] == name), encoding="utf-8")
+        assert run(["evaluate", "--truth", str(FIXTURES / "corpus"),
+                    "--pred", str(pred_root), "--manifest", str(manifest),
+                    "--quiet"]) == 0
+
+
 MUSICXML = sorted(p.name for p in (FIXTURES / "musicxml").glob("*.musicxml"))
 _TEXT = re.compile(r"<(duration|divisions|step|type|staff|voice|octave"
                    r"|fifths)>[^<]*</\1>")
@@ -206,6 +230,49 @@ def test_convert_never_raises_on_restructured_musicxml(name, ops):
         source.write_text(restructure((FIXTURES / "musicxml" / name)
                                       .read_text(encoding="utf-8"), ops),
                           encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["convert", str(source), "-o", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert f"error: {source}: " in err.getvalue()
+        if rc == 0:
+            work = parse_work((out / (source.stem + ".mtn.xml")).read_bytes())
+            assert validate(work) == []
+
+
+def mxl(name: str, compression: int) -> bytes:
+    """A MusicXML fixture zipped as an .mxl archive with a container."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as zf:
+        zf.writestr("META-INF/container.xml",
+                    '<container><rootfiles><rootfile full-path="score.xml"/>'
+                    "</rootfiles></container>")
+        zf.writestr("score.xml",
+                    (FIXTURES / "musicxml" / name).read_bytes())
+    return buffer.getvalue()
+
+
+ARCHIVES = {(name, compression): mxl(name, compression)
+            for name in MUSICXML
+            for compression in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(archive=st.sampled_from(sorted(ARCHIVES)),
+       flips=st.lists(st.tuples(st.integers(0, 1 << 16),
+                                st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_convert_never_raises_on_a_corrupted_mxl(archive, flips):
+    data = bytearray(ARCHIVES[archive])
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / (Path(archive[0]).stem + ".mxl")
+        source.write_bytes(bytes(data))
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \

@@ -1,6 +1,7 @@
 """Converter tests against hand-computed fixture expectations."""
 
 import io
+import re
 import struct
 import zipfile
 from fractions import Fraction
@@ -8,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from test_golden_line_starts import BOTH, BREAK, two_staff
+from test_golden_line_starts import BOTH, BREAK, CASES, two_staff
 
+from mtnkit.canonical import assign_ids
 from mtnkit.cli import main
 from mtnkit.model import (
     ATTRIBUTES, BARLINE, CHORD, DIRECTION, NOTE_GROUP, REST, Token,
-    iter_tokens, validate,
+    iter_tokens, map_tokens, validate,
 )
 from mtnkit.musicxml import (
     ClefState, ConversionError, ConvertOptions, TimeCursor, clef_state,
@@ -871,6 +873,31 @@ def test_multi_part_and_staves():
     heads = [t for t in tokens_of(p2) if t.label == "notehead_white"]
     assert sorted((t.position.staff, t.position.step) for t in heads) == \
         [(1, 7), (2, 0)]
+
+
+def test_duplicated_part_id_is_refused_by_name():
+    fixture = (FIXTURES / "simple.musicxml").read_text(encoding="utf-8")
+    part = re.search(r"<part id=.*?</part>", fixture, re.S)
+    twice = fixture[:part.end()] + part.group(0) + fixture[part.end():]
+    with pytest.raises(ConversionError) as info:
+        convert_score(twice)
+    assert str(info.value) == "part id 'P1' is used by more than one part"
+
+
+@pytest.mark.parametrize("source", [
+    *(f"fixture:{p.name}" for p in sorted(FIXTURES.glob("*.musicxml"))),
+    *(f"line-starts:{case}" for case in sorted(CASES)),
+])
+def test_copying_a_converted_work_drops_no_field(source):
+    # synthetic nodes, line starts, fractional onsets, pair ids, numeric
+    # values and two staves all survive both tree copies
+    kind, name = source.split(":")
+    if kind == "fixture":
+        work = convert_path(FIXTURES / name).work
+    else:
+        work = convert_score(CASES[name]).work
+    assert map_tokens(work, lambda tok: tok) == work
+    assert assign_ids(work) == work
 
 
 def test_unparseable_input():

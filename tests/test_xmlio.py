@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 
 import builders as B
-from mtnkit.model import MTNWork, Part, validate
+from mtnkit.model import (
+    ATTR_STAFF, ATTRIBUTES, BARLINE, CHORD, CLEF, NOTE, NOTE_GROUP, STEM,
+    TIME_SIG, Measure, MTNWork, Node, Part, StaffPosition, Token, validate,
+)
 from mtnkit.xmlio import (
     MAX_NODE_DEPTH, DuplicateIdError, FormatError, FractionSyntaxError,
     InvalidWorkError, MalformedXmlError, UnknownAttributeError,
-    UnknownElementError, _quote_attr, parse_work, serialize_work,
+    UnknownElementError, _quote_attr, _write_node, parse_work,
+    serialize_work,
 )
 
 
@@ -226,3 +230,103 @@ def test_attribute_escaper_matches_quoteattr():
         for _ in range(5000)]
     for value in values:
         assert _quote_attr(value) == quoteattr(value), value
+
+
+def _tok(id: str, label: str, step: int | None = None, pair: str | None = None,
+         value: int | None = None) -> Token:
+    return Token(id, label, StaffPosition(1, step), pair, value)
+
+
+def test_writer_pins_attribute_order_and_escaping_line_by_line():
+    attributes = Node(ATTRIBUTES, (Node(ATTR_STAFF, (
+        Node(CLEF, (_tok("c1", "clef_G", 4),)),
+        Node(TIME_SIG, (_tok("n4", "timesig_number", 4, value=4),
+                        _tok("n3", "timesig_number", 8, value=3))),
+    )),), onset=Fraction(0), synthetic=True)
+    slurred = Node(NOTE_GROUP, (
+        Node(CHORD, (Node(STEM, (_tok("s1", "stem_up"),)),
+                     Node(NOTE, (_tok('t"<&>1', "notehead_black", 6),
+                                 _tok("a'b\"c", "slur_start",
+                                      pair="p&1")))),
+             onset=Fraction(1, 3)),
+        Node(CHORD, (Node(STEM, (_tok("s2", "stem_up"),)),
+                     Node(NOTE, (_tok("t\t2", "notehead_black", 7),
+                                 _tok("t3", "slur_stop", pair="p&1")))),
+             onset=Fraction(2, 3)),
+    ), onset=Fraction(1, 3))
+    bar = Node(BARLINE, (_tok("b1", "barline_tok_regular"),), onset=Fraction(3))
+    work = MTNWork('w&"', (Part(1, (
+        Measure("m<1>", (attributes, slurred, bar), line_start=True),
+        Measure("m2", (Node(BARLINE, (_tok("b2", "barline_tok_heavy"),),
+                            onset=Fraction(0)),)),
+    )),))
+    assert serialize_work(work).decode("utf-8").split("\n") == [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<work mtn-version="1.0" work_id=\'w&amp;"\'>',
+        '  <part staff_count="1">',
+        '    <measure id="m&lt;1&gt;" line_start="true">',
+        '      <attributes onset="0" synthetic="true">',
+        '        <attr_staff>',
+        '          <clef>',
+        '            <token id="c1" label="clef_G" staff="1" step="4"/>',
+        '          </clef>',
+        '          <time_sig>',
+        '            <token id="n4" label="timesig_number" staff="1" step="4"'
+        ' value="4"/>',
+        '            <token id="n3" label="timesig_number" staff="1" step="8"'
+        ' value="3"/>',
+        '          </time_sig>',
+        '        </attr_staff>',
+        '      </attributes>',
+        '      <note_group onset="1/3">',
+        '        <chord onset="1/3">',
+        '          <stem>',
+        '            <token id="s1" label="stem_up" staff="1"/>',
+        '          </stem>',
+        '          <note>',
+        '            <token id=\'t"&lt;&amp;&gt;1\' label="notehead_black"'
+        ' staff="1" step="6"/>',
+        '            <token id="a\'b&quot;c" label="slur_start" pair="p&amp;1"'
+        ' staff="1"/>',
+        '          </note>',
+        '        </chord>',
+        '        <chord onset="2/3">',
+        '          <stem>',
+        '            <token id="s2" label="stem_up" staff="1"/>',
+        '          </stem>',
+        '          <note>',
+        '            <token id="t&#9;2" label="notehead_black" staff="1"'
+        ' step="7"/>',
+        '            <token id="t3" label="slur_stop" pair="p&amp;1"'
+        ' staff="1"/>',
+        '          </note>',
+        '        </chord>',
+        '      </note_group>',
+        '      <barline onset="3">',
+        '        <token id="b1" label="barline_tok_regular" staff="1"/>',
+        '      </barline>',
+        '    </measure>',
+        '    <measure id="m2">',
+        '      <barline onset="0">',
+        '        <token id="b2" label="barline_tok_heavy" staff="1"/>',
+        '      </barline>',
+        '    </measure>',
+        '  </part>',
+        '</work>',
+        '',
+    ]
+
+
+def test_writer_puts_every_token_attribute_in_alphabetical_order():
+    # no valid token holds a pair, a step and a value at once, so the node
+    # writer is called without validation
+    token = Token("t<1>", "slur_start", StaffPosition(2, 5), "p1", 7)
+    out: list[str] = []
+    _write_node(Node(NOTE, (token,), onset=Fraction(-7, 2), synthetic=True),
+                1, out)
+    assert out == [
+        '  <note onset="-7/2" synthetic="true">',
+        '    <token id="t&lt;1&gt;" label="slur_start" pair="p1" staff="2"'
+        ' step="5" value="7"/>',
+        '  </note>',
+    ]
