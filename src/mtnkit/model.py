@@ -228,7 +228,11 @@ class _Validator:
     def run(self) -> list[Violation]:
         measure_ids: set[str] = set()
         for part in self.work.parts:
-            if part.staff_count < 1:
+            if type(part.staff_count) is not int:
+                self.fail("field-type", self.work.work_id,
+                          f"part has staff_count {part.staff_count!r}, "
+                          "not an int")
+            elif part.staff_count < 1:
                 self.fail("staff-count", self.work.work_id,
                           f"part has staff_count {part.staff_count}")
             for measure in part.measures:
@@ -241,6 +245,7 @@ class _Validator:
         return self.out
 
     def check_measure(self, part: Part, measure: Measure) -> None:
+        start = len(self.out)
         for i, child in enumerate(measure.children):
             path = f"{measure.id}/{i}"
             if not isinstance(child, Node) or child.kind not in TOP_LEVEL_RANK:
@@ -248,6 +253,8 @@ class _Validator:
                           f"{_note_kind_name(child)} not allowed under a measure")
                 continue
             self.check_node(part, child, path)
+        if any(v.rule == "field-type" for v in self.out[start:]):
+            return  # ordering would compare values of the wrong type
         # Canonical order is validated measure-wide: canonicalize returns
         # the measure itself when nothing moved. Imported lazily to avoid a
         # module cycle.
@@ -260,11 +267,17 @@ class _Validator:
             pass  # missing onsets are reported by the onset rules
 
     def check_node(self, part: Part, node: Node, path: str) -> None:
+        onset = node.onset
+        typed = (onset is None or isinstance(onset, Fraction)
+                 or type(onset) is int)
+        if not typed:
+            self.fail("field-type", path,
+                      f"onset {onset!r} is neither an int nor a Fraction")
         if node.kind in _ONSET_KINDS:
-            if node.onset is None:
+            if onset is None:
                 self.fail("missing-onset", path,
                           f"{node.kind} requires an onset")
-            elif node.onset < 0:
+            elif typed and onset < 0:
                 self.fail("negative-onset", path,
                           f"onset {node.onset} is negative")
         elif node.onset is not None:
@@ -279,6 +292,12 @@ class _Validator:
         for i, child in enumerate(node.children):
             sub = f"{path}/{i}"
             if isinstance(child, Token):
+                pos = child.position  # every token of a valid work passes
+                if not (type(pos.staff) is int
+                        and (pos.step is None or type(pos.step) is int)
+                        and (child.numeric_value is None
+                             or type(child.numeric_value) is int)):
+                    self.check_types(child)
                 if child.label in allowed_tokens:
                     self.check_token(part, child)
                 elif not vocabulary.is_known(child.label):
@@ -331,13 +350,26 @@ class _Validator:
             if not node.children:
                 self.fail("node-empty", path, f"{node.kind} has no children")
 
+    def check_types(self, token: Token) -> None:
+        """Report each of the token's staff, step and numeric value that is
+        not an int (a bool is not one); step and numeric value may be
+        None."""
+        pos = token.position
+        for name, value in (("staff", pos.staff), ("step", pos.step),
+                            ("numeric_value", token.numeric_value)):
+            if type(value) is not int and (value is not None
+                                           or name == "staff"):
+                self.fail("field-type", token.id,
+                          f"{name} {value!r} is not an int")
+
     def check_token(self, part: Part, token: Token) -> None:
         if token.id in self.token_ids:
             self.fail("duplicate-token-id", token.id,
                       "token id appears more than once")
         self.token_ids[token.id] = token.label
         pos = token.position
-        if pos.staff < 1 or pos.staff > part.staff_count:
+        if (type(pos.staff) is int and type(part.staff_count) is int
+                and not 1 <= pos.staff <= part.staff_count):
             self.fail("staff-range", token.id,
                       f"staff {pos.staff} outside 1..{part.staff_count}")
         if vocabulary.is_positioned(token.label):

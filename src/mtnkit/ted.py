@@ -28,11 +28,19 @@ backtrace tests come out as without the band. Keyroot pairs whose leftmost
 paths meet no diagonal of the band are skipped.
 
 When both trees have the same shape, U is the cost of mapping each node to
-the node with its index, and U = 0 returns that identity script at once.
-Otherwise a first pass with s = 1, which still lets deletes and inserts
-reach the last cell, yields the cost of some mapping, and a second pass
-runs only if that bound needs a wider band. A free delete or insert
-(c_min = 0) leaves no band.
+the node with its index. The identity script returns at once if U = 0, or
+if U is less than the least delete cost in a plus the least insert cost in
+b. Equal shapes mean equal sizes, so any other mapping leaves at least one
+node of each tree unmapped and costs at least that sum. A mapping that
+covers every node of two trees of equal size is the identity, because an
+ordered mapping preserves postorder. So below the sum the identity is the
+only optimal script, whatever the non-negative costs, and the tables would
+return it too. At the sum another script can tie with it, and the
+backtrace's preference (below) decides. So at the sum or above it, and for
+trees of different shapes, a first pass with s = 1, which still lets
+deletes and inserts reach the last cell, yields the cost of some mapping,
+and a second pass runs only if that bound needs a wider band. A free
+delete or insert (c_min = 0) leaves no band.
 
 Deletes and inserts are costed once per node. All costs are scaled to
 integers by the least common multiple of their denominators (half-units
@@ -121,15 +129,22 @@ class EditScript:
 
 
 def _identity_cost(a: LabeledTree, b: LabeledTree,
-                   costs: CostModel) -> Cost | None:
-    """Cost of mapping node i to node i, or None if the shapes differ.
+                   costs: CostModel) -> tuple[Cost, int] | None:
+    """Cost of mapping node i to node i and the number of those pairs with
+    a nonzero relabel cost, or None if the shapes differ.
 
     Equal leftmost-leaf arrays mean equal shapes: node i's subtree is the
     postorder interval lml[i]..i.
     """
     if a.lml != b.lml:
         return None
-    return sum(costs.substitute(x, y) for x, y in zip(a.nodes, b.nodes))
+    total = changed = 0
+    for x, y in zip(a.nodes, b.nodes):
+        c = costs.substitute(x, y)
+        if c:
+            total += c
+            changed += 1
+    return total, changed
 
 
 class _Tables:
@@ -284,10 +299,17 @@ class _Tables:
 def tree_edit_distance(a: LabeledTree, b: LabeledTree,
                        costs: CostModel = UNIT_COSTS) -> EditScript:
     """Minimum-cost edit script turning tree a into tree b."""
-    bound = _identity_cost(a, b, costs)
-    if bound == 0:
-        n = len(a.nodes)
-        return EditScript(0, 0, 0, 0, tuple((i, i) for i in range(n)), n, n)
+    identity = _identity_cost(a, b, costs)
+    bound = None
+    if identity is not None:
+        bound, changed = identity
+        if not bound or bound < (min(map(costs.delete, a.nodes))
+                                 + min(map(costs.insert, b.nodes))):
+            n = len(a.nodes)
+            if bound.denominator == 1:  # an int, as _Tables.cost() gives
+                bound = bound.numerator
+            return EditScript(bound, changed, 0, 0,
+                              tuple((i, i) for i in range(n)), n, n)
     t = _Tables(a, b, costs, bound)
     if t.slack < t.slack_for(t.cost()):
         t = _Tables(a, b, costs, t.cost())

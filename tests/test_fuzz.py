@@ -24,6 +24,9 @@ from hypothesis import strategies as st
 from mtnkit.cli import main
 from mtnkit.model import NODE_KINDS, validate
 from mtnkit.xmlio import parse_work
+from test_golden_line_starts import (
+    ALTO_2, BACKUP, BOTH, BREAK, CLEFS, attributes, half, two_staff, whole,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NAMES = sorted(p.name for p in (FIXTURES / "corpus").glob("*.mtn.xml"))
@@ -149,10 +152,10 @@ TEXTS = ["", " ", "0", "1", "2", "3", "-1", "-8", "7", "9", "64",
          "half", "whole", "breve", "long", "1024th"]
 
 
-def retext(text: str, edits) -> str:
+def retext(text: str, edits, pattern: re.Pattern = _TEXT) -> str:
     """Set the text of the at-th mutable element (mod their count)."""
     for at, value in edits:
-        found = list(_TEXT.finditer(text))
+        found = list(pattern.finditer(text))
         hit = found[at % len(found)]
         text = (text[:hit.start()] + f"<{hit.group(1)}>{value}"
                 f"</{hit.group(1)}>" + text[hit.end():])
@@ -169,6 +172,37 @@ def test_convert_never_raises_on_mutated_musicxml(name, edits):
         source = Path(tmp) / name
         source.write_text(retext((FIXTURES / "musicxml" / name).read_text(
             encoding="utf-8"), edits), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["convert", str(source), "-o", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert f"error: {source}: " in err.getvalue()
+        if rc == 0:
+            work = parse_work((out / (source.stem + ".mtn.xml")).read_bytes())
+            assert validate(work) == []
+
+
+# Neither fixture has a <staff> element: a two-staff score with a system
+# break, a mid-measure clef change and a backup gives seven.
+TWO_STAFF = two_staff(
+    "<key><fifths>2</fifths></key>" + CLEFS,
+    BREAK + whole(1, "C", 5) + BACKUP + half(2, "C", 3)
+    + attributes(ALTO_2) + half(2, "D", 3),
+    BREAK + BOTH)
+_STAFF = re.compile(r"<(staff)>[^<]*</\1>")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=st.lists(st.tuples(st.integers(0, 200), st.sampled_from(TEXTS)),
+                      min_size=1, max_size=3))
+def test_convert_never_raises_on_mutated_staff_numbers(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "two-staff.musicxml"
+        source.write_text(retext(TWO_STAFF, edits, _STAFF), encoding="utf-8")
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \

@@ -3,6 +3,8 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 import builders as B
 from mtnkit.model import (
     BARLINE, CHORD, CLEF, DIRECTION, MTNWork, NOTE, NOTE_GROUP, Node, Part,
@@ -136,6 +138,60 @@ def test_onset_rules():
     m = B.measure(B.group(Node(CHORD, (B.stem(), timed_note),
                                onset=Fraction(0))))
     assert "onset-not-allowed" in rules(B.work(m, normalize=False))
+
+
+def test_field_types():
+    # staff, step and numeric value must be ints, a bool is not one, and a
+    # mistyped staff is not range-checked
+    sig = Node("time_sig", (Token("n1", "timesig_number", StaffPosition(1),
+                                  numeric_value="4"),))
+    assert found(
+        "field-type",
+        B.attributes(B.attr_staff(sig)),
+        B.group(B.chord(B.note(), stem_node=Node("stem", (
+            Token("s1", "stem_up", StaffPosition(True)),)))),
+        Node("rest", (Token("r1", "rest_quarter", StaffPosition("0")),),
+             onset=Fraction(2)),
+        B.group(B.chord(Node(NOTE, (Token("h1", "notehead_black",
+                                          StaffPosition(1, "<x")),)),
+                        onset=3, stem_node=B.stem())),
+        B.group(B.chord(Node(NOTE, (Token("h2", "notehead_black",
+                                          StaffPosition(1, False)),)),
+                        onset=4, stem_node=B.stem())),
+    ) == [("n1", "numeric_value '4' is not an int"),
+          ("s1", "staff True is not an int"),
+          ("r1", "staff '0' is not an int"),
+          ("h1", "step '<x' is not an int"),
+          ("h2", "step False is not an int")]
+    w = MTNWork("w", (Part("2", (B.measure(B.rest(onset=0)),)),))
+    assert rules(w) == {"field-type"}
+
+
+def test_onset_types():
+    # an onset that is neither an int nor a Fraction is a violation, not a
+    # traceback from the sign check or from ordering the measure
+    assert found(
+        "field-type",
+        Node("rest", (B.tok("rest_quarter"),), onset="-1"),
+        Node("rest", (B.tok("rest_quarter"),), onset=1.5),
+        Node("rest", (B.tok("rest_quarter"),), onset=True),
+        Node("rest", (B.tok("rest_quarter"),), onset=3),
+    ) == [("m1/0", "onset '-1' is neither an int nor a Fraction"),
+          ("m1/1", "onset 1.5 is neither an int nor a Fraction"),
+          ("m1/2", "onset True is neither an int nor a Fraction")]
+    w = B.work(B.measure(Node("rest", (B.tok("rest_quarter"),), onset="x"),
+                         B.rest(onset=0)), normalize=False)
+    assert rules(w) == {"field-type"}
+
+
+def test_serialize_refuses_a_mistyped_step():
+    from mtnkit.xmlio import InvalidWorkError, serialize_work
+    bad = Token("t1", "notehead_black", StaffPosition(1, "<x"))
+    w = B.work(B.measure(B.group(B.chord(Node(NOTE, (bad,)),
+                                         stem_node=B.stem()))),
+               normalize=False)
+    with pytest.raises(InvalidWorkError, match="field-type"):
+        serialize_work(w)
 
 
 def test_child_kind_rules():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from builders import random_tree
 from oracles import brute_force_distance
 
+from mtnkit import ted
 from mtnkit.model import NOTE_GROUP, Node
 from mtnkit.ted import (
     CostModel, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance,
@@ -399,3 +400,122 @@ def test_golden_band_scripts():
                            s.b_size)).encode())
     assert h.hexdigest() == (
         "6c55834241160e2c41615a2eb3b362e4a2c5b404341d28459b2494a16ce02264")
+
+
+def _relabel_at(rng, tree, labels, k):
+    # Same shape, k nodes (drawn with repeats) given a random label.
+    hit = {rng.randrange(len(tree.nodes)) for _ in range(k)}
+    count = 0
+
+    def visit(n):
+        nonlocal count
+        kids = tuple(visit(c) for c in n.children)
+        count += 1
+        label = rng.choice(labels) if count - 1 in hit else n.label
+        return TreeNode(label, kids, n.meta)
+    return LabeledTree(visit(tree.root))
+
+
+def _edit_noteheads(rng, children, share):
+    # Same shape: some noteheads swap black and white, others move a step.
+    def visit(child):
+        if isinstance(child, Node):
+            return replace(child, children=tuple(visit(c)
+                                                 for c in child.children))
+        if child.label not in ("notehead_black", "notehead_white") \
+                or rng.random() >= share:
+            return child
+        if rng.random() < 0.5:
+            return replace(child, label="notehead_white"
+                           if child.label == "notehead_black"
+                           else "notehead_black")
+        return replace(child, position=replace(
+            child.position, step=child.position.step + rng.choice((-1, 1))))
+
+    return tuple(visit(c) for c in children)
+
+
+def _takes_identity_branch(a, b, costs):
+    # Equal shapes at a nonzero identity cost below the least delete plus
+    # the least insert.
+    if a.lml != b.lml or not a.nodes:
+        return False
+    u = sum(costs.substitute(x, y) for x, y in zip(a.nodes, b.nodes))
+    return 0 < u < (min(map(costs.delete, a.nodes))
+                    + min(map(costs.insert, b.nodes)))
+
+
+def test_identity_shortcut_matches_the_tables(monkeypatch):
+    # Same-shape pairs answered by the identity shortcut must give the full
+    # EditScript, and the cost's type, that the tables give.
+    from builders import measure, random_measure
+    from mtnkit.trees import project_tree
+
+    rng = random.Random(2026)
+    pairs = []
+    for _ in range(150):
+        a = random_tree(rng, 20, "abcd")
+        if a.root is not None:
+            pairs.append((a, _relabel_at(rng, a, "abcd", rng.randint(0, 3))))
+    for _ in range(150):
+        kids = ()
+        for _ in range(rng.randint(1, 3)):
+            kids += random_measure(rng, "m").children
+        pred = _edit_noteheads(rng, kids, rng.choice((0.1, 0.3, 0.6)))
+        pairs.append((project_tree(measure(*kids)),
+                      project_tree(measure(*pred))))
+    models = (UNIT_COSTS, SEMANTIC_COSTS, Thirds())
+    shortcut = [[tree_edit_distance(a, b, costs) for costs in models]
+                for a, b in pairs]
+    monkeypatch.setattr(ted, "_identity_cost", lambda a, b, costs: None)
+    branch = 0
+    for (a, b), scripts in zip(pairs, shortcut):
+        for costs, got in zip(models, scripts):
+            want = tree_edit_distance(a, b, costs)
+            assert got == want, (a, b, costs)
+            assert type(got.cost) is type(want.cost)
+            branch += _takes_identity_branch(a, b, costs)
+    assert branch >= 100
+
+
+def _count_tables(monkeypatch):
+    built = []
+
+    class Counted(ted._Tables):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ted, "_Tables", Counted)
+    return built
+
+
+def test_identity_cost_at_the_threshold_goes_through_the_tables(monkeypatch):
+    # U = 2 equals one delete plus one insert: the tables break the tie and
+    # still prefer the two relabels.
+    built = _count_tables(monkeypatch)
+    script = tree_edit_distance(tree("r", t("a"), t("b")),
+                                tree("r", t("b"), t("a")))
+    assert script == ted.EditScript(2, 2, 0, 0, ((0, 0), (1, 1), (2, 2)),
+                                    3, 3)
+    assert type(script.cost) is int
+    assert built
+
+
+def test_identity_cost_below_the_threshold_skips_the_tables(monkeypatch):
+    built = _count_tables(monkeypatch)
+    # three notehead relabels of 1/2 each: U = 3/2 < 2
+    a = tree("m", head(1, 4), head(1, 6), head(2, 3))
+    b = tree("m", head(1, 5), head(2, 6), head(2, 3, "notehead_white"))
+    script = tree_edit_distance(a, b, SEMANTIC_COSTS)
+    assert script == ted.EditScript(Fraction(3, 2), 3, 0, 0,
+                                    tuple((i, i) for i in range(4)), 4, 4)
+    assert type(script.cost) is Fraction
+    # two halves and an unchanged head: U = 1, returned as an int
+    a = tree("m", head(1, 4), head(1, 6), head(2, 3))
+    b = tree("m", head(1, 5), head(1, 6), head(2, 2))
+    script = tree_edit_distance(a, b, SEMANTIC_COSTS)
+    assert script == ted.EditScript(1, 2, 0, 0,
+                                    tuple((i, i) for i in range(4)), 4, 4)
+    assert type(script.cost) is int
+    assert not built
