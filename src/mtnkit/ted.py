@@ -20,12 +20,15 @@ most U has |d| + |D - d| <= K = floor(U / c_min) at each split: min(0, D)
 - s <= d <= max(0, D) + s with s = floor((K - |D|) / 2). An optimal
 mapping splits at every forest-table cell (alo + x, blo + y) its
 derivation reads, and at (i + 1, j + 1) for each of its pairs (i, j),
-whose td and mp entries the derivation reads. So the tables fill cells,
-and the cost model relabels pairs, only on those diagonals; everything
-else holds INF, which exceeds the cost of every script. INF can only raise
-values off every optimal derivation, so the cost and every equality the
-backtrace tests come out as without the band. Keyroot pairs whose leftmost
-paths meet no diagonal of the band are skipped.
+whose td and mp entries the derivation reads. So the tables store and
+fill cells, and the cost model relabels pairs, only on those diagonals;
+everything else reads as INF, which exceeds the cost of every script. INF
+can only raise values off every optimal derivation, so the cost and every
+equality the backtrace tests come out as without the band. Keyroot pairs
+whose leftmost paths meet no diagonal of the band are skipped. Only the
+band is stored, so a row takes at most as many cells as the band is wide:
+a same-shape pair answered by the tables takes little more memory than
+one the identity shortcut answers.
 
 When both trees have the same shape, U is the cost of mapping each node to
 the node with its index. The identity script returns at once if U = 0, or
@@ -152,6 +155,13 @@ class _Tables:
 
     bound is the cost of some mapping, or None for a first, narrow pass
     whose own cost then bounds the distance.
+
+    Only cells on the band are stored. subs, td and mp hold, for node i of
+    a, the nodes j of b in window i, from starts[i] = max(0, i - hi) up to
+    min(nb, i - lo + 1), at j - starts[i]; a forest table's row holds the
+    columns the band reaches in that row (see `forest`). No row is longer
+    than a full row of nb + 1 cells, and a narrow band keeps every row
+    short.
     """
 
     def __init__(self, a: LabeledTree, b: LabeledTree, costs: CostModel,
@@ -167,23 +177,23 @@ class _Tables:
         hi = self.hi = max(0, na - nb) + slack
         window = [range(max(0, i - hi), min(nb, i - lo + 1))
                   for i in range(na)]
+        self.starts = [js.start for js in window]
         relabels = [[costs.substitute(x, bn[j]) for j in js]
                     for x, js in zip(an, window)]
         self.scale = scale = math.lcm(*{
             c.denominator for c in chain(dels, ins, *relabels)})
         self.dels = [c.numerator * (scale // c.denominator) for c in dels]
         self.ins = [c.numerator * (scale // c.denominator) for c in ins]
-        relabels = [[c.numerator * (scale // c.denominator) for c in row]
-                    for row in relabels]
+        self.subs = [[c.numerator * (scale // c.denominator) for c in row]
+                     for row in relabels]
         # INF exceeds the cost of every edit script, which relabels each
         # node pair at most once.
         inf = self.inf = (sum(self.dels) + sum(self.ins)
-                          + sum(map(sum, relabels)) + 1)
-        self.subs, self.td, self.mp = ([[inf] * nb for _ in an]
-                                       for _ in range(3))
+                          + sum(map(sum, self.subs)) + 1)
+        self.td, self.mp = ([[inf] * len(js) for js in window]
+                            for _ in range(2))
         near: dict[int, set[int]] = {}  # a's lml -> b's lml values in band
         for i, js in enumerate(window):
-            self.subs[i][js.start:js.stop] = relabels[i]
             near.setdefault(al[i], set()).update(bl[js.start:js.stop])
         akey = {left: i for i, left in enumerate(al)}  # keyroot of each lml
         bkey = {left: j for j, left in enumerate(bl)}
@@ -206,91 +216,113 @@ class _Tables:
             return 1
         return (bound // self.least - abs(na - nb)) // 2
 
+    def at(self, fd: list[list[int]], c: int, x: int, y: int) -> int:
+        """Cell (x, y) of a forest table whose intervals start at alo and
+        blo, c = alo - blo; INF off the band."""
+        if x < len(fd):
+            row = fd[x]
+            k = y - max(0, x + c - self.hi) if x else y
+            if 0 <= k < len(row) - 1:
+                return row[k]
+        return self.inf
+
     def forest(self, alo: int, ahi: int,
                blo: int, bhi: int) -> list[list[int]]:
         """Distances between the prefixes of two postorder intervals.
 
-        fd[x][y] is the distance between nodes alo..alo+x-1 and
-        blo..blo+y-1. Each interval is a keyroot's subtree or a node's child
-        forest, so every node in it has its lml inside it. Where i and j
-        both have lml at the interval's start, their mapping cost and tree
-        distance are stored in mp and td (a rebuilt table stores the same
-        values again); elsewhere td is read.
+        Cell (x, y) is the distance between nodes alo..alo+x-1 and
+        blo..blo+y-1. Only cells on the band's diagonals, lo <= (alo + x) -
+        (blo + y) <= hi, are stored: row x > 0 holds columns max(0, x + c -
+        hi) to min(bhi - blo + 1, x + c - lo), c = alo - blo, and one more
+        INF; rows before the band's first row hold only that INF, and rows
+        after its last are left out. Row 0 holds every column from 0. Every
+        other cell is INF (see `at`).
 
-        Only cells on the band's diagonals, lo <= (alo + x) - (blo + y) <=
-        hi, are filled; the rest hold INF, and rows or columns no band cell
-        reaches are left out.
+        Each interval is a keyroot's subtree or a node's child forest, so
+        every node in it has its lml inside it. Where i and j both have lml
+        at the interval's start, their mapping cost and tree distance are
+        stored in mp and td (a rebuilt table stores the same values again);
+        elsewhere td is read.
         """
         al, bl, td, mp = self.al, self.bl, self.td, self.mp
-        dels, ins, subs = self.dels, self.ins, self.subs
-        c, lo, hi = alo - blo, self.lo, self.hi
-        width = max(0, min(bhi - blo + 1, ahi - alo + 1 + c - lo)) + 1
-        blank = [self.inf] * width
-        row0 = blank[:]
+        dels, ins, subs, starts = self.dels, self.ins, self.subs, self.starts
+        c, lo, hi, inf = alo - blo, self.lo, self.hi, self.inf
+        ncols = bhi - blo + 1
+        # Row 0 holds every column: a leftmost-path row reads it at any
+        # column's lml.
+        row0 = [inf] * (ncols + 2)
         if lo <= c <= hi:
             row0[0] = 0
-            for y in range(1, min(width - 1, c - lo) + 1):
+            for y in range(1, min(ncols, c - lo) + 1):
                 row0[y] = row0[y - 1] + ins[blo + y - 1]
-        first = max(1, c + 1 - hi)  # the first column a band cell holds
-        cols = [(j, ins[j], bl[j] - blo)
-                for j in range(blo + first - 1, blo + width - 1)]
-        # Row x holds node alo + x - 1; rows before the band's first row and
-        # after its last are left blank or out.
-        fd = [row0] + [blank] * (max(1, lo - c) - 1)
-        prev = fd[-1]
-        for i in range(alo + len(fd) - 1,
-                       min(ahi + 1, alo + width - 1 + hi - c)):
-            ylo, yhi = i + 1 - blo - hi, i + 1 - blo - lo
-            if yhi >= width:
-                yhi = width - 1
+        # Column y's insert cost and lml relative to blo at cols[y - 1], up
+        # to the last column a band cell holds.
+        cols = [(ins[j], bl[j] - blo) for j in
+                range(blo, blo + min(ncols, ahi - alo + 1 + c - lo))]
+        fd = [row0] + [[inf]] * (max(1, lo - c) - 1)
+        prev, sp = fd[-1], 0  # the row before and its first column
+        for x in range(len(fd), min(ahi - alo + 1, ncols + hi - c) + 1):
+            i = alo + x - 1
+            s = x + c - hi  # this row's first and last columns
+            if s < 0:
+                s = 0
+            e = x + c - lo
+            if e > ncols:
+                e = ncols
             di = dels[i]
             tdi = td[i]
-            cur = blank[:]
-            if ylo <= 0:
-                cur[0] = prev[0] + di
-                ylo = 1
-            last = cur[ylo - 1]
-            vals = []
-            band = zip(cols[ylo - first:yhi + 1 - first], prev[ylo:yhi + 1],
-                       prev[ylo - 1:yhi])
+            cur = [inf] * (e - s + 2)
+            if s:
+                ya, last = s, inf
+            else:  # column 0 is on the band, and was on the row before
+                cur[0] = last = prev[0] + di
+                ya = 1
+            t0 = blo + ya - 1 - starts[i]  # column ya's entry in td[i]
+            off = t0 - ya + s  # entry k in td[i] is cur[k - off]
+            band = zip(range(t0, t0 + e - ya + 1), cols[ya - 1:e],
+                       prev[ya - sp:e - sp + 1], prev[ya - 1 - sp:e - sp])
             if al[i] == alo:
                 mpi, subi = mp[i], subs[i]
-                for (j, cj, bo), up, diag in band:
+                for k, (cj, bo), up, diag in band:
                     v = up + di
                     w = last + cj
                     if w < v:
                         v = w
                     if bo:
-                        w = row0[bo] + tdi[j]
+                        w = row0[bo] + tdi[k]
                         if w < v:
                             v = w
                     else:
-                        w = diag + subi[j]
-                        mpi[j] = w
+                        w = diag + subi[k]
+                        mpi[k] = w
                         if w < v:
                             v = w
-                        tdi[j] = v
-                    vals.append(v)
-                    last = v
+                        tdi[k] = v
+                    cur[k - off] = last = v
             else:
-                left = fd[al[i] - alo]
-                for (j, cj, bo), up, _ in band:
+                lx = al[i] - alo
+                left = fd[lx]
+                ls = lx + c - hi if lx else 0  # left's first column
+                if ls < 0:
+                    ls = 0
+                ln = len(left) - 1
+                for k, (cj, bo), up, _ in band:
                     v = up + di
                     w = last + cj
                     if w < v:
                         v = w
-                    w = left[bo] + tdi[j]
-                    if w < v:
-                        v = w
-                    vals.append(v)
-                    last = v
-            cur[ylo:yhi + 1] = vals
+                    bo -= ls
+                    if 0 <= bo < ln:
+                        w = left[bo] + tdi[k]
+                        if w < v:
+                            v = w
+                    cur[k - off] = last = v
             fd.append(cur)
-            prev = cur
+            prev, sp = cur, s
         return fd
 
     def cost(self) -> Cost:
-        total = self.root[-1][-1]
+        total = self.at(self.root, 0, len(self.al), len(self.bl))
         if total % self.scale:
             return Fraction(total, self.scale)
         return total // self.scale
@@ -313,7 +345,7 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree,
     t = _Tables(a, b, costs, bound)
     if t.slack < t.slack_for(t.cost()):
         t = _Tables(a, b, costs, t.cost())
-    al, bl, mp = t.al, t.bl, t.mp
+    al, bl, mp, at, starts = t.al, t.bl, t.mp, t.at, t.starts
     na, nb = len(al), len(bl)
     mapping: list[tuple[int, int]] = []
     deletions = insertions = substitutions = 0
@@ -321,19 +353,22 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree,
     while todo:
         alo, ahi, blo, bhi, fd = todo.pop()
         x, y = ahi - alo + 1, bhi - blo + 1
+        c = alo - blo
         if x and y and fd is None:
             fd = t.forest(alo, ahi, blo, bhi)
         while x and y:
             i, j = alo + x - 1, blo + y - 1
-            total = fd[x][y]
+            total = at(fd, c, x, y)
             li, lj = al[i] - alo, bl[j] - blo
-            if fd[li][lj] + mp[i][j] == total:
+            k = j - starts[i]  # (i, j)'s entry in mp and subs
+            if (0 <= k < len(mp[i])
+                    and at(fd, c, li, lj) + mp[i][k] == total):
                 mapping.append((i, j))
-                if t.subs[i][j]:
+                if t.subs[i][k]:
                     substitutions += 1
                 todo.append((al[i], i - 1, bl[j], j - 1, None))
                 x, y = li, lj
-            elif fd[x - 1][y] + t.dels[i] == total:
+            elif at(fd, c, x - 1, y) + t.dels[i] == total:
                 deletions += 1
                 x -= 1
             else:

@@ -519,3 +519,21 @@ def test_identity_cost_below_the_threshold_skips_the_tables(monkeypatch):
                                     tuple((i, i) for i in range(4)), 4, 4)
     assert type(script.cost) is int
     assert not built
+
+
+def test_tables_store_only_the_band():
+    # A same-shape pair at or above the shortcut's threshold builds tables;
+    # their rows hold the band's cells only, so their memory does not grow
+    # with the product of the sizes.
+    a = tree("m", *(t("c", t("x"), t("y")) for _ in range(100)))
+    b = tree("m", *(t("c", t("z" if k % 40 == 7 else "x"), t("y"))
+                    for k in range(100)))
+    tables = ted._Tables(a, b, UNIT_COSTS, 3)
+    width = tables.hi - tables.lo + 1
+    assert width == 3
+    assert max(map(len, tables.subs + tables.td + tables.mp)) <= width
+    assert max(map(len, tables.root[1:])) <= width + 1
+    script = tree_edit_distance(a, b)
+    assert script == ted.EditScript(3, 3, 0, 0,
+                                    tuple((i, i) for i in range(301)),
+                                    301, 301)
