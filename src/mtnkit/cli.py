@@ -21,7 +21,7 @@ from .harness import (
 from .metrics import ter_score
 from .model import iter_nodes, validate
 from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
-from .trees import project_tree, token_counts
+from .trees import project_tree, token_counts, untimeable
 from .xmlio import parse_work, serialize_work
 
 
@@ -183,7 +183,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
         g = project_tree(truth_m)
         p = project_tree(pred_m)
         if args.semantic:
-            g, p = g.timed(), p.timed()
+            for side, path, tree in (("truth", args.truth, g),
+                                     ("prediction", args.pred, p)):
+                if tree.timing_error is not None:
+                    raise untimeable(side, Path(path).name, truth_m.id,
+                                     tree.timing_error)
         script = tree_edit_distance(g, p, costs)
         if script.cost == 0:
             continue

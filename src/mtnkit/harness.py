@@ -28,6 +28,7 @@ from pathlib import Path
 from . import __version__
 from .metrics import CorpusTally, MeasureEval, evaluate_measure
 from .model import Measure, MTNWork
+from .trees import untimeable
 from .xmlio import FormatError, parse_work
 
 
@@ -210,15 +211,20 @@ def _evaluate_entry(args: tuple) -> PageOutcome:
     alignment = align_measures(entry, truth, predicted)
     out.discarded = alignment.discarded
     out.missed = alignment.missed
+    name = Path(entry.path).name
     for t, p in alignment.pairs:
         if p is not None:
             out.matched += 1
         elif config.matched_only:
             continue
-        ev = evaluate_measure(t, p, include_synthetic=config.include_synthetic)
+        try:
+            ev = evaluate_measure(t, p,
+                                  include_synthetic=config.include_synthetic)
+        except ValueError as exc:  # raised only for an untimeable truth
+            raise untimeable("truth", name, t.id, exc) from None
         if ev.untimed is not None:
             out.warnings.append(
-                f"prediction {Path(entry.path).name}: measure {ev.measure_id} "
+                f"prediction {name}: measure {ev.measure_id} "
                 f"not timed, its truth events count as missed: {ev.untimed}")
         out.evals.append(ev)
     return out

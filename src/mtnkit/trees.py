@@ -92,6 +92,15 @@ class LabeledTree:
 EMPTY_TREE = LabeledTree(None)
 
 
+def untimeable(side: str, name: str, measure_id: str,
+               error: ValueError) -> ValueError:
+    """The error that stops a run on a measure whose events could not be
+    timed, naming the side ("truth" or "prediction"), the file and the
+    measure."""
+    return ValueError(
+        f"{side} {name}: measure {measure_id} cannot be timed: {error}")
+
+
 def _meta(token: Token, ev: TimedEvent, is_rest: bool) -> NoteMeta:
     step = token.position.step
     return NoteMeta(staff=token.position.staff,

@@ -1,5 +1,6 @@
 """End-to-end command tests through main(): exit codes and outputs."""
 
+import dataclasses
 import json
 import os
 import re
@@ -420,11 +421,16 @@ def test_diff_untimeable_prediction_still_scripts(tmp_path, capsys):
 
 def test_semantic_diff_rejects_untimeable(tmp_path, capsys):
     truth, pred = untimeable_pair(tmp_path)
-    assert main(["diff", "--semantic", str(pred / "anthem.mtn.xml"),
-                 str(truth / "anthem.mtn.xml")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: chord has no noteheads\n"
-    assert captured.out == ""
+    # Either side may be the untimeable one; the error names it.
+    for args, side in (([pred, truth], "prediction"),
+                       ([truth, pred], "truth")):
+        assert main(["diff", "--semantic"]
+                    + [str(d / "anthem.mtn.xml") for d in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {side} anthem.mtn.xml: measure m1 cannot be timed: "
+            "chord has no noteheads\n")
+        assert captured.out == ""
 
 
 def anthem_manifest(tmp_path, truth):
@@ -470,11 +476,20 @@ def test_evaluate_scores_an_untimeable_prediction(tmp_path, capsys):
 
 def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys):
     truth, pred = untimeable_pair(tmp_path)
-    assert main(["evaluate", "--pred", str(truth), "--truth", str(pred),
-                 "--manifest", str(anthem_manifest(tmp_path, truth))]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: chord has no noteheads\n"
-    assert captured.out == ""
+    # Two pages, so that --jobs 2 runs them on the process pool.
+    (entry,) = read_manifest(
+        anthem_manifest(tmp_path, truth).read_text(encoding="utf-8"))
+    manifest = tmp_path / "two-pages.jsonl"
+    manifest.write_text(write_manifest(
+        [entry, dataclasses.replace(entry, page="2")]), encoding="utf-8")
+    for jobs in ("1", "2"):
+        assert main(["evaluate", "--pred", str(truth), "--truth", str(pred),
+                     "--manifest", str(manifest), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: truth anthem.mtn.xml: measure m1 cannot be timed: "
+            "chord has no noteheads\n")
+        assert captured.out == ""
 
 
 def mixed_onset_clefs(tmp_path):
