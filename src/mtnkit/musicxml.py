@@ -423,6 +423,16 @@ class _Converter:
                 f"{self.where}: <{element}> must be an integer, "
                 f"got {text!r}") from None
 
+    def staff_number(self, text: str, element: str) -> int:
+        """text as a staff number, 1 or more, or a ConversionError naming
+        element and text."""
+        value = self.integer(text, element)
+        if value < 1:
+            raise ConversionError(
+                f"{self.where}: <{element}> must be a positive integer, "
+                f"got {text!r}")
+        return value
+
     def staff_step(self, letter: str, octave: str, prefix: str,
                    clef: ClefState) -> int:
         """Staff step of <step> and <octave>, or with prefix "display-"."""
@@ -469,7 +479,7 @@ class _Converter:
         per_staff: dict[int, list[Node]] = {}
 
         for ce in elem.findall("clef"):
-            staff = self.integer(ce.get("number", "1"), "clef number")
+            staff = self.staff_number(ce.get("number", "1"), "clef number")
             state.staves = max(state.staves, staff)
             sign = ce.findtext("sign", "G")
             line = ce.findtext("line")
@@ -489,9 +499,9 @@ class _Converter:
                 Node(CLEF, (self.token(cs.label, staff, cs.line_step),)))
 
         for ke in elem.findall("key"):
-            target_staves = ([self.integer(ke.get("number"), "key number")]
-                             if ke.get("number")
-                             else list(range(1, state.staves + 1)))
+            target_staves = (
+                [self.staff_number(ke.get("number"), "key number")]
+                if ke.get("number") else list(range(1, state.staves + 1)))
             state.staves = max(state.staves, *target_staves)
             raw = ke.findtext("fifths")
             if raw is None:
@@ -506,9 +516,9 @@ class _Converter:
                         Node(KEY, tuple(tokens)))
 
         for te in elem.findall("time"):
-            target_staves = ([self.integer(te.get("number"), "time number")]
-                             if te.get("number")
-                             else list(range(1, state.staves + 1)))
+            target_staves = (
+                [self.staff_number(te.get("number"), "time number")]
+                if te.get("number") else list(range(1, state.staves + 1)))
             state.staves = max(state.staves, *target_staves)
             for staff in target_staves:
                 tokens = self.time_tokens(te, staff)
@@ -569,7 +579,7 @@ class _Converter:
 
     def handle_direction(self, elem: ET.Element,
                          state: _PartState) -> list[Node]:
-        staff = self.integer(elem.findtext("staff") or "1", "staff")
+        staff = self.staff_number(elem.findtext("staff") or "1", "staff")
         onset = state.cursor.now
         offset = elem.findtext("offset")
         if offset:
@@ -656,7 +666,7 @@ class _Converter:
 
     def handle_note(self, elem: ET.Element, state: _PartState,
                     events: list[_ChordEvent], top: list[Node]) -> None:
-        staff = self.integer(elem.findtext("staff") or "1", "staff")
+        staff = self.staff_number(elem.findtext("staff") or "1", "staff")
         state.staves = max(state.staves, staff)
         voice = elem.findtext("voice") or "1"
         grace = elem.find("grace") is not None

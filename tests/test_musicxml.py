@@ -944,6 +944,24 @@ _DIRECTION = ('<direction><direction-type><dynamics><p/></dynamics>'
               '</direction-type><staff>1</staff></direction>')
 
 
+def edited_score_error(tmp_path, old: str, new: str) -> str:
+    """The ConversionError text of a one-measure score, which converts as
+    written, after replacing old with new in it."""
+    body = (ATTRS_44 + _DIRECTION + _UNPITCHED
+            + note("C", 4, 2, "eighth", '<beam number="1">begin</beam>')
+            + note("D", 4, 2, "eighth", '<beam number="1">end</beam>')
+            + note("E", 4, 4, "quarter", "<staff>1</staff>"))
+    path = tmp_path / "bad.musicxml"
+    path.write_text(score(f'<measure number="1">{body}</measure>'))
+    convert_path(path)  # the unedited score converts
+    assert old in body
+    path.write_text(score(f'<measure number="1">{body.replace(old, new)}'
+                          '</measure>'))
+    with pytest.raises(ConversionError) as info:
+        convert_path(path)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("old, new, element, bad", [
     ("<staff>1</staff>", "<staff>x</staff>", "staff", "x"),
     ("<octave>4</octave>", "<octave>four</octave>", "octave", "four"),
@@ -959,17 +977,21 @@ _DIRECTION = ('<direction><direction-type><dynamics><p/></dynamics>'
 ])
 def test_bad_integer_rejected_naming_element(tmp_path, old, new, element,
                                              bad):
-    body = (ATTRS_44 + _DIRECTION + _UNPITCHED
-            + note("C", 4, 2, "eighth", '<beam number="1">begin</beam>')
-            + note("D", 4, 2, "eighth", '<beam number="1">end</beam>')
-            + note("E", 4, 4, "quarter", "<staff>1</staff>"))
-    path = tmp_path / "bad.musicxml"
-    path.write_text(score(f'<measure number="1">{body}</measure>'))
-    convert_path(path)  # the unedited score converts
-    assert old in body
-    path.write_text(score(f'<measure number="1">{body.replace(old, new)}'
-                          '</measure>'))
-    with pytest.raises(ConversionError) as info:
-        convert_path(path)
-    assert str(info.value) == (f"{path}: part P1 measure 1: <{element}> "
-                               f"must be an integer, got {bad!r}")
+    assert edited_score_error(tmp_path, old, new) == (
+        f"{tmp_path / 'bad.musicxml'}: part P1 measure 1: <{element}> "
+        f"must be an integer, got {bad!r}")
+
+
+@pytest.mark.parametrize("old, new, element, bad", [
+    ("</direction-type><staff>1<", "</direction-type><staff>0<", "staff",
+     "0"),
+    ("</type><staff>1<", "</type><staff>-1<", "staff", "-1"),
+    ("<clef>", '<clef number="0">', "clef number", "0"),
+    ("<key>", '<key number="-1">', "key number", "-1"),
+    ("<time>", '<time number="0">', "time number", "0"),
+])
+def test_staff_number_below_one_rejected_naming_element(tmp_path, old, new,
+                                                        element, bad):
+    assert edited_score_error(tmp_path, old, new) == (
+        f"{tmp_path / 'bad.musicxml'}: part P1 measure 1: <{element}> "
+        f"must be a positive integer, got {bad!r}")
