@@ -507,6 +507,51 @@ def test_note_modifier_warning_text(mark, warning, added):
         ["notehead_white"] + added)
 
 
+def _attrs_with_time(time: str) -> str:
+    return ATTRS_44.replace(
+        "<time><beats>4</beats><beat-type>4</beat-type></time>", time)
+
+
+_WHOLE = note("C", 5, 16, "whole")
+_EIGHTHS_UNENDED = (
+    note("C", 5, 2, "eighth", '<beam number="1">begin</beam>')
+    + note("D", 5, 2, "eighth", '<beam number="1">continue</beam>'))
+_DOTTED_HALF = note("E", 5, 12, "half", "<dot/>")
+
+
+@pytest.mark.parametrize("measure, warning", [
+    (f'<measure number="0" implicit="yes">{ATTRS_44}{_WHOLE}</measure>',
+     "part P1 measure 0: pickup measure (implicit); converted as ordinary"),
+    ('<measure number="1">'
+     + _attrs_with_time("<time><senza-misura/></time>")
+     + f"{_WHOLE}</measure>",
+     "part P1 measure 1: senza-misura time signature has no tokens"),
+    ('<measure number="1">'
+     + _attrs_with_time('<time symbol="single-number"><beats>4</beats>'
+                        "<beat-type>4</beat-type></time>")
+     + f"{_WHOLE}</measure>",
+     "part P1 measure 1: time symbol 'single-number' rendered as numbers"),
+    (f'<measure number="1">{ATTRS_44}<barline location="left">'
+     f'<ending number="1" type="start"/></barline>{_WHOLE}</measure>',
+     "part P1 measure 1: volta ending bracket is not representable"),
+    (f'<measure number="1">{ATTRS_44}<note><rest/><duration>16</duration>'
+     "</note></measure>",
+     "part P1 measure 1: typeless rest classified by duration"),
+    (f'<measure number="1">{ATTRS_44}<note><rest/><duration>16</duration>'
+     "<type>1024th</type></note></measure>",
+     "part P1 measure 1: rest type '1024th' unsupported; using duration"),
+    # A run cut off by an unbeamed note, then one cut off by the measure end.
+    (f'<measure number="1">{ATTRS_44}{_EIGHTHS_UNENDED}{_DOTTED_HALF}'
+     "</measure>",
+     "part P1 measure 1: beam run without an end; closed early"),
+    (f'<measure number="1">{ATTRS_44}{_DOTTED_HALF}{_EIGHTHS_UNENDED}'
+     "</measure>",
+     "part P1 measure 1: beam run without an end; closed early"),
+])
+def test_converter_warning_text(measure, warning):
+    assert convert_score(score(measure)).warnings == [warning]
+
+
 def test_dangling_pair_warnings_name_each_pair():
     slur = '<notations><slur type="{}"/></notations>'
     body = (f'<measure number="1">{ATTRS_44}'
