@@ -11,12 +11,12 @@ leftmost path. Every node pair lies on exactly one such pair of paths.
 
 The tables are banded by an upper bound U on the distance (after Touzet,
 "A linear tree edit distance algorithm for similar ordered trees", CPM
-2005). Let c_min be the least delete or insert cost, so a mapping that
-leaves k nodes unmapped costs at least k * c_min. Say a mapping splits at
-(p, q) when it maps a's first p postorder nodes only to b's first q nodes
-and back. It then leaves at least |d| nodes unmapped before the split and
-|D - d| after it, where d = p - q and D = na - nb, so a mapping of cost at
-most U has |d| + |D - d| <= K = floor(U / c_min) at each split: min(0, D)
+2005). Let c_min be the least delete or insert cost, and K the most nodes
+a mapping of cost at most U can leave unmapped (see below). Say a mapping
+splits at (p, q) when it maps a's first p postorder nodes only to b's
+first q nodes and back. It then leaves at least |d| nodes unmapped before
+the split and |D - d| after it, where d = p - q and D = na - nb, so a
+mapping of cost at most U has |d| + |D - d| <= K at each split: min(0, D)
 - s <= d <= max(0, D) + s with s = floor((K - |D|) / 2). An optimal
 mapping splits at every forest-table cell (alo + x, blo + y) its
 derivation reads, and at (i + 1, j + 1) for each of its pairs (i, j),
@@ -30,20 +30,40 @@ band is stored, so a row takes at most as many cells as the band is wide:
 a same-shape pair answered by the tables takes little more memory than
 one the identity shortcut answers.
 
+K comes from a label histogram, which bounds every mapping from below
+(after Kailing et al., "Efficient similarity search for hierarchical data
+in large databases", EDBT 2004). A mapping that leaves k nodes unmapped
+holds (na + nb - k) / 2 pairs. At most `common` of them can have equal
+labels, where common is the size of the multiset intersection of the two
+trees' labels. Every other pair costs at least the relabel floor r of the
+cost model: 1 under unit costs, and 1/2 under the semantic costs. So
+
+    cost >= c_min * k + r * max(0, (na + nb - k) / 2 - common),
+
+and K is the largest k for which that is at most U. A cost model whose
+substitute function is not one of those two gets r = 0, which leaves K =
+floor(U / c_min): the bound counts unmapped nodes only.
+
 When both trees have the same shape, U is the cost of mapping each node to
-the node with its index. The identity script returns at once if U = 0, or
-if U is less than the least delete cost in a plus the least insert cost in
-b. Equal shapes mean equal sizes, so any other mapping leaves at least one
-node of each tree unmapped and costs at least that sum. A mapping that
-covers every node of two trees of equal size is the identity, because an
-ordered mapping preserves postorder. So below the sum the identity is the
-only optimal script, whatever the non-negative costs, and the tables would
-return it too. At the sum another script can tie with it, and the
-backtrace's preference (below) decides. So at the sum or above it, and for
-trees of different shapes, a first pass with s = 1, which still lets
-deletes and inserts reach the last cell, yields the cost of some mapping,
-and a second pass runs only if that bound needs a wider band. A free
-delete or insert (c_min = 0) leaves no band.
+the node with its index. Equal shapes mean equal sizes n, and a mapping
+that covers every node of two trees of equal size is the identity, because
+an ordered mapping preserves postorder. Any other mapping leaves j >= 1
+nodes of each tree unmapped, so it costs at least j * S + r * max(0, n - j
+- common), where S is the least delete cost in a plus the least insert
+cost in b. That is least at j = 1 or at j = n - common. The identity maps
+all n pairs, so U >= r * (n - common), and when the bound at j = n -
+common is the smaller, S < r and U exceeds both. So the identity script
+returns at once if U = 0 or U < S + r * max(0, n - 1 - common), the bound
+at j = 1. There the identity is the only optimal script, whatever the
+non-negative costs, and the tables would return it too. Under unit costs
+the identity returns exactly when U = n - common. The histogram is counted
+only when U >= S, since below S the identity returns without it. At the
+bound another script can tie with the identity, and the backtrace's
+preference (below) decides. So at the bound or above it, and for trees of
+different shapes, a first pass with s = 1, which still lets deletes and
+inserts reach the last cell, yields the cost of some mapping, and a second
+pass runs only if that bound needs a wider band. A free delete or insert
+(c_min = 0) leaves no band.
 
 Deletes and inserts are costed once per node. All costs are scaled to
 integers by the least common multiple of their denominators (half-units
@@ -59,6 +79,7 @@ which yields the leftmost optimal mapping for this traversal order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -88,7 +109,8 @@ class CostModel:
 class SemanticCostModel(CostModel):
     """Unit costs, except notehead-to-notehead relabels which compare
     (staff, step, head class): equal on all three costs 0, differing in
-    exactly one costs 1/2, otherwise 1."""
+    exactly one costs 1/2, otherwise 1. The head class is the label, so a
+    relabel between differing labels costs at least 1/2."""
 
     def substitute(self, a: TreeNode, b: TreeNode) -> Cost:
         if (a.meta is not None and b.meta is not None
@@ -97,7 +119,7 @@ class SemanticCostModel(CostModel):
                 and b.label in vocabulary.NOTEHEADS):
             diffs = ((a.meta.staff != b.meta.staff)
                      + (a.meta.step != b.meta.step)
-                     + (a.meta.head != b.meta.head))
+                     + (a.label != b.label))
             if diffs == 0:
                 return 0
             if diffs == 1:
@@ -108,6 +130,11 @@ class SemanticCostModel(CostModel):
 
 UNIT_COSTS = CostModel()
 SEMANTIC_COSTS = SemanticCostModel()
+
+# The least cost of a relabel between differing labels, by the substitute
+# function that costs it; any other substitute function has floor 0.
+_RELABEL_FLOOR = {CostModel.substitute: 1,
+                  SemanticCostModel.substitute: Fraction(1, 2)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +177,25 @@ def _identity_cost(a: LabeledTree, b: LabeledTree,
     return total, changed
 
 
+def _histogram_floor(a: LabeledTree, b: LabeledTree,
+                     costs: CostModel) -> tuple[Cost, int]:
+    """The relabel floor r of costs and, if r > 0, the number of node pairs
+    that can have equal labels (see the module docstring); (0, 0) if no
+    relabel floor is known."""
+    r = _RELABEL_FLOOR.get(getattr(costs.substitute, "__func__", None), 0)
+    if not r:
+        return 0, 0
+    common = (Counter(x.label for x in a.nodes)
+              & Counter(y.label for y in b.nodes))
+    return r, common.total()
+
+
 class _Tables:
     """Scaled costs and the banded Zhang-Shasha tables of one tree pair.
 
     bound is the cost of some mapping, or None for a first, narrow pass
-    whose own cost then bounds the distance.
+    whose own cost then bounds the distance. floor is _histogram_floor's
+    (r, common); the default (0, 0) bounds by unmapped nodes only.
 
     Only cells on the band are stored. subs, td and mp hold, for node i of
     a, the nodes j of b in window i, from starts[i] = max(0, i - hi) up to
@@ -165,13 +206,14 @@ class _Tables:
     """
 
     def __init__(self, a: LabeledTree, b: LabeledTree, costs: CostModel,
-                 bound: Cost | None):
+                 bound: Cost | None, floor: tuple[Cost, int] = (0, 0)):
         an, bn = a.nodes, b.nodes
         na, nb = len(an), len(bn)
         al, bl = self.al, self.bl = a.lml, b.lml
         dels = [costs.delete(x) for x in an]
         ins = [costs.insert(y) for y in bn]
         self.least = min(dels + ins, default=0)
+        self.floor = floor
         self.slack = slack = self.slack_for(bound)
         lo = self.lo = min(0, na - nb) - slack
         hi = self.hi = max(0, na - nb) + slack
@@ -209,12 +251,20 @@ class _Tables:
     def slack_for(self, bound: Cost | None) -> int:
         """The band's slack s for a bound on the distance, None for the
         first pass (see the module docstring)."""
-        na, nb = len(self.al), len(self.bl)
-        if not self.least:
+        na, nb, c = len(self.al), len(self.bl), self.least
+        if not c:
             return na + nb
         if bound is None:
             return 1
-        return (bound // self.least - abs(na - nb)) // 2
+        r, common = self.floor
+        k = bound // c
+        # The histogram term can lift the bound at k = floor(U / c) above
+        # U. K then lies where that term is positive and the bound, c * k +
+        # r * ((na + nb - k) / 2 - common), rises to U; that needs 2 * c >
+        # r, which a U that some mapping costs ensures.
+        if 2 * c * k + r * (na + nb - k - 2 * common) > 2 * bound:
+            k = (2 * bound - r * (na + nb - 2 * common)) // (2 * c - r)
+        return (k - abs(na - nb)) // 2
 
     def at(self, fd: list[list[int]], c: int, x: int, y: int) -> int:
         """Cell (x, y) of a forest table whose intervals start at alo and
@@ -332,19 +382,27 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree,
                        costs: CostModel = UNIT_COSTS) -> EditScript:
     """Minimum-cost edit script turning tree a into tree b."""
     identity = _identity_cost(a, b, costs)
-    bound = None
+    bound = floor = None
     if identity is not None:
         bound, changed = identity
-        if not bound or bound < (min(map(costs.delete, a.nodes))
-                                 + min(map(costs.insert, b.nodes))):
-            n = len(a.nodes)
+        n = len(a.nodes)
+        if bound:
+            # The bound at j = 1 on any other mapping (module docstring).
+            least = (min(map(costs.delete, a.nodes))
+                     + min(map(costs.insert, b.nodes)))
+            if bound >= least:
+                floor = r, common = _histogram_floor(a, b, costs)
+                least += r * max(0, n - 1 - common)
+        if not bound or bound < least:
             if bound.denominator == 1:  # an int, as _Tables.cost() gives
                 bound = bound.numerator
             return EditScript(bound, changed, 0, 0,
                               tuple((i, i) for i in range(n)), n, n)
-    t = _Tables(a, b, costs, bound)
+    if floor is None:
+        floor = _histogram_floor(a, b, costs)
+    t = _Tables(a, b, costs, bound, floor)
     if t.slack < t.slack_for(t.cost()):
-        t = _Tables(a, b, costs, t.cost())
+        t = _Tables(a, b, costs, t.cost(), floor)
     al, bl, mp, at, starts = t.al, t.bl, t.mp, t.at, t.starts
     na, nb = len(al), len(bl)
     mapping: list[tuple[int, int]] = []

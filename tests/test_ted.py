@@ -10,7 +10,8 @@ from oracles import brute_force_distance
 from mtnkit import ted
 from mtnkit.model import NOTE_GROUP, Node
 from mtnkit.ted import (
-    CostModel, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance,
+    CostModel, SEMANTIC_COSTS, SemanticCostModel, UNIT_COSTS,
+    tree_edit_distance,
 )
 from mtnkit.trees import LabeledTree, NoteMeta, TreeNode
 
@@ -483,8 +484,8 @@ def _count_tables(monkeypatch):
 
     class Counted(ted._Tables):
         def __init__(self, *args):
-            built.append(args)
             super().__init__(*args)
+            built.append(self)
 
     monkeypatch.setattr(ted, "_Tables", Counted)
     return built
@@ -537,3 +538,167 @@ def test_tables_store_only_the_band():
     assert script == ted.EditScript(3, 3, 0, 0,
                                     tuple((i, i) for i in range(301)),
                                     301, 301)
+
+
+def _glued(rng, target):
+    # Children of random measures glued until the projection has at least
+    # target nodes.
+    from builders import measure, random_measure
+    from mtnkit.trees import project_tree
+
+    kids = ()
+    while len(project_tree(measure(*kids)).nodes) < target:
+        kids += random_measure(rng, "m").children
+    return kids
+
+
+def test_histogram_bound_changes_no_script(monkeypatch):
+    # Same-shape relabels, step shifts and dropped note groups under unit
+    # and semantic costs: the label-histogram bound must give the full
+    # EditScript, and the cost's type, of the engine without it, while it
+    # skips tables or narrows their band.
+    from builders import measure
+    from mtnkit.trees import project_tree
+
+    rng = random.Random(1414)
+    pairs = []
+    for _ in range(60):
+        a = random_tree(rng, 25, "abcd")
+        if a.root is not None:
+            pairs.append((a, _relabel_at(rng, a, "abcd", rng.randint(1, 5))))
+    for k in range(40):
+        kids = _glued(rng, rng.choice((20, 40, 80)))
+        if k % 4 == 0:
+            pred = _relabel_every_third_black(kids)
+        elif k % 4 == 1:
+            pred = _edit_noteheads(rng, kids, rng.choice((0.1, 0.3)))
+        elif k % 4 == 2:
+            pred = _shift_every_fourth_step(kids)
+        else:
+            groups = [i for i, c in enumerate(kids) if c.kind == NOTE_GROUP]
+            drop = rng.choice(groups)
+            pred = kids[:drop] + kids[drop + 1:]
+        pairs.append((project_tree(measure(*kids)),
+                      project_tree(measure(*pred))))
+    built = _count_tables(monkeypatch)
+    models = (UNIT_COSTS, SEMANTIC_COSTS)
+    bounded = [[tree_edit_distance(a, b, costs) for costs in models]
+               for a, b in pairs]
+    tables, slack = len(built), sum(t.slack for t in built)
+    built.clear()
+    monkeypatch.setattr(ted, "_RELABEL_FLOOR", {})
+    for (a, b), scripts in zip(pairs, bounded):
+        for costs, got in zip(models, scripts):
+            want = tree_edit_distance(a, b, costs)
+            assert got == want, (a, b, costs)
+            assert type(got.cost) is type(want.cost)
+    assert tables < len(built)
+    assert slack < sum(t.slack for t in built)
+
+
+def test_relabel_only_pair_skips_the_tables(monkeypatch):
+    # Under unit costs a same-shape pair whose relabels all turn black
+    # noteheads white costs exactly the histogram bound n - common, so only
+    # the identity is optimal; the shortcut before the bound built tables.
+    from builders import measure
+    from mtnkit.trees import project_tree
+
+    kids = _glued(random.Random(411), 400)
+    a = project_tree(measure(*kids))
+    b = project_tree(measure(*_relabel_every_third_black(kids)))
+    n = len(a.nodes)
+    assert n >= 400 and a.lml == b.lml
+    built = _count_tables(monkeypatch)
+    script = tree_edit_distance(a, b)
+    assert not built
+    k = script.substitutions
+    assert k >= 3
+    assert script == ted.EditScript(k, k, 0, 0,
+                                    tuple((i, i) for i in range(n)), n, n)
+    monkeypatch.setattr(ted, "_RELABEL_FLOOR", {})
+    assert tree_edit_distance(a, b) == script
+    assert built
+
+
+def test_relabels_that_swap_labels_go_through_the_tables(monkeypatch):
+    # One black-to-white and one white-to-black relabel: U = 2, but the two
+    # trees hold the same labels, so the histogram bound is 0 and a delete
+    # plus an insert could tie with the identity.
+    def heads(white):
+        return tree("m", *(head(1, step, "notehead_white" if step == white
+                                else "notehead_black") for step in range(8)))
+
+    a, b = heads(2), heads(5)
+    assert ted._histogram_floor(a, b, UNIT_COSTS) == (1, 9)
+    built = _count_tables(monkeypatch)
+    script = tree_edit_distance(a, b)
+    assert built
+    assert script == ted.EditScript(2, 2, 0, 0,
+                                    tuple((i, i) for i in range(9)), 9, 9)
+    # At U = n - common + 1 = 2, the bound on the next-best mapping, one
+    # can tie: mapping the two "a" leaves costs a delete and an insert.
+    built.clear()
+    assert tree_edit_distance(tree("r", t("a"), t("x")),
+                              tree("r", t("y"), t("a"))).cost == 2
+    assert built
+
+
+def test_semantic_relabel_floor_is_a_half():
+    # Five black noteheads a step apart, then ten white noteheads made
+    # breves at the same step, 1/2 each: the identity costs 5/2 + 10/2 =
+    # 15/2, above the 13/2 that the floor of 1/2 allows another mapping.
+    # Deleting the first black and inserting one after the last costs 2 +
+    # 10/2 = 7; a floor of 1 would have returned the identity.
+    a = tree("m", *(head(1, s) for s in range(5)),
+             *(head(1, s, "notehead_white") for s in range(10)))
+    b = tree("m", *(head(1, s) for s in range(1, 6)),
+             *(head(1, s, "notehead_breve") for s in range(10)))
+    script = tree_edit_distance(a, b, SEMANTIC_COSTS)
+    assert (script.cost, script.deletions, script.insertions) == (7, 1, 1)
+
+
+class Quarters(SemanticCostModel):
+    # Cheaper relabels than the semantic floor of 1/2: a model whose
+    # substitute function the engine does not know gets no relabel floor.
+    def substitute(self, a, b):
+        if a.label != b.label:
+            return Fraction(1, 4)
+        return super().substitute(a, b)
+
+
+def test_unknown_substitute_matches_oracle():
+    costs = Quarters()
+    rng = random.Random(1404)
+    heads = ["notehead_black", "notehead_white"]
+
+    def leafy(depth=0):
+        kids = []
+        while depth < 2 and rng.random() < 0.4:
+            kids.append(leafy(depth + 1))
+        if not kids and rng.random() < 0.6:
+            return head(rng.randint(1, 2), rng.randint(0, 3),
+                        rng.choice(heads))
+        return TreeNode(rng.choice("mg"), tuple(kids))
+
+    checked = 0
+    while checked < 150:
+        a = LabeledTree(leafy())
+        b = (_relabel_at(rng, a, ["m", "g"] + heads, rng.randint(1, 3))
+             if checked % 2 else LabeledTree(leafy()))
+        if len(a.nodes) > 7 or len(b.nodes) > 7:
+            continue  # cheap relabels leave the oracle little to prune
+        checked += 1
+        assert ted._histogram_floor(a, b, costs) == (0, 0)
+        script = tree_edit_distance(a, b, costs)
+        assert script.cost == brute_force_distance(a, b, costs), (a, b)
+    # Five black noteheads a step apart, then ten white-to-breve relabels
+    # at 1/4: the identity costs 5/2 + 10/4 = 5, under the 13/2 a floor of
+    # 1/2 would allow any other mapping. Deleting the first black and
+    # inserting one after the last costs 2 + 10/4 = 9/2.
+    a = tree("m", *(head(1, s) for s in range(5)),
+             *(head(1, s, "notehead_white") for s in range(10)))
+    b = tree("m", *(head(1, s) for s in range(1, 6)),
+             *(head(1, s, "notehead_breve") for s in range(10)))
+    script = tree_edit_distance(a, b, costs)
+    assert (script.cost, script.deletions, script.insertions) == (
+        Fraction(9, 2), 1, 1)
