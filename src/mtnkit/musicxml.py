@@ -423,9 +423,9 @@ class _Converter:
                 f"{self.where}: <{element}> must be an integer, "
                 f"got {text!r}") from None
 
-    def staff_number(self, text: str, element: str) -> int:
-        """text as a staff number, 1 or more, or a ConversionError naming
-        element and text."""
+    def positive_integer(self, text: str, element: str) -> int:
+        """text as an int of 1 or more (a staff or beam number), or a
+        ConversionError naming element and text."""
         value = self.integer(text, element)
         if value < 1:
             raise ConversionError(
@@ -479,7 +479,7 @@ class _Converter:
         per_staff: dict[int, list[Node]] = {}
 
         for ce in elem.findall("clef"):
-            staff = self.staff_number(ce.get("number", "1"), "clef number")
+            staff = self.positive_integer(ce.get("number", "1"), "clef number")
             state.staves = max(state.staves, staff)
             sign = ce.findtext("sign", "G")
             line = ce.findtext("line")
@@ -500,7 +500,7 @@ class _Converter:
 
         for ke in elem.findall("key"):
             target_staves = (
-                [self.staff_number(ke.get("number"), "key number")]
+                [self.positive_integer(ke.get("number"), "key number")]
                 if ke.get("number") else list(range(1, state.staves + 1)))
             state.staves = max(state.staves, *target_staves)
             raw = ke.findtext("fifths")
@@ -517,7 +517,7 @@ class _Converter:
 
         for te in elem.findall("time"):
             target_staves = (
-                [self.staff_number(te.get("number"), "time number")]
+                [self.positive_integer(te.get("number"), "time number")]
                 if te.get("number") else list(range(1, state.staves + 1)))
             state.staves = max(state.staves, *target_staves)
             for staff in target_staves:
@@ -579,7 +579,7 @@ class _Converter:
 
     def handle_direction(self, elem: ET.Element,
                          state: _PartState) -> list[Node]:
-        staff = self.staff_number(elem.findtext("staff") or "1", "staff")
+        staff = self.positive_integer(elem.findtext("staff") or "1", "staff")
         onset = state.cursor.now
         offset = elem.findtext("offset")
         if offset:
@@ -666,7 +666,7 @@ class _Converter:
 
     def handle_note(self, elem: ET.Element, state: _PartState,
                     events: list[_ChordEvent], top: list[Node]) -> None:
-        staff = self.staff_number(elem.findtext("staff") or "1", "staff")
+        staff = self.positive_integer(elem.findtext("staff") or "1", "staff")
         state.staves = max(state.staves, staff)
         voice = elem.findtext("voice") or "1"
         grace = elem.find("grace") is not None
@@ -724,9 +724,14 @@ class _Converter:
         elif stem_text == "none":
             event.stem = "none"
         for be in elem.findall("beam"):
-            level = self.integer(be.get("number", "1"), "beam number")
+            level = self.positive_integer(be.get("number", "1"),
+                                          "beam number")
             event.beams[level] = (be.text or "").strip()
-        if not event.beams and ntype in _TYPE_FLAGS:
+        # note groups are built from level-1 beams only
+        if 1 not in event.beams and ntype in _TYPE_FLAGS:
+            if event.beams:
+                self.warn("beam without a level-1 beam ignored; "
+                          "the note keeps its flags")
             event.flags = _TYPE_FLAGS[ntype]
 
     def head_class(self, elem: ET.Element, ntype: str | None, duration: int,

@@ -280,6 +280,23 @@ def test_beamed_eighths_have_no_flags():
     assert labels.count("flag") == 0
 
 
+def test_beams_without_level_one_keep_the_flags():
+    # Note groups are built from level-1 beams only, so eighths beamed at
+    # level 2 alone get no beam: they keep their flags, with a warning.
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 2, "eighth", '<beam number="2">begin</beam>')
+            + note("D", 5, 2, "eighth", '<beam number="2">end</beam>')
+            + note("E", 5, 12, "half", "<dot/>") + "</measure>")
+    result = convert_score(score(body))
+    labels = [t.label for t in tokens_of(result.work.parts[0].measures[0])]
+    assert labels.count("flag") == 2
+    assert labels.count("beam") == 0
+    assert result.warnings == [
+        "part P1 measure 1: beam without a level-1 beam ignored; "
+        "the note keeps its flags"] * 2
+    assert validate(result.work) == []
+
+
 # -- chords, graces, stems ----------------------------------------------------
 
 def test_chord_event():
@@ -1039,4 +1056,12 @@ def test_staff_number_below_one_rejected_naming_element(tmp_path, old, new,
                                                         element, bad):
     assert edited_score_error(tmp_path, old, new) == (
         f"{tmp_path / 'bad.musicxml'}: part P1 measure 1: <{element}> "
+        f"must be a positive integer, got {bad!r}")
+
+
+@pytest.mark.parametrize("bad", ["0", "-1"])
+def test_beam_number_below_one_rejected(tmp_path, bad):
+    assert edited_score_error(
+        tmp_path, '<beam number="1">end', f'<beam number="{bad}">end') == (
+        f"{tmp_path / 'bad.musicxml'}: part P1 measure 1: <beam number> "
         f"must be a positive integer, got {bad!r}")
