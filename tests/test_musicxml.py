@@ -564,6 +564,46 @@ _DOTTED_HALF = note("E", 5, 12, "half", "<dot/>")
     (f'<measure number="1">{ATTRS_44}{_DOTTED_HALF}{_EIGHTHS_UNENDED}'
      "</measure>",
      "part P1 measure 1: beam run without an end; closed early"),
+    (f'<measure number="1">{ATTRS_44}<sketch/>{_WHOLE}</measure>',
+     "part P1 measure 1: unhandled element <sketch>"),
+    ('<measure number="1">'
+     + ATTRS_44.replace("</attributes>", "<directive>Allegro</directive>"
+                        "</attributes>")
+     + f"{_WHOLE}</measure>",
+     "part P1 measure 1: unhandled attributes content <directive>"),
+    (f'<measure number="1">{ATTRS_44}<direction><direction-type><swirl/>'
+     f"</direction-type></direction>{_WHOLE}</measure>",
+     "part P1 measure 1: unhandled direction <swirl>"),
+    ('<measure number="1">'
+     + _attrs_with_time("<time><beats>4</beats><beat-type>x</beat-type>"
+                        "</time>")
+     + f"{_WHOLE}</measure>",
+     "part P1 measure 1: non-numeric time signature part 'x'"),
+    (f'<measure number="1">{ATTRS_44}<direction><direction-type><dynamics>'
+     "<p/></dynamics></direction-type><offset>soon</offset></direction>"
+     f"{_WHOLE}</measure>",
+     "part P1 measure 1: bad direction offset 'soon'"),
+    (f'<measure number="1">{ATTRS_44}<direction><direction-type><dynamics>'
+     "<p/></dynamics></direction-type><offset>-4</offset></direction>"
+     f"{_WHOLE}</measure>",
+     "part P1 measure 1: direction offset before measure start; clamped"),
+    (f'<measure number="1">{ATTRS_44}<direction><direction-type><dynamics>'
+     "<other-dynamics>mfz</other-dynamics></dynamics></direction-type>"
+     f"</direction>{_WHOLE}</measure>",
+     "part P1 measure 1: dynamics mark <other-dynamics> unsupported"),
+    (f'<measure number="1">{ATTRS_44}{_WHOLE}<barline location="right">'
+     "<bar-style>dashed</bar-style></barline></measure>",
+     "part P1 measure 1: bar style 'dashed' approximated as regular"),
+    (f'<measure number="1">{ATTRS_44}{_WHOLE}<barline location="right">'
+     "<bar-style>wavy</bar-style></barline></measure>",
+     "part P1 measure 1: bar style 'wavy' unsupported"),
+    (f'<measure number="1">{ATTRS_44}{_WHOLE}<barline location="right">'
+     '<repeat direction="sideways"/></barline></measure>',
+     "part P1 measure 1: repeat direction 'sideways' unsupported"),
+    (f'<measure number="1">{ATTRS_44}<note><unpitched/>'
+     "<duration>16</duration><type>whole</type></note></measure>",
+     "part P1 measure 1: unpitched note without display position; "
+     "placed on the middle line"),
 ])
 def test_converter_warning_text(measure, warning):
     assert convert_score(score(measure)).warnings == [warning]
