@@ -5,9 +5,13 @@ indentation, attributes in alphabetical order, onsets as exact fractions in
 lowest terms. Serializing a parsed file reproduces it byte for byte, and two
 equal works always serialize identically.
 
-The parser is expat-based so every error carries a line and column. Files
-whose sibling order is not canonical are accepted, reordered, and reported
-through the warning callback.
+The parser is expat-based so every error carries a line and column. One
+table gives each element its attributes and the elements it may sit
+directly under: work at the top, part under work, measure under part, nodes
+under a measure or a node, tokens under a node, and nothing under a token.
+An element anywhere else is refused as misplaced. Files whose sibling order
+is not canonical are accepted, reordered, and reported through the warning
+callback.
 """
 
 from __future__ import annotations
@@ -139,11 +143,21 @@ def serialize_work(work: MTNWork) -> bytes:
 # ---------------------------------------------------------------------------
 # Parsing.
 
-_WORK_ATTRS = {"mtn-version", "work_id"}
-_PART_ATTRS = {"staff_count"}
-_MEASURE_ATTRS = {"id", "line_start"}
-_NODE_ATTRS = {"onset", "synthetic"}
-_TOKEN_ATTRS = {"id", "label", "staff", "step", "pair", "value"}
+# Each element's allowed attributes, its required ones in the order they are
+# checked, and the elements it may sit directly under ("" is the document).
+_NODE_PARENTS = frozenset({"measure", *NODE_KINDS})
+_ELEMENTS = {
+    "work": (frozenset({"mtn-version", "work_id"}),
+             ("mtn-version", "work_id"), frozenset({""})),
+    "part": (frozenset({"staff_count"}), ("staff_count",),
+             frozenset({"work"})),
+    "measure": (frozenset({"id", "line_start"}), ("id",),
+                frozenset({"part"})),
+    "token": (frozenset({"id", "label", "staff", "step", "pair", "value"}),
+              ("id", "label", "staff"), NODE_KINDS),
+    **{kind: (frozenset({"onset", "synthetic"}), (), _NODE_PARENTS)
+       for kind in NODE_KINDS},
+}
 
 
 class _Parser:
@@ -153,33 +167,16 @@ class _Parser:
         self.expat.StartElementHandler = self.start
         self.expat.EndElementHandler = self.end
         self.expat.CharacterDataHandler = self.text
-        self.work_attrs: dict[str, str] | None = None
-        self.parts: list[Part] = []
-        self.part_attrs: dict[str, str] | None = None
-        self.measures: list[Measure] = []
-        self.measure_attrs: dict[str, str] | None = None
-        self.stack: list[tuple[str, dict[str, str], list]] = []
+        # One (name, attributes, children) frame per open element. A
+        # token's frame holds its Token, built where its numbers are read.
+        self.stack: list[tuple[str, dict[str, str] | Token, list]] = [
+            ("", {}, [])]
         self.token_ids: set[str] = set()
         self.measure_ids: set[str] = set()
 
-    def where(self) -> tuple[int, int]:
-        return (self.expat.CurrentLineNumber,
-                self.expat.CurrentColumnNumber + 1)
-
     def err(self, cls, message: str):
-        line, col = self.where()
-        raise cls(message, line, col)
-
-    def check_attrs(self, name: str, attrs: dict[str, str],
-                    allowed: set[str], required: set[str]) -> None:
-        for key in attrs:
-            if key not in allowed:
-                self.err(UnknownAttributeError,
-                         f"unknown attribute {key!r} on <{name}>")
-        for key in required:
-            if key not in attrs:
-                self.err(UnknownAttributeError,
-                         f"<{name}> is missing attribute {key!r}")
+        raise cls(message, self.expat.CurrentLineNumber,
+                  self.expat.CurrentColumnNumber + 1)
 
     def fraction(self, raw: str, what: str) -> Fraction:
         try:
@@ -195,83 +192,69 @@ class _Parser:
             self.err(FractionSyntaxError, f"bad {what} number {raw!r}")
 
     def start(self, name: str, attrs: dict[str, str]) -> None:
-        if name == "work":
-            if self.work_attrs is not None or self.stack:
-                self.err(UnknownElementError, "misplaced <work>")
-            self.check_attrs(name, attrs, _WORK_ATTRS, _WORK_ATTRS)
-            if attrs["mtn-version"] != MTN_VERSION:
+        spec = _ELEMENTS.get(name)
+        if spec is None:
+            self.err(UnknownElementError, f"unknown element <{name}>")
+        allowed, required, parents = spec
+        if self.stack[-1][0] not in parents:
+            self.err(UnknownElementError, f"misplaced <{name}>")
+        # the document, work, part and measure frames sit above the nodes
+        if name in NODE_KINDS and len(self.stack) > MAX_NODE_DEPTH + 3:
+            self.err(FormatError, f"<{name}> nested deeper than "
+                     f"{MAX_NODE_DEPTH} nodes")
+        for key in attrs:
+            if key not in allowed:
                 self.err(UnknownAttributeError,
-                         f"unsupported mtn-version {attrs['mtn-version']!r}")
-            self.work_attrs = attrs
-        elif name == "part":
-            if self.work_attrs is None or self.part_attrs is not None:
-                self.err(UnknownElementError, "misplaced <part>")
-            self.check_attrs(name, attrs, _PART_ATTRS, _PART_ATTRS)
-            self.part_attrs = attrs
-            self.measures = []
+                         f"unknown attribute {key!r} on <{name}>")
+        for key in required:
+            if key not in attrs:
+                self.err(UnknownAttributeError,
+                         f"<{name}> is missing attribute {key!r}")
+        if name == "token":
+            self.stack.append((name, self.token(attrs), []))
+            return
+        if name == "work" and attrs["mtn-version"] != MTN_VERSION:
+            self.err(UnknownAttributeError,
+                     f"unsupported mtn-version {attrs['mtn-version']!r}")
         elif name == "measure":
-            if self.part_attrs is None or self.measure_attrs is not None:
-                self.err(UnknownElementError, "misplaced <measure>")
-            self.check_attrs(name, attrs, _MEASURE_ATTRS, {"id"})
             if attrs["id"] in self.measure_ids:
                 self.err(DuplicateIdError,
                          f"measure id {attrs['id']!r} already used")
             self.measure_ids.add(attrs["id"])
-            self.measure_attrs = attrs
-            self.stack = [("__measure__", attrs, [])]
-        elif name == "token":
-            if self.measure_attrs is None or len(self.stack) < 2:
-                self.err(UnknownElementError, "misplaced <token>")
-            self.check_attrs(name, attrs, _TOKEN_ATTRS,
-                             {"id", "label", "staff"})
-            if attrs["id"] in self.token_ids:
-                self.err(DuplicateIdError,
-                         f"token id {attrs['id']!r} already used")
-            self.token_ids.add(attrs["id"])
-            step = (self.integer(attrs["step"], "step")
-                    if "step" in attrs else None)
-            value = (self.integer(attrs["value"], "value")
-                     if "value" in attrs else None)
-            token = Token(
-                attrs["id"], attrs["label"],
-                StaffPosition(self.integer(attrs["staff"], "staff"), step),
-                pair_id=attrs.get("pair"), numeric_value=value)
-            self.stack[-1][2].append(token)
-            self.stack.append(("__token__", attrs, []))
-        elif name in NODE_KINDS:
-            if self.measure_attrs is None:
-                self.err(UnknownElementError, f"misplaced <{name}>")
-            if len(self.stack) > MAX_NODE_DEPTH:
-                self.err(FormatError, f"<{name}> nested deeper than "
-                         f"{MAX_NODE_DEPTH} nodes")
-            self.check_attrs(name, attrs, _NODE_ATTRS, set())
-            self.stack.append((name, attrs, []))
-        else:
-            self.err(UnknownElementError, f"unknown element <{name}>")
+        self.stack.append((name, attrs, []))
+
+    def token(self, attrs: dict[str, str]) -> Token:
+        if attrs["id"] in self.token_ids:
+            self.err(DuplicateIdError,
+                     f"token id {attrs['id']!r} already used")
+        self.token_ids.add(attrs["id"])
+        step = (self.integer(attrs["step"], "step")
+                if "step" in attrs else None)
+        value = (self.integer(attrs["value"], "value")
+                 if "value" in attrs else None)
+        staff = self.integer(attrs["staff"], "staff")
+        return Token(attrs["id"], attrs["label"], StaffPosition(staff, step),
+                     pair_id=attrs.get("pair"), numeric_value=value)
 
     def end(self, name: str) -> None:
+        _, attrs, children = self.stack.pop()
         if name == "token":
-            self.stack.pop()
-            return
-        if name in NODE_KINDS:
-            kind, attrs, children = self.stack.pop()
+            item = attrs
+        elif name in NODE_KINDS:
             onset = (self.fraction(attrs["onset"], "onset")
                      if "onset" in attrs else None)
-            node = Node(kind, tuple(children), onset=onset,
+            item = Node(name, tuple(children), onset=onset,
                         synthetic=attrs.get("synthetic") == "true")
-            self.stack[-1][2].append(node)
         elif name == "measure":
-            _, attrs, children = self.stack.pop()
-            measure = Measure(attrs["id"], tuple(children),
-                              line_start=attrs.get("line_start") == "true")
-            self.measures.append(self._canonical(measure))
-            self.measure_attrs = None
+            item = self._canonical(Measure(
+                attrs["id"], tuple(children),
+                line_start=attrs.get("line_start") == "true"))
         elif name == "part":
-            staff_count = self.integer(self.part_attrs["staff_count"],
-                                       "staff_count")
-            self.parts.append(Part(staff_count, tuple(self.measures)))
-            self.part_attrs = None
-        # </work> needs no action
+            item = Part(self.integer(attrs["staff_count"], "staff_count"),
+                        tuple(children))
+        else:
+            item = MTNWork(attrs["work_id"], tuple(children))
+        self.stack[-1][2].append(item)
 
     def text(self, data: str) -> None:
         if data.strip():
@@ -295,9 +278,8 @@ class _Parser:
             raise MalformedXmlError(
                 xml.parsers.expat.errors.messages[exc.code],
                 exc.lineno, exc.offset + 1) from exc
-        if self.work_attrs is None:
-            raise MalformedXmlError("no <work> element found", 1, 1)
-        return MTNWork(self.work_attrs["work_id"], tuple(self.parts))
+        (work,) = self.stack[0][2]
+        return work
 
 
 def parse_work(data: bytes | str,
@@ -305,8 +287,11 @@ def parse_work(data: bytes | str,
     """Parse canonical XML bytes into a work.
 
     Strict: unknown elements or attributes, bad numbers, and duplicate ids
-    raise FormatError subclasses with line/column. Sibling order is repaired
-    to canonical form with a warning rather than rejected.
+    raise FormatError subclasses with line/column. An element outside its
+    place in the nesting (work > part > measure > nodes > tokens, nodes
+    nesting in nodes, nothing inside a token) raises UnknownElementError
+    "misplaced <x>". Sibling order is repaired to canonical form with a
+    warning rather than rejected.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")

@@ -329,6 +329,38 @@ def test_evaluate_imports_only_what_it_runs():
     assert done.stdout == "0 []\n"
 
 
+def test_evaluate_report_does_not_follow_the_hash_seed(tmp_path):
+    # The rejection warning, which names one missing attribute, goes into
+    # the report; set order differs between these two seeds.
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for source in CORPUS.glob("*.mtn.xml"):
+        (pred / source.name).write_bytes(source.read_bytes())
+    anthem = pred / "anthem.mtn.xml"
+    text = anthem.read_text(encoding="utf-8")
+    stripped = text.replace('<token id="t1" label="clef_G" staff="1"',
+                            '<token label="clef_G"')
+    assert stripped != text
+    anthem.write_text(stripped, encoding="utf-8")
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"report{seed}.json"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-m", "mtnkit.cli", "evaluate",
+             "--pred", str(pred), "--truth", str(CORPUS),
+             "--manifest", str(ROOT / "fixtures" / "manifest.jsonl"),
+             "--quiet", "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["warnings"] == [
+        "prediction file anthem.mtn.xml rejected: <token> is missing "
+        "attribute 'id' (line 8, column 13)"]
+
+
 # -- diff ---------------------------------------------------------------------
 
 def test_diff_identical_files(tmp_path, capsys):

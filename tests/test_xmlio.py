@@ -198,6 +198,79 @@ def test_unexpected_text_content():
         parse_work(doc)
 
 
+def in_measure(*lines: str) -> str:
+    """A one-measure work whose measure holds the given lines (line 4 on)."""
+    return "\n".join(['<work mtn-version="1.0" work_id="w">',
+                      ' <part staff_count="1">', '  <measure id="m1">',
+                      *lines, '  </measure>', ' </part>', '</work>', ''])
+
+
+REST = '   <rest onset="0"><token id="t1" label="rest_quarter" staff="1"/>'
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('<work mtn-version="1.0" work_id="w">\n <part staff_count="1">\n'
+     '  <work mtn-version="1.0" work_id="v"></work>\n </part>\n</work>\n',
+     "misplaced <work> (line 3, column 3)"),
+    ('<part staff_count="1"></part>', "misplaced <part> (line 1, column 1)"),
+    ('<work mtn-version="1.0" work_id="w">\n <measure id="m1"></measure>\n'
+     '</work>\n', "misplaced <measure> (line 2, column 2)"),
+    (in_measure('   <token id="t1" label="rest_quarter" staff="1"/>'),
+     "misplaced <token> (line 4, column 4)"),
+    ('<work mtn-version="1.0" work_id="w">\n <part staff_count="1">\n'
+     '  <rest onset="0"></rest>\n </part>\n</work>\n',
+     "misplaced <rest> (line 3, column 3)"),
+])
+def test_misplaced_element(doc, message):
+    with pytest.raises(UnknownElementError) as info:
+        parse_work(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("inner, name", [
+    ('<token id="t2" label="rest_quarter" staff="1"/>', "token"),
+    ('<rest onset="0"/>', "rest"),
+])
+def test_element_inside_a_token_is_misplaced(inner, name):
+    doc = in_measure(REST.replace("/>", ">"), f"    {inner}",
+                     "   </token></rest>")
+    with pytest.raises(UnknownElementError) as info:
+        parse_work(doc)
+    assert str(info.value) == f"misplaced <{name}> (line 5, column 5)"
+
+
+# One interpreter per hash seed: set iteration order follows the seed, so a
+# check that walks a set would name a different missing attribute.
+MISSING_ATTRIBUTES = """
+from mtnkit.xmlio import FormatError, parse_work
+for doc in ("<work></work>", {token!r}):
+    try:
+        parse_work(doc)
+    except FormatError as exc:
+        print(exc)
+"""
+
+
+def test_missing_attribute_message_does_not_follow_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = MISSING_ATTRIBUTES.format(token=in_measure(
+        '   <rest onset="0"><token/></rest>'))
+    for seed in range(8):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.splitlines() == [
+            "<work> is missing attribute 'mtn-version' (line 1, column 1)",
+            "<token> is missing attribute 'id' (line 4, column 20)",
+        ], (seed, done.stderr)
+
+
 def test_random_work_round_trips():
     rng = random.Random(77)
     for i in range(40):
