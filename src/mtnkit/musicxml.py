@@ -727,9 +727,10 @@ class _Converter:
             level = self.positive_integer(be.get("number", "1"),
                                           "beam number")
             event.beams[level] = (be.text or "").strip()
-        # note groups are built from level-1 beams only
-        if 1 not in event.beams and ntype in _TYPE_FLAGS:
-            if event.beams:
+        # Note groups are built from level-1 beams only. Every chord gets the
+        # flags of its type, and stem_node drops them inside a beamed group.
+        if ntype in _TYPE_FLAGS:
+            if event.beams and 1 not in event.beams:
                 self.warn("beam without a level-1 beam ignored; "
                           "the note keeps its flags")
             event.flags = _TYPE_FLAGS[ntype]
@@ -868,6 +869,9 @@ class _Converter:
                         self.warn("beam run without an end; closed early")
                         groups.append(self.beamed_group(run, 1))
                         run = []
+                    if 1 in ev.beams:
+                        self.warn(f"level-1 beam {ev.beams[1]!r} outside a "
+                                  "run ignored; the note keeps its flags")
                     groups.append(self.singleton_group(ev))
             if run:
                 self.warn("beam run without an end; closed early")

@@ -297,6 +297,22 @@ def test_beams_without_level_one_keep_the_flags():
     assert validate(result.work) == []
 
 
+@pytest.mark.parametrize("hook", ["forward hook", "backward hook"])
+def test_lone_level_one_hook_keeps_the_flag(hook):
+    # A level-1 hook starts no beam run, so the eighth is not beamed.
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 2, "eighth", f'<beam number="1">{hook}</beam>')
+            + note("E", 5, 14, "half", "<dot/><dot/>") + "</measure>")
+    result = convert_score(score(body))
+    (eighth, _) = [c for c in result.work.parts[0].measures[0].children
+                   if c.kind == NOTE_GROUP]
+    assert [t.label for t in iter_tokens(eighth)] == [
+        "flag", "stem_down", "notehead_black"]
+    assert result.warnings == [
+        f"part P1 measure 1: level-1 beam {hook!r} outside a run ignored; "
+        "the note keeps its flags"]
+
+
 # -- chords, graces, stems ----------------------------------------------------
 
 def test_chord_event():
