@@ -710,6 +710,87 @@ def test_key_cancellation_naturals():
     assert [t.position.step for t in naturals] == [10]
 
 
+# -- less common notation -----------------------------------------------------
+
+def outline(item) -> str:
+    """A node as kind@onset[children], a token as label/step."""
+    if isinstance(item, Token):
+        step = "" if item.position.step is None else f"/{item.position.step}"
+        return item.label + step
+    onset = "" if item.onset is None else f"@{item.onset}"
+    return f"{item.kind}{onset}[{' '.join(map(outline, item.children))}]"
+
+
+def _direction(tag: str) -> str:
+    return f"<direction><direction-type><{tag}/></direction-type></direction>"
+
+
+_BACKUP_WHOLE = "<backup><duration>16</duration></backup>"
+UNCOMMON = (
+    # common time, a segno, a stemless staccato quarter, a forward step of
+    # one beat, a cue note, a note fermata and arpeggio, a coda, and a
+    # barline fermata
+    '<measure number="1">'
+    + ATTRS_44.replace("<time>", '<time symbol="common">')
+    + _direction("segno")
+    + note("C", 5, 4, "quarter", "<stem>none</stem><notations>"
+           "<articulations><staccato/></articulations></notations>")
+    + "<forward><duration>4</duration></forward>"
+    + note("D", 5, 4, "quarter", "<cue/>")
+    + note("E", 5, 4, "quarter", "<notations><fermata/><arpeggiate/>"
+           "</notations>")
+    + _direction("coda")
+    + '<barline location="right"><bar-style>light-light</bar-style>'
+    "<fermata/></barline></measure>"
+    # cut time; a level-2 hook inside a level-1 run, a cue half; typeless
+    # notes typed from their durations; ornaments on a whole note
+    '<measure number="2"><attributes><time symbol="cut"><beats>2</beats>'
+    "<beat-type>2</beat-type></time></attributes>"
+    + note("F", 5, 6, "eighth", '<dot/><beam number="1">begin</beam>')
+    + note("G", 5, 2, "16th", '<beam number="1">end</beam>'
+           '<beam number="2">backward hook</beam>')
+    + note("A", 5, 8, "half", "<cue/>") + _BACKUP_WHOLE
+    + note("C", 4, 8, "", "<voice>2</voice>")
+    + note("D", 4, 8, "", "<voice>2</voice>") + _BACKUP_WHOLE
+    + note("E", 4, 16, "whole", "<voice>3</voice><notations><ornaments>"
+           '<trill-mark/><turn/><wavy-line type="start"/>'
+           '<wavy-line type="stop"/><accidental-mark>sharp</accidental-mark>'
+           "</ornaments></notations>") + _BACKUP_WHOLE
+    + note("B", 3, 16, "", "<voice>4</voice>") + _BACKUP_WHOLE
+    + note("A", 3, 32, "", "<voice>5</voice>") + "</measure>")
+
+
+def test_less_common_notation_tokens():
+    result = convert_score(score(UNCOMMON))
+    first, second = result.work.parts[0].measures
+    assert [outline(c) for c in first.children] == [
+        "attributes@0[attr_staff[clef[clef_G/4] time_sig[timesig_common]]]",
+        "direction@0[segno]",
+        "note_group@0[chord@0[note[notehead_black/7 staccato]]]",
+        "note_group@2[chord@2[stem[stem_down] note[notehead_cue_black/8]]]",
+        "note_group@3[chord@3[stem[stem_down] "
+        "note[notehead_black/9 arpeggiate fermata]]]",
+        "direction@4[coda]",
+        "barline@4[barline_tok_regular barline_tok_regular fermata]",
+    ]
+    assert [outline(c) for c in second.children] == [
+        "attributes@0[attr_staff[time_sig[timesig_cut]]]",
+        "note_group@0[chord@0[note[notehead_breve/-2]]]",
+        "note_group@0[chord@0[note[notehead_white/-1]]]",
+        "note_group@0[chord@0[stem[stem_up] note[notehead_white/0]]]",
+        "note_group@0[chord@0[note[notehead_white/2 trill turn wavy_line]]]",
+        "note_group@0[beam chord@0[stem[stem_down] "
+        "note[notehead_black/10 dot]] note_group@3/2[beam chord@3/2["
+        "stem[stem_down] note[notehead_black/11]]]]",
+        "note_group@2[chord@2[stem[stem_up] note[notehead_white/1]]]",
+        "note_group@2[chord@2[note[notehead_cue_white/12]]]",
+    ]
+    assert result.warnings == [
+        f"part P1 measure 2: note without type; assuming {ntype} from duration"
+        for ntype in ("half", "half", "whole", "breve")]
+    assert validate(result.work) == []
+
+
 # -- line starts --------------------------------------------------------------
 
 def test_print_new_system_marks_line_start():
