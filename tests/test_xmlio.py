@@ -1,7 +1,11 @@
 """Canonical XML round trips, byte stability, and the strict parse errors."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -252,11 +256,6 @@ for doc in ("<work></work>", {token!r}):
 
 
 def test_missing_attribute_message_does_not_follow_the_hash_seed():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     src = Path(__file__).resolve().parent.parent / "src"
     code = MISSING_ATTRIBUTES.format(token=in_measure(
         '   <rest onset="0"><token/></rest>'))
