@@ -566,7 +566,7 @@ class _Converter:
             for raw, step in ((be.text, 8), (ty.text, 4)):
                 for piece in (raw or "").split("+"):
                     piece = piece.strip()
-                    if not piece.isdigit():
+                    if not piece.isdecimal():
                         self.warn(f"non-numeric time signature part {raw!r}")
                         continue
                     tokens.append(self.token("timesig_number", staff, step,

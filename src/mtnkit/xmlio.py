@@ -6,12 +6,15 @@ lowest terms. Serializing a parsed file reproduces it byte for byte, and two
 equal works always serialize identically.
 
 The parser is expat-based so every error carries a line and column. One
-table gives each element its attributes and the elements it may sit
-directly under: work at the top, part under work, measure under part, nodes
-under a measure or a node, tokens under a node, and nothing under a token.
-An element anywhere else is refused as misplaced. Files whose sibling order
-is not canonical are accepted, reordered, and reported through the warning
-callback.
+table gives each element its attributes, each with its reader, and the
+elements it may sit directly under: work at the top, part under work,
+measure under part, nodes under a measure or a node, tokens under a node,
+and nothing under a token; an element anywhere else is misplaced. Values
+must be in the writer's form: an int is 0 or -?[1-9][0-9]* (ASCII), a
+fraction an int or n/d in lowest terms with d > 1, a flag "true" (a false
+flag is omitted, so "false" is refused); any other is a FractionSyntaxError
+at the start tag. Files whose sibling order is not canonical are accepted,
+reordered, and reported through the warning callback.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import re
 import xml.parsers.expat
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
 from .canonical import CanonicalizeError, canonicalize
@@ -56,7 +60,7 @@ class UnknownAttributeError(FormatError):
 
 
 class FractionSyntaxError(FormatError):
-    """A numeric attribute (onset, staff, step, ...) failed to parse."""
+    """An attribute value (onset, step, flag, ...) not in the writer's form."""
 
 
 class DuplicateIdError(FormatError):
@@ -143,20 +147,44 @@ def serialize_work(work: MTNWork) -> bytes:
 # ---------------------------------------------------------------------------
 # Parsing.
 
-# Each element's allowed attributes, its required ones in the order they are
-# checked, and the elements it may sit directly under ("" is the document).
-_NODE_PARENTS = frozenset({"measure", *NODE_KINDS})
+def _int(raw: str) -> int:
+    # int() also takes "+1", " 1", "1_0", "01" and non-ASCII digits
+    value = int(raw)
+    if str(value) != raw:
+        raise ValueError
+    return value
+
+
+def _fraction(raw: str) -> Fraction:
+    num, slash, den = raw.partition("/")
+    if not slash:
+        return Fraction(_int(raw))
+    n, d = _int(num), _int(den)
+    if d < 2 or gcd(n, d) != 1:
+        raise ValueError
+    return Fraction(n, d)
+
+
+def _flag(raw: str) -> bool:
+    if raw != "true":
+        raise ValueError
+    return True
+
+
+# Each element's attributes with their readers, its required attributes in
+# the order they are checked, and the elements it may sit directly under
+# ("" is the document).
 _ELEMENTS = {
-    "work": (frozenset({"mtn-version", "work_id"}),
+    "work": ({"mtn-version": str, "work_id": str},
              ("mtn-version", "work_id"), frozenset({""})),
-    "part": (frozenset({"staff_count"}), ("staff_count",),
-             frozenset({"work"})),
-    "measure": (frozenset({"id", "line_start"}), ("id",),
+    "part": ({"staff_count": _int}, ("staff_count",), frozenset({"work"})),
+    "measure": ({"id": str, "line_start": _flag}, ("id",),
                 frozenset({"part"})),
-    "token": (frozenset({"id", "label", "staff", "step", "pair", "value"}),
+    "token": ({"id": str, "label": str, "staff": _int, "step": _int,
+               "pair": str, "value": _int},
               ("id", "label", "staff"), NODE_KINDS),
-    **{kind: (frozenset({"onset", "synthetic"}), (), _NODE_PARENTS)
-       for kind in NODE_KINDS},
+    **{kind: ({"onset": _fraction, "synthetic": _flag}, (),
+              frozenset({"measure", *NODE_KINDS})) for kind in NODE_KINDS},
 }
 
 
@@ -167,93 +195,66 @@ class _Parser:
         self.expat.StartElementHandler = self.start
         self.expat.EndElementHandler = self.end
         self.expat.CharacterDataHandler = self.text
-        # One (name, attributes, children) frame per open element. A
-        # token's frame holds its Token, built where its numbers are read.
-        self.stack: list[tuple[str, dict[str, str] | Token, list]] = [
-            ("", {}, [])]
-        self.token_ids: set[str] = set()
-        self.measure_ids: set[str] = set()
+        # One (name, attribute values, children) frame per open element.
+        self.stack: list[tuple[str, dict, list]] = [("", {}, [])]
+        self.ids: set[tuple[str, str]] = set()  # (element, id) pairs
 
     def err(self, cls, message: str):
         raise cls(message, self.expat.CurrentLineNumber,
                   self.expat.CurrentColumnNumber + 1)
 
-    def fraction(self, raw: str, what: str) -> Fraction:
-        try:
-            value = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            self.err(FractionSyntaxError, f"bad {what} fraction {raw!r}")
-        return value
-
-    def integer(self, raw: str, what: str) -> int:
-        try:
-            return int(raw, 10)
-        except ValueError:
-            self.err(FractionSyntaxError, f"bad {what} number {raw!r}")
-
     def start(self, name: str, attrs: dict[str, str]) -> None:
         spec = _ELEMENTS.get(name)
         if spec is None:
             self.err(UnknownElementError, f"unknown element <{name}>")
-        allowed, required, parents = spec
+        readers, required, parents = spec
         if self.stack[-1][0] not in parents:
             self.err(UnknownElementError, f"misplaced <{name}>")
         # the document, work, part and measure frames sit above the nodes
         if name in NODE_KINDS and len(self.stack) > MAX_NODE_DEPTH + 3:
             self.err(FormatError, f"<{name}> nested deeper than "
                      f"{MAX_NODE_DEPTH} nodes")
-        for key in attrs:
-            if key not in allowed:
+        values = {}
+        for key, raw in attrs.items():
+            read = readers.get(key)
+            if read is None:
                 self.err(UnknownAttributeError,
                          f"unknown attribute {key!r} on <{name}>")
+            try:
+                values[key] = read(raw)
+            except ValueError:
+                self.err(FractionSyntaxError,
+                         f"bad {key} {raw!r} on <{name}>")
         for key in required:
-            if key not in attrs:
+            if key not in values:
                 self.err(UnknownAttributeError,
                          f"<{name}> is missing attribute {key!r}")
-        if name == "token":
-            self.stack.append((name, self.token(attrs), []))
-            return
-        if name == "work" and attrs["mtn-version"] != MTN_VERSION:
+        if name == "work" and values["mtn-version"] != MTN_VERSION:
             self.err(UnknownAttributeError,
-                     f"unsupported mtn-version {attrs['mtn-version']!r}")
-        elif name == "measure":
-            if attrs["id"] in self.measure_ids:
+                     f"unsupported mtn-version {values['mtn-version']!r}")
+        if "id" in values:
+            if (name, values["id"]) in self.ids:
                 self.err(DuplicateIdError,
-                         f"measure id {attrs['id']!r} already used")
-            self.measure_ids.add(attrs["id"])
-        self.stack.append((name, attrs, []))
-
-    def token(self, attrs: dict[str, str]) -> Token:
-        if attrs["id"] in self.token_ids:
-            self.err(DuplicateIdError,
-                     f"token id {attrs['id']!r} already used")
-        self.token_ids.add(attrs["id"])
-        step = (self.integer(attrs["step"], "step")
-                if "step" in attrs else None)
-        value = (self.integer(attrs["value"], "value")
-                 if "value" in attrs else None)
-        staff = self.integer(attrs["staff"], "staff")
-        return Token(attrs["id"], attrs["label"], StaffPosition(staff, step),
-                     pair_id=attrs.get("pair"), numeric_value=value)
+                         f"{name} id {values['id']!r} already used")
+            self.ids.add((name, values["id"]))
+        self.stack.append((name, values, []))
 
     def end(self, name: str) -> None:
-        _, attrs, children = self.stack.pop()
+        _, values, children = self.stack.pop()
         if name == "token":
-            item = attrs
+            item = Token(values["id"], values["label"],
+                         StaffPosition(values["staff"], values.get("step")),
+                         values.get("pair"), values.get("value"))
         elif name in NODE_KINDS:
-            onset = (self.fraction(attrs["onset"], "onset")
-                     if "onset" in attrs else None)
-            item = Node(name, tuple(children), onset=onset,
-                        synthetic=attrs.get("synthetic") == "true")
+            item = Node(name, tuple(children), onset=values.get("onset"),
+                        synthetic=values.get("synthetic", False))
         elif name == "measure":
-            item = self._canonical(Measure(
-                attrs["id"], tuple(children),
-                line_start=attrs.get("line_start") == "true"))
+            item = self._canonical(Measure(values["id"], tuple(children),
+                                           values.get("line_start", False)))
         elif name == "part":
-            item = Part(self.integer(attrs["staff_count"], "staff_count"),
-                        tuple(children))
+            item = Part(values["staff_count"], tuple(children))
         else:
-            item = MTNWork(attrs["work_id"], tuple(children))
+            item = MTNWork(values["work_id"], tuple(children))
         self.stack[-1][2].append(item)
 
     def text(self, data: str) -> None:
@@ -286,12 +287,10 @@ def parse_work(data: bytes | str,
                on_warning: Callable[[str], None] | None = None) -> MTNWork:
     """Parse canonical XML bytes into a work.
 
-    Strict: unknown elements or attributes, bad numbers, and duplicate ids
-    raise FormatError subclasses with line/column. An element outside its
-    place in the nesting (work > part > measure > nodes > tokens, nodes
-    nesting in nodes, nothing inside a token) raises UnknownElementError
-    "misplaced <x>". Sibling order is repaired to canonical form with a
-    warning rather than rejected.
+    Strict: unknown elements and attributes, misplaced elements (raised as
+    UnknownElementError "misplaced <x>"), values not in the writer's form
+    and duplicate ids raise FormatError subclasses with line/column. Sibling
+    order is repaired to canonical form with a warning rather than rejected.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")

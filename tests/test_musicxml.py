@@ -595,6 +595,12 @@ _DOTTED_HALF = note("E", 5, 12, "half", "<dot/>")
                         "</time>")
      + f"{_WHOLE}</measure>",
      "part P1 measure 1: non-numeric time signature part 'x'"),
+    # a superscript digit passes str.isdigit() but not int()
+    ('<measure number="1">'
+     + _attrs_with_time("<time><beats>\u00b2</beats><beat-type>4</beat-type>"
+                        "</time>")
+     + f"{_WHOLE}</measure>",
+     "part P1 measure 1: non-numeric time signature part '\u00b2'"),
     (f'<measure number="1">{ATTRS_44}<direction><direction-type><dynamics>'
      "<p/></dynamics></direction-type><offset>soon</offset></direction>"
      f"{_WHOLE}</measure>",

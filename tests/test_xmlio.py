@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders as B
 from mtnkit.model import (
@@ -241,6 +243,111 @@ def test_element_inside_a_token_is_misplaced(inner, name):
     with pytest.raises(UnknownElementError) as info:
         parse_work(doc)
     assert str(info.value) == f"misplaced <{name}> (line 5, column 5)"
+
+
+def one_rest(staff_count="1", line_start=None, onset="0", synthetic=None,
+             staff="1", step=None, value=None):
+    """A one-rest work with the given attribute texts (None leaves one out).
+
+    The part opens on line 2, the measure on line 3, the rest on line 4 and
+    the token on line 5; each closes on a later line than it opens.
+    """
+    def attr(name, text):
+        return "" if text is None else f' {name}="{text}"'
+    return "\n".join([
+        '<work mtn-version="1.0" work_id="w">',
+        f" <part{attr('staff_count', staff_count)}>",
+        f'  <measure id="m1"{attr("line_start", line_start)}>',
+        f"   <rest{attr('onset', onset)}{attr('synthetic', synthetic)}>",
+        f'    <token id="t1" label="rest_quarter"{attr("staff", staff)}'
+        f"{attr('step', step)}{attr('value', value)}>",
+        "    </token>", "   </rest>", "  </measure>", " </part>", "</work>",
+        ""])
+
+
+# Each form the writer never emits is refused where its start tag begins,
+# even when the element closes lines later.
+@pytest.mark.parametrize("attrs, message", [
+    ({"staff": "1_0"}, "bad staff '1_0' on <token> (line 5, column 5)"),
+    ({"step": " \u0663"},
+     "bad step ' \u0663' on <token> (line 5, column 5)"),
+    ({"staff_count": "+1"},
+     "bad staff_count '+1' on <part> (line 2, column 2)"),
+    ({"onset": "0.0e0"}, "bad onset '0.0e0' on <rest> (line 4, column 4)"),
+    ({"onset": "2/4"}, "bad onset '2/4' on <rest> (line 4, column 4)"),
+    ({"onset": "1/1"}, "bad onset '1/1' on <rest> (line 4, column 4)"),
+    ({"step": "07"}, "bad step '07' on <token> (line 5, column 5)"),
+    ({"step": "-0"}, "bad step '-0' on <token> (line 5, column 5)"),
+    ({"line_start": "yes"},
+     "bad line_start 'yes' on <measure> (line 3, column 3)"),
+    ({"synthetic": "True"},
+     "bad synthetic 'True' on <rest> (line 4, column 4)"),
+])
+def test_attribute_not_in_the_writers_form_is_refused(attrs, message):
+    with pytest.raises(FractionSyntaxError) as info:
+        parse_work(one_rest(**attrs))
+    assert str(info.value) == message
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                             "\u0664\u0665\u0666\u0667\u0668\u0669")
+FLAG_MISSES = ["True", "yes", "false", "1", "TRUE", " true", ""]
+
+
+def near_misses(text):
+    """Forms the writer never emits, close to a rendered int or fraction."""
+    value = Fraction(text)
+    return ["+" + text, text + "_0", text.translate(ARABIC_INDIC),
+            "-0" + text[1:] if text.startswith("-") else "0" + text,
+            " " + text, text + " ", text + ".0", text + "e0", text + "/1",
+            f"{value.numerator * 2}/{value.denominator * 2}"]
+
+
+@st.composite
+def attribute_texts(draw):
+    """one_rest's attribute texts in the writer's form, with up to two of
+    them replaced by near misses, and whether none was replaced."""
+    ints = st.integers(-40, 40).map(str)
+    flags = st.sampled_from([None, "true"])
+    texts = {
+        "staff_count": draw(ints), "staff": draw(ints),
+        "step": draw(st.none() | ints), "value": draw(st.none() | ints),
+        "onset": str(draw(st.fractions(-8, 8, max_denominator=12))),
+        "line_start": draw(flags), "synthetic": draw(flags),
+    }
+    broken = draw(st.lists(st.sampled_from(sorted(texts)), min_size=1,
+                           max_size=2, unique=True) | st.just([]))
+    for name in broken:
+        texts[name] = draw(st.sampled_from(
+            FLAG_MISSES if name in ("line_start", "synthetic")
+            else near_misses(texts[name] or "0")))
+    return texts, not broken
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(attribute_texts())
+def test_accepted_attributes_read_back_as_written(drawn):
+    texts, in_writers_form = drawn
+    try:
+        work = parse_work(one_rest(**texts))
+    except FractionSyntaxError:
+        assert not in_writers_form
+        return
+    assert in_writers_form
+    measure = work.parts[0].measures[0]
+    rest = measure.children[0]
+    token = rest.children[0]
+    def written(value):
+        return None if value is None else str(value)
+    assert {
+        "staff_count": written(work.parts[0].staff_count),
+        "line_start": "true" if measure.line_start else None,
+        "onset": written(rest.onset),
+        "synthetic": "true" if rest.synthetic else None,
+        "staff": written(token.position.staff),
+        "step": written(token.position.step),
+        "value": written(token.numeric_value),
+    } == texts
 
 
 # One interpreter per hash seed: set iteration order follows the seed, so a
