@@ -22,7 +22,7 @@ from .metrics import ter_score
 from .model import iter_nodes, validate
 from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
 from .trees import project_tree, token_counts, untimeable
-from .xmlio import parse_work, serialize_work
+from .xmlio import FormatError, parse_work, serialize_work
 
 
 def _read_work(path: Path, quiet: bool = False):
@@ -30,7 +30,10 @@ def _read_work(path: Path, quiet: bool = False):
         if not quiet:
             print(f"{path}: {message}", file=sys.stderr)
 
-    return parse_work(path.read_bytes(), on_warning=warn)
+    try:
+        return parse_work(path.read_bytes(), on_warning=warn)
+    except FormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _iter_work_files(paths: list[str]) -> list[Path]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .metrics import CorpusTally, MeasureEval, evaluate_measure
+from .metrics import CorpusTally, MeasureEval, evaluate_measure, rate
 from .model import Measure, MTNWork
 from .trees import untimeable
 from .xmlio import FormatError, parse_work
@@ -244,9 +244,7 @@ class EvalReport:
 
     @property
     def coverage(self) -> Fraction | None:
-        if self.truth_measures == 0:
-            return None
-        return Fraction(self.matched, self.truth_measures)
+        return rate(self.matched, self.truth_measures)
 
 
 def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
@@ -318,8 +316,7 @@ def report_to_json(report: EvalReport) -> str:
                 "matched": tally.matched,
                 "precision": _rat(tally.precision),
                 "recall": _rat(tally.recall),
-                "proportion": _rat(Fraction(tally.truth, total_truth)
-                                   if total_truth else None),
+                "proportion": _rat(rate(tally.truth, total_truth)),
             }
         doc["tier1"] = {
             "classes": classes,
@@ -384,14 +381,13 @@ def render_report(report: EvalReport) -> str:
         ordered = sorted(report.tally.classes.items(),
                          key=lambda kv: (-kv[1].truth, kv[0]))
         for label, tally in ordered:
-            prop = Fraction(tally.truth, total) if total else None
             lines.append(f"{label:<28}{_fmt(tally.precision, 10)}"
                          f"{_fmt(tally.recall, 8)}{tally.truth:>8}"
-                         f"{_fmt(prop, 7)}")
+                         f"{_fmt(rate(tally.truth, total), 7)}")
         lines.append(f"{'all (weighted)':<28}"
                      f"{_fmt(tier1.aggregate_precision, 10)}"
                      f"{_fmt(tier1.aggregate_recall, 8)}{total:>8}"
-                     f"{_fmt(Fraction(1) if total else None, 7)}")
+                     f"{_fmt(rate(total, total), 7)}")
         if tier1.undefined_precision:
             lines.append("precision undefined (never predicted): "
                          + ", ".join(tier1.undefined_precision))

@@ -27,6 +27,11 @@ from .trees import LabeledTree, project_tree, token_counts
 from .ted import EditScript, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
 
 
+def rate(num: int | Fraction, den: int) -> Fraction | None:
+    """num/den as an exact fraction, or None (undefined) when den is 0."""
+    return None if den == 0 else Fraction(num, den)
+
+
 # ---------------------------------------------------------------------------
 # Tier 1: primitive detection.
 
@@ -40,15 +45,11 @@ class ClassTally:
 
     @property
     def precision(self) -> Fraction | None:
-        if self.predicted == 0:
-            return None
-        return Fraction(self.matched, self.predicted)
+        return rate(self.matched, self.predicted)
 
     @property
     def recall(self) -> Fraction | None:
-        if self.truth == 0:
-            return None
-        return Fraction(self.matched, self.truth)
+        return rate(self.matched, self.truth)
 
     def add(self, other: "ClassTally") -> None:
         self.truth += other.truth
@@ -167,58 +168,40 @@ class Tier3Counts:
 
     @property
     def missed_note_rate(self) -> Fraction | None:
-        if self.truth_events == 0:
-            return None
-        return Fraction(self.truth_events - self.matched, self.truth_events)
+        return rate(self.truth_events - self.matched, self.truth_events)
 
     @property
     def false_positive_rate(self) -> Fraction | None:
-        if self.pred_events == 0:
-            return None
-        return Fraction(self.pred_events - self.matched, self.pred_events)
+        return rate(self.pred_events - self.matched, self.pred_events)
 
     @property
     def pitch_precision(self) -> Fraction | None:
         """Both staff and step correct, over matched notehead pairs."""
-        if self.matched_notes == 0:
-            return None
-        return Fraction(self.tuple_correct, self.matched_notes)
+        return rate(self.tuple_correct, self.matched_notes)
 
     @property
     def step_precision(self) -> Fraction | None:
-        if self.matched_notes == 0:
-            return None
-        return Fraction(self.step_correct, self.matched_notes)
+        return rate(self.step_correct, self.matched_notes)
 
     @property
     def staff_precision(self) -> Fraction | None:
-        if self.matched_notes == 0:
-            return None
-        return Fraction(self.staff_correct, self.matched_notes)
+        return rate(self.staff_correct, self.matched_notes)
 
     @property
     def time_precision(self) -> Fraction | None:
-        if self.matched == 0:
-            return None
-        return Fraction(self.time_correct, self.matched)
+        return rate(self.time_correct, self.matched)
 
     @property
     def pitch_shift(self) -> Fraction | None:
-        if self.matched_notes == 0:
-            return None
-        return Fraction(self.step_diff, self.matched_notes)
+        return rate(self.step_diff, self.matched_notes)
 
     @property
     def staff_shift(self) -> Fraction | None:
-        if self.matched_notes == 0:
-            return None
-        return Fraction(self.staff_diff, self.matched_notes)
+        return rate(self.staff_diff, self.matched_notes)
 
     @property
     def time_shift(self) -> Fraction | None:
-        if self.matched == 0:
-            return None
-        return self.time_diff / self.matched
+        return rate(self.time_diff, self.matched)
 
 
 def tier3_counts(truth: LabeledTree, predicted: LabeledTree) -> Tier3Counts:
@@ -307,9 +290,7 @@ class CorpusTally:
 
     @property
     def ter(self) -> Fraction | None:
-        if self.truth_nodes == 0:
-            return None
-        return self.cost / self.truth_nodes
+        return rate(self.cost, self.truth_nodes)
 
     def tier1(self) -> Tier1Report:
         return tier1_report(self.classes)

@@ -15,6 +15,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, Union
 
 from . import vocabulary
+from .vocabulary import (
+    ACCIDENTALS, ARPEGGIATE, ARTICULATIONS, BARLINE_TOKENS, BEAM, CAESURA,
+    CLEFS, DOT, DYNAMICS, FERMATA, FLAG, MARKS, NOTEHEADS, ORNAMENTS, REPEATS,
+    RESTS, SLURS, STEM_DIRECTIONS, TIES, TIMESIG_NUMBER, TIMESIG_SYMBOLS,
+    TUPLETS, WEDGES,
+)
 
 # Structural node kinds.
 ATTRIBUTES = "attributes"
@@ -30,11 +36,6 @@ STEM = "stem"
 NOTE = "note"
 REST = "rest"
 
-NODE_KINDS = frozenset({
-    ATTRIBUTES, ATTR_STAFF, CLEF, KEY, TIME_SIG, BARLINE, DIRECTION,
-    NOTE_GROUP, CHORD, STEM, NOTE, REST,
-})
-
 # Kinds allowed directly under a measure, with their reading-order class
 # rank: attributes, then directions, then rests, then note groups, then
 # barlines at equal onsets.
@@ -46,37 +47,33 @@ TOP_LEVEL_RANK = {
     BARLINE: 4,
 }
 
-# kind -> node kinds admissible as children. Token admissibility is separate
-# (see _TOKEN_RULES below).
-_CHILD_KINDS: dict[str, frozenset[str]] = {
-    ATTRIBUTES: frozenset({ATTR_STAFF}),
-    ATTR_STAFF: frozenset({CLEF, KEY, TIME_SIG}),
-    CLEF: frozenset(),
-    KEY: frozenset(),
-    TIME_SIG: frozenset(),
-    BARLINE: frozenset(),
-    DIRECTION: frozenset(),
-    NOTE_GROUP: frozenset({NOTE_GROUP, CHORD}),
-    CHORD: frozenset({STEM, NOTE}),
-    STEM: frozenset(),
-    NOTE: frozenset(),
-    REST: frozenset(),
-}
+_NONE: frozenset[str] = frozenset()
 
-# kind -> token labels admissible as direct children.
-_TOKEN_RULES: dict[str, frozenset[str]] = {
-    ATTRIBUTES: frozenset(),
-    ATTR_STAFF: frozenset(),
-    CLEF: vocabulary.CLEFS,
-    KEY: vocabulary.ACCIDENTALS,
-    TIME_SIG: vocabulary.TIMESIG_TOKENS,
-    BARLINE: vocabulary.BARLINE_NODE_TOKENS,
-    DIRECTION: vocabulary.DIRECTION_TOKENS,
-    NOTE_GROUP: vocabulary.BEAM,
-    CHORD: frozenset(),
-    STEM: vocabulary.STEM_TOKENS,
-    NOTE: vocabulary.NOTE_TOKENS,
-    REST: vocabulary.REST_TOKENS,
+# The node grammar: kind -> (node kinds, token labels) admissible as direct
+# children.
+_GRAMMAR: dict[str, tuple[frozenset[str], frozenset[str]]] = {
+    ATTRIBUTES: (frozenset({ATTR_STAFF}), _NONE),
+    ATTR_STAFF: (frozenset({CLEF, KEY, TIME_SIG}), _NONE),
+    CLEF: (_NONE, CLEFS),
+    KEY: (_NONE, ACCIDENTALS),
+    TIME_SIG: (_NONE, TIMESIG_SYMBOLS | TIMESIG_NUMBER),
+    BARLINE: (_NONE, BARLINE_TOKENS | REPEATS | FERMATA),
+    DIRECTION: (_NONE, DYNAMICS | WEDGES | MARKS),
+    NOTE_GROUP: (frozenset({NOTE_GROUP, CHORD}), BEAM),
+    CHORD: (frozenset({STEM, NOTE}), _NONE),
+    STEM: (_NONE, STEM_DIRECTIONS | FLAG),
+    NOTE: (_NONE, NOTEHEADS | ACCIDENTALS | DOT | ARTICULATIONS | ORNAMENTS
+           | FERMATA | ARPEGGIATE | CAESURA | SLURS | TIES | TUPLETS),
+    REST: (_NONE, RESTS | DOT | FERMATA | TUPLETS),
+}
+NODE_KINDS = frozenset(_GRAMMAR)
+
+# kind -> (rule, token class, what the message calls it) for the kinds that
+# hold exactly one token of a class.
+_EXACTLY_ONE: dict[str, tuple[str, frozenset[str], str]] = {
+    NOTE: ("note-noteheads", NOTEHEADS, "noteheads"),
+    REST: ("rest-tokens", RESTS, "rest tokens"),
+    STEM: ("stem-tokens", STEM_DIRECTIONS, "direction tokens"),
 }
 
 # Kinds that carry an onset: measure children and every chord.
@@ -287,8 +284,7 @@ class _Validator:
             self.fail("synthetic-not-allowed", path,
                       "only attributes nodes can be synthetic")
 
-        allowed_kinds = _CHILD_KINDS[node.kind]
-        allowed_tokens = _TOKEN_RULES[node.kind]
+        allowed_kinds, allowed_tokens = _GRAMMAR[node.kind]
         for i, child in enumerate(node.children):
             sub = f"{path}/{i}"
             if isinstance(child, Token):
@@ -316,28 +312,19 @@ class _Validator:
     def check_counts(self, node: Node, path: str) -> None:
         tokens = [c for c in node.children if isinstance(c, Token)]
         nodes = [c for c in node.children if isinstance(c, Node)]
-        if node.kind == CHORD:
+        if node.kind in _EXACTLY_ONE:
+            rule, labels, what = _EXACTLY_ONE[node.kind]
+            n = sum(1 for t in tokens if t.label in labels)
+            if n != 1:
+                self.fail(rule, path,
+                          f"{node.kind} has {n} {what}, wants exactly 1")
+        elif node.kind == CHORD:
             stems = [n for n in nodes if n.kind == STEM]
             notes = [n for n in nodes if n.kind == NOTE]
             if len(stems) > 1:
                 self.fail("chord-stems", path, "chord has more than one stem")
             if not notes:
                 self.fail("chord-notes", path, "chord has no note")
-        elif node.kind == NOTE:
-            heads = [t for t in tokens if t.label in vocabulary.NOTEHEADS]
-            if len(heads) != 1:
-                self.fail("note-noteheads", path,
-                          f"note has {len(heads)} noteheads, wants exactly 1")
-        elif node.kind == REST:
-            rests = [t for t in tokens if t.label in vocabulary.RESTS]
-            if len(rests) != 1:
-                self.fail("rest-tokens", path,
-                          f"rest has {len(rests)} rest tokens, wants exactly 1")
-        elif node.kind == STEM:
-            dirs = [t for t in tokens if t.label in vocabulary.STEM_DIRECTIONS]
-            if len(dirs) != 1:
-                self.fail("stem-tokens", path,
-                          f"stem has {len(dirs)} direction tokens, wants exactly 1")
         elif node.kind == DIRECTION:
             if len(tokens) != 1 or nodes:
                 self.fail("direction-tokens", path,
@@ -390,7 +377,7 @@ class _Validator:
                           f"{token.label} requires a pair id")
             else:
                 self.pairs.setdefault(token.pair_id, []).append(token)
-        if token.label in vocabulary.TIMESIG_NUMBER:
+        if token.label in TIMESIG_NUMBER:
             if token.numeric_value is None:
                 self.fail("value-required", token.id,
                           f"{token.label} requires a numeric value")

@@ -44,6 +44,20 @@ class ConversionError(ValueError):
     pass
 
 
+def _integer(text: str | None) -> int | None:
+    """text as an int if it has the xs:integer form (an optional sign and
+    ASCII digits, with optional XML whitespace around them), else None.
+    int() alone also reads "1_2" and "٤"."""
+    if text is None:
+        return None
+    digits = text.strip(" \t\n\r")
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    return int(text)
+
+
 @dataclass(frozen=True, slots=True)
 class ClefState:
     """Active clef of one staff: token label, staff step of the clef token,
@@ -125,8 +139,6 @@ def key_signature_steps(fifths: int, clef: ClefState) -> tuple[str, tuple[int, .
     table = _SHARP_STEPS if fifths > 0 else _FLAT_STEPS
     label = "accidental_sharp" if fifths > 0 else "accidental_flat"
     family = (clef.label or "clef_G").split("_")[-1]
-    if family not in ("G", "F", "C"):
-        family = "G"
     default_line = {"G": 4, "F": 8,
                     "C": 6 if clef.line_step <= 6 else 8}[family]
     steps = table[(family, default_line)]
@@ -416,12 +428,12 @@ class _Converter:
 
     def integer(self, text: str, element: str) -> int:
         """text as an int, or a ConversionError naming element and text."""
-        try:
-            return int(text)
-        except ValueError:
+        value = _integer(text)
+        if value is None:
             raise ConversionError(
                 f"{self.where}: <{element}> must be an integer, "
-                f"got {text!r}") from None
+                f"got {text!r}")
+        return value
 
     def positive_integer(self, text: str, element: str) -> int:
         """text as an int of 1 or more (a staff or beam number), or a
@@ -444,12 +456,8 @@ class _Converter:
         return pitch_to_step(letter, octave_number, clef)
 
     def _duration(self, elem: ET.Element) -> int:
-        raw = elem.findtext("duration")
-        try:
-            value = int(raw)
-        except (TypeError, ValueError):
-            value = -1
-        if value < 0:
+        value = _integer(elem.findtext("duration"))
+        if value is None or value < 0:
             self.warn(f"missing or bad duration in <{elem.tag}>")
             return 0
         return value
@@ -463,11 +471,8 @@ class _Converter:
         onset = state.cursor.now
         divisions = elem.findtext("divisions")
         if divisions:
-            try:
-                value = int(divisions)
-            except ValueError:
-                value = 0
-            if value < 1:
+            value = _integer(divisions)
+            if value is None or value < 1:
                 raise ConversionError(
                     f"{self.where}: divisions must be a positive integer, "
                     f"got {divisions!r}")
@@ -566,7 +571,7 @@ class _Converter:
             for raw, step in ((be.text, 8), (ty.text, 4)):
                 for piece in (raw or "").split("+"):
                     piece = piece.strip()
-                    if not piece.isdecimal():
+                    if not (piece.isascii() and piece.isdecimal()):
                         self.warn(f"non-numeric time signature part {raw!r}")
                         continue
                     tokens.append(self.token("timesig_number", staff, step,
@@ -583,10 +588,11 @@ class _Converter:
         onset = state.cursor.now
         offset = elem.findtext("offset")
         if offset:
-            try:
-                onset = onset + state.cursor.quarters(int(offset))
-            except ValueError:
+            value = _integer(offset)
+            if value is None:
                 self.warn(f"bad direction offset {offset!r}")
+            else:
+                onset = onset + state.cursor.quarters(value)
             if onset < 0:
                 self.warn("direction offset before measure start; clamped")
                 onset = Fraction(0)
@@ -940,9 +946,7 @@ class _Converter:
         return Node(STEM, tuple(tokens))
 
     def infer_stem(self, ev: _ChordEvent) -> str:
-        steps = [n.step for n in ev.notes if n.step is not None]
-        if not steps:
-            return "stem_up"
+        steps = [n.step for n in ev.notes]
         above = max(steps) - MIDDLE_STEP
         below = MIDDLE_STEP - min(steps)
         return "stem_down" if above >= below else "stem_up"

@@ -27,7 +27,6 @@ class NoteMeta:
 
     staff: int
     step: int
-    head: str
     onset: Fraction
     is_rest: bool = False
 
@@ -105,7 +104,6 @@ def _meta(token: Token, ev: TimedEvent, is_rest: bool) -> NoteMeta:
     step = token.position.step
     return NoteMeta(staff=token.position.staff,
                     step=0 if is_rest or step is None else step,
-                    head=token.label,
                     onset=ev.onset if ev.onset is not None else Fraction(0),
                     is_rest=is_rest)
 
@@ -114,10 +112,9 @@ def project_tree(measure: Measure | None) -> LabeledTree:
     """Project a measure to a labeled tree; None projects to the empty tree.
 
     Leaves are labeled by token class. Notehead leaves carry (staff, step,
-    head class, onset) from their chord's event, rest leaves (staff, onset)
-    from their top-level rest. A measure whose events cannot be timed
-    projects with the same labels, no metadata, and the error kept in
-    timing_error.
+    onset) from their chord's event, rest leaves (staff, onset) from their
+    top-level rest. A measure whose events cannot be timed projects with
+    the same labels, no metadata, and the error kept in timing_error.
     """
     if measure is None:
         return EMPTY_TREE

@@ -90,17 +90,6 @@ FERMATA = _define("fermata")
 ARPEGGIATE = _define("arpeggiate")
 CAESURA = _define("caesura")
 
-# Tokens admissible under each structural node kind.
-NOTE_MODIFIERS = (ACCIDENTALS | DOT | ARTICULATIONS | ORNAMENTS | FERMATA
-                  | ARPEGGIATE | CAESURA | SLURS | TIES | TUPLETS)
-NOTE_TOKENS = NOTEHEADS | NOTE_MODIFIERS
-REST_MODIFIERS = DOT | FERMATA | TUPLETS
-REST_TOKENS = RESTS | REST_MODIFIERS
-STEM_TOKENS = STEM_DIRECTIONS | FLAG
-DIRECTION_TOKENS = DYNAMICS | WEDGES | MARKS
-BARLINE_NODE_TOKENS = BARLINE_TOKENS | REPEATS | FERMATA
-TIMESIG_TOKENS = TIMESIG_SYMBOLS | TIMESIG_NUMBER
-
 
 def is_known(label: str) -> bool:
     return label in _ALL

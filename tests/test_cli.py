@@ -238,6 +238,26 @@ def test_validate_unparseable_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "stats", "diff", "perturb"])
+def test_format_error_names_the_file(tmp_path, capsys, command):
+    source = (CORPUS / "anthem.mtn.xml").read_text(encoding="utf-8")
+    signed = source.replace('staff_count="1"', 'staff_count="+1"', 1)
+    assert signed != source
+    bad = tmp_path / "anthem.mtn.xml"
+    bad.write_text(signed, encoding="utf-8")
+    args = {
+        "validate": [str(bad)],
+        "stats": [str(bad)],
+        "diff": [str(bad), str(CORPUS / "anthem.mtn.xml")],
+        "perturb": [str(bad), "-o", str(tmp_path / "out.mtn.xml"),
+                    "--fraction", "1/2",
+                    "--relabel", "notehead_black:notehead_white"],
+    }[command]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: bad staff_count '+1' on <part> (line 3, column 3)\n")
+
+
 # -- stats --------------------------------------------------------------------
 
 def test_stats_histogram(tmp_path, capsys):
@@ -249,6 +269,13 @@ def test_stats_histogram(tmp_path, capsys):
     assert "notehead_black" in out
     assert "total" in out
     assert "measures" in out
+
+
+def test_stats_without_tokens(tmp_path, capsys):
+    p = tmp_path / "empty.mtn.xml"
+    p.write_bytes(serialize_work(work(measure(id="m1"))))
+    assert main(["stats", str(p)]) == 0
+    assert capsys.readouterr().out == "no tokens found\n"
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -296,6 +323,31 @@ def test_evaluate_bad_tier_list(tmp_path, capsys):
                "--manifest", str(manifest), "--tiers", "4"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "perturb"])
+def test_usage_error_names_the_option(tmp_path, capsys, command):
+    argv, message = {
+        "evaluate": (["--pred", str(CORPUS), "--truth", str(CORPUS),
+                      "--manifest", str(ROOT / "fixtures" / "manifest.jsonl"),
+                      "--tiers", "x"], "bad tier list 'x'"),
+        "perturb": ([str(CORPUS / "anthem.mtn.xml"),
+                     "-o", str(tmp_path / "out.mtn.xml"), "--fraction", "1/2",
+                     "--shift-step", "notehead_black"],
+                    "--shift-step wants LABEL:DELTA"),
+    }[command]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.mtn.xml").exists()
+
+
+def test_evaluate_tier2_prints_only_the_ter_column(tmp_path, capsys):
+    truth, pred, manifest = write_corpus(tmp_path, [standard_work()])
+    rc = main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+               "--manifest", str(manifest), "--tiers", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.split("\n")[1:] == [
+        "", "   TER", " 0.000", ""]
 
 
 def test_evaluate_missing_manifest(tmp_path, capsys):
@@ -416,6 +468,17 @@ def test_diff_missing_measure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "missing from prediction" in out
+
+
+def test_diff_extra_measure(tmp_path, capsys):
+    pred = standard_work()
+    truth = work(standard_measure(), work_id=pred.work_id)
+    t = tmp_path / "truth.mtn.xml"
+    p = tmp_path / "pred.mtn.xml"
+    t.write_bytes(serialize_work(truth))
+    p.write_bytes(serialize_work(pred))
+    assert main(["diff", str(p), str(t)]) == 1
+    assert capsys.readouterr().out == "m2: only in prediction\n"
 
 
 def test_diff_unparseable_input(tmp_path, capsys):
@@ -572,7 +635,8 @@ def test_deep_nesting_is_a_format_error(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            "error: <note_group> nested deeper than 100 nodes (line 1, ")
+            f"error: {deep}: <note_group> nested deeper than 100 nodes "
+            "(line 1, ")
     manifest = tmp_path / "corpus.jsonl"
     manifest.write_text(write_manifest(manifest_for_work(
         parse_work((truth / "w.mtn.xml").read_bytes()), "w.mtn.xml")),

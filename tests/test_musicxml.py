@@ -601,10 +601,23 @@ _DOTTED_HALF = note("E", 5, 12, "half", "<dot/>")
                         "</time>")
      + f"{_WHOLE}</measure>",
      "part P1 measure 1: non-numeric time signature part '\u00b2'"),
+    # int() reads non-ASCII digits and str.isdecimal() passes them
+    ('<measure number="1">'
+     + _attrs_with_time("<time><beats>\u06634</beats>"
+                        "<beat-type>4</beat-type></time>")
+     + f"{_WHOLE}</measure>",
+     "part P1 measure 1: non-numeric time signature part '\u06634'"),
+    (f'<measure number="1">{ATTRS_44}'
+     + note("C", 5, "\u0664", "whole") + "</measure>",
+     "part P1 measure 1: missing or bad duration in <note>"),
     (f'<measure number="1">{ATTRS_44}<direction><direction-type><dynamics>'
      "<p/></dynamics></direction-type><offset>soon</offset></direction>"
      f"{_WHOLE}</measure>",
      "part P1 measure 1: bad direction offset 'soon'"),
+    (f'<measure number="1">{ATTRS_44}<direction><direction-type><dynamics>'
+     "<p/></dynamics></direction-type><offset>1_0</offset></direction>"
+     f"{_WHOLE}</measure>",
+     "part P1 measure 1: bad direction offset '1_0'"),
     (f'<measure number="1">{ATTRS_44}<direction><direction-type><dynamics>'
      "<p/></dynamics></direction-type><offset>-4</offset></direction>"
      f"{_WHOLE}</measure>",
@@ -1131,7 +1144,7 @@ def test_output_round_trips_through_xml():
     assert serialize_work(parse_work(data)) == data
 
 
-@pytest.mark.parametrize("divisions", ["0", "-2", "1.5", "two"])
+@pytest.mark.parametrize("divisions", ["0", "-2", "1.5", "two", "1_2"])
 def test_bad_divisions_rejected_with_file_name(tmp_path, divisions):
     attrs = ATTRS_44.replace("<divisions>4<", f"<divisions>{divisions}<")
     path = tmp_path / "bad.musicxml"
@@ -1170,6 +1183,8 @@ def edited_score_error(tmp_path, old: str, new: str) -> str:
 @pytest.mark.parametrize("old, new, element, bad", [
     ("<staff>1</staff>", "<staff>x</staff>", "staff", "x"),
     ("<octave>4</octave>", "<octave>four</octave>", "octave", "four"),
+    ("<octave>4</octave>", "<octave>\u0664</octave>", "octave", "\u0664"),
+    ("<staff>1</staff>", "<staff>1_0</staff>", "staff", "1_0"),
     ("<display-octave>4<", "<display-octave>4.5<", "display-octave", "4.5"),
     ("<divisions>4</divisions>",
      "<divisions>4</divisions><staves>two</staves>", "staves", "two"),

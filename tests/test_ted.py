@@ -25,7 +25,7 @@ def tree(label, *kids):
 
 
 def head(staff, step, kind="notehead_black", onset=0):
-    meta = NoteMeta(staff=staff, step=step, head=kind, onset=Fraction(onset))
+    meta = NoteMeta(staff=staff, step=step, onset=Fraction(onset))
     return TreeNode(kind, (), meta=meta)
 
 

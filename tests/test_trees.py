@@ -86,7 +86,7 @@ def test_semantic_meta_on_noteheads():
     assert (first.meta.staff, first.meta.step) == (1, 6)
     assert first.meta.onset == 0
     assert second.meta.onset == Fraction(1, 2)
-    assert second.meta.head == "notehead_black"
+    assert second.label == "notehead_black"
 
 
 def test_semantic_meta_on_rests():
