@@ -18,7 +18,6 @@ regardless of construction order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -132,7 +131,7 @@ def _with_children(item, children: tuple):
     """item itself when children are its own, in order; else a copy."""
     if all(a is b for a, b in zip(children, item.children)):
         return item
-    return replace(item, children=children)
+    return item._replace(children=children)
 
 
 def canonicalize(measure: Measure) -> Measure:
@@ -153,9 +152,9 @@ def canonicalize(measure: Measure) -> Measure:
 
 def canonicalize_work(work: MTNWork) -> MTNWork:
     parts = tuple(
-        replace(part, measures=tuple(canonicalize(m) for m in part.measures))
+        part._replace(measures=tuple(canonicalize(m) for m in part.measures))
         for part in work.parts)
-    return replace(work, parts=parts)
+    return work._replace(parts=parts)
 
 
 def assign_ids(work: MTNWork) -> MTNWork:

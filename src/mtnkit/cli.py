@@ -36,6 +36,24 @@ def _read_work(path: Path, quiet: bool = False):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _integer(text: str) -> int | None:
+    """text as an int if it is ASCII -?[0-9]+, else None. int() alone also
+    reads "٢", "1_0", "+1" and " 1"."""
+    digits = text[1:] if text[:1] == "-" else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
+def _fraction(text: str, option: str) -> Fraction:
+    """text as a Fraction, read from ASCII text only (Fraction() alone also
+    reads "٣/4"); a ValueError that names the option otherwise."""
+    try:
+        if text.isascii():
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{option} wants a fraction such as 1/2, not {text!r}")
+
+
 def _iter_work_files(paths: list[str]) -> list[Path]:
     out: list[Path] = []
     for raw in paths:
@@ -85,7 +103,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 # -- validate -----------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    bound = Fraction(args.max_onset) if args.max_onset else None
+    bound = (None if args.max_onset is None
+             else _fraction(args.max_onset, "--max-onset"))
     bad = 0
     for path in _iter_work_files(args.inputs):
         work = _read_work(path)
@@ -136,23 +155,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 def _parse_tiers(text: str) -> tuple[int, ...]:
-    try:
-        tiers = tuple(sorted({int(x) for x in text.split(",")}))
-    except ValueError:
-        raise ValueError(f"bad tier list {text!r}") from None
-    if not tiers or not set(tiers) <= {1, 2, 3}:
+    tiers = {_integer(x) for x in text.split(",")}
+    if None in tiers:
+        raise ValueError(f"bad tier list {text!r}")
+    if not tiers <= {1, 2, 3}:
         raise ValueError(f"tiers must be among 1,2,3: {text!r}")
-    return tiers
+    return tuple(sorted(tiers))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     entries = read_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+    jobs = _integer(args.jobs)
+    if jobs is None or jobs < 1:
+        raise ValueError(f"--jobs wants an integer of at least 1, "
+                         f"not {args.jobs!r}")
     config = EvalConfig(
         tiers=_parse_tiers(args.tiers),
         include_synthetic=not args.ignore_synthetic_attributes,
         matched_only=args.matched_only,
         partition=args.partition,
-        jobs=args.jobs,
+        jobs=jobs,
         per_measure=args.per_measure,
     )
     report = evaluate_corpus(args.truth, args.pred, entries, config)
@@ -228,18 +250,18 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     from .perturb import relabel_fraction, shift_step_fraction
 
     work = _read_work(Path(args.input))
-    fraction = Fraction(args.fraction)
+    fraction = _fraction(args.fraction, "--fraction")
     if args.relabel:
         source, _, target = args.relabel.partition(":")
         if not source or not target:
             raise ValueError("--relabel wants SOURCE:TARGET")
         work, changed = relabel_fraction(work, source, target, fraction)
     else:
-        label, _, delta = args.shift_step.partition(":")
-        if not label or not delta:
+        label, _, raw = args.shift_step.partition(":")
+        delta = _integer(raw)
+        if not label or delta is None:
             raise ValueError("--shift-step wants LABEL:DELTA")
-        work, changed = shift_step_fraction(work, label, int(delta),
-                                            fraction)
+        work, changed = shift_step_fraction(work, label, delta, fraction)
     Path(args.out).write_bytes(serialize_work(work))
     print(f"changed {changed} tokens; wrote {args.out}")
     return 0
@@ -286,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matched-only", action="store_true",
                    help="score only measure pairs that aligned")
     p.add_argument("--partition", help="restrict to one partition tag")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default="1", help="worker processes, at least 1")
     p.add_argument("--per-measure", action="store_true",
                    help="include the per-measure cost table")
     p.add_argument("-o", "--out", help="write the JSON report here")

@@ -21,9 +21,9 @@ report byte-identical for any worker count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .metrics import CorpusTally, MeasureEval, evaluate_measure, rate
@@ -57,8 +57,7 @@ REFERENCE_BASELINE = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     work: str
     page: str
     path: str
@@ -125,8 +124,7 @@ def manifest_for_work(work: MTNWork, path: str,
 # ---------------------------------------------------------------------------
 # Alignment.
 
-@dataclass(slots=True)
-class Alignment:
+class Alignment(NamedTuple):
     pairs: list[tuple[Measure, Measure | None]]
     discarded: int  # surplus predicted measures
     missed: int     # truth measures with no prediction
@@ -164,8 +162,7 @@ def align_measures(entry: ManifestEntry, truth: MTNWork,
 # ---------------------------------------------------------------------------
 # Corpus evaluation.
 
-@dataclass(frozen=True, slots=True)
-class EvalConfig:
+class EvalConfig(NamedTuple):
     tiers: tuple[int, ...] = (1, 2, 3)
     include_synthetic: bool = True   # count synthetic attributes in tier 1
     matched_only: bool = False       # drop missed measures from tier 2/3
@@ -174,14 +171,17 @@ class EvalConfig:
     per_measure: bool = False        # include the per-measure cost table
 
 
-@dataclass(slots=True)
 class PageOutcome:
-    evals: list[MeasureEval]
-    matched: int = 0
-    discarded: int = 0
-    missed: int = 0
-    skipped: bool = False
-    warnings: list[str] = field(default_factory=list)
+    """What one manifest page adds to the report."""
+
+    __slots__ = ("evals", "matched", "discarded", "missed", "skipped",
+                 "warnings")
+
+    def __init__(self) -> None:
+        self.evals: list[MeasureEval] = []
+        self.matched = self.discarded = self.missed = 0
+        self.skipped = False
+        self.warnings: list[str] = []
 
 
 def _load_work(path: Path, warnings: list[str],
@@ -201,7 +201,7 @@ def _load_work(path: Path, warnings: list[str],
 
 def _evaluate_entry(args: tuple) -> PageOutcome:
     truth_root, pred_root, entry, config = args
-    out = PageOutcome(evals=[])
+    out = PageOutcome()
     truth = _load_work(Path(truth_root) / entry.path, out.warnings, "truth")
     if truth is None:
         out.skipped = True
@@ -230,17 +230,19 @@ def _evaluate_entry(args: tuple) -> PageOutcome:
     return out
 
 
-@dataclass(slots=True)
 class EvalReport:
-    config: EvalConfig
-    tally: CorpusTally
-    truth_measures: int = 0
-    matched: int = 0
-    discarded: int = 0
-    missed: int = 0
-    skipped_pages: int = 0
-    per_measure: list[tuple[str, Fraction, int]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    """Corpus counts and tallies, merged page by page in manifest order."""
+
+    __slots__ = ("config", "tally", "truth_measures", "matched", "discarded",
+                 "missed", "skipped_pages", "per_measure", "warnings")
+
+    def __init__(self, config: EvalConfig) -> None:
+        self.config = config
+        self.tally = CorpusTally()
+        self.truth_measures = self.matched = self.discarded = 0
+        self.missed = self.skipped_pages = 0
+        self.per_measure: list[tuple[str, Fraction, int]] = []
+        self.warnings: list[str] = []
 
     @property
     def coverage(self) -> Fraction | None:
@@ -254,7 +256,7 @@ def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
     config = config or EvalConfig()
     if config.partition is not None:
         entries = [e for e in entries if e.partition == config.partition]
-    report = EvalReport(config=config, tally=CorpusTally())
+    report = EvalReport(config)
     args = [(str(truth_root), str(pred_root), entry, config)
             for entry in entries]
     if config.jobs > 1 and len(args) > 1:

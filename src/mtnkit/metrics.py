@@ -19,8 +19,8 @@ are exact fractions; callers format them as floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import Measure
 from .trees import LabeledTree, project_tree, token_counts
@@ -35,13 +35,16 @@ def rate(num: int | Fraction, den: int) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # Tier 1: primitive detection.
 
-@dataclass(slots=True)
 class ClassTally:
     """Counts for one token class, summable across measures."""
 
-    truth: int = 0
-    predicted: int = 0
-    matched: int = 0
+    __slots__ = ("truth", "predicted", "matched")
+
+    def __init__(self, truth: int = 0, predicted: int = 0,
+                 matched: int = 0) -> None:
+        self.truth = truth
+        self.predicted = predicted
+        self.matched = matched
 
     @property
     def precision(self) -> Fraction | None:
@@ -57,8 +60,7 @@ class ClassTally:
         self.matched += other.matched
 
 
-@dataclass(slots=True)
-class Tier1Report:
+class Tier1Report(NamedTuple):
     classes: dict[str, ClassTally]
     aggregate_precision: Fraction | None
     aggregate_recall: Fraction | None
@@ -131,7 +133,6 @@ def ter_score(truth: LabeledTree,
 # ---------------------------------------------------------------------------
 # Tier 3: semantic note metrics.
 
-@dataclass(slots=True)
 class Tier3Counts:
     """Accumulated note-event counts; rates are derived properties.
 
@@ -139,17 +140,16 @@ class Tier3Counts:
     |M|. Pitch fields cover only the matched notehead pairs.
     """
 
-    truth_events: int = 0
-    pred_events: int = 0
-    matched: int = 0
-    matched_notes: int = 0
-    step_correct: int = 0
-    staff_correct: int = 0
-    tuple_correct: int = 0
-    time_correct: int = 0
-    step_diff: int = 0
-    staff_diff: int = 0
-    time_diff: Fraction = field(default_factory=Fraction)
+    __slots__ = ("truth_events", "pred_events", "matched", "matched_notes",
+                 "step_correct", "staff_correct", "tuple_correct",
+                 "time_correct", "step_diff", "staff_diff", "time_diff")
+
+    def __init__(self) -> None:
+        self.truth_events = self.pred_events = self.matched = 0
+        self.matched_notes = self.step_correct = self.staff_correct = 0
+        self.tuple_correct = self.time_correct = 0
+        self.step_diff = self.staff_diff = 0
+        self.time_diff = Fraction(0)
 
     def add(self, other: "Tier3Counts") -> None:
         self.truth_events += other.truth_events
@@ -245,8 +245,7 @@ def tier3_counts(truth: LabeledTree, predicted: LabeledTree) -> Tier3Counts:
 # ---------------------------------------------------------------------------
 # Combined per-measure evaluation and corpus accumulation.
 
-@dataclass(slots=True)
-class MeasureEval:
+class MeasureEval(NamedTuple):
     """Everything the harness needs from one aligned measure pair."""
 
     measure_id: str
@@ -271,15 +270,17 @@ def evaluate_measure(truth: Measure, predicted: Measure | None,
     )
 
 
-@dataclass(slots=True)
 class CorpusTally:
     """Ratio-of-sums accumulator over measure evaluations."""
 
-    cost: Fraction = field(default_factory=Fraction)
-    truth_nodes: int = 0
-    measures: int = 0
-    classes: dict[str, ClassTally] = field(default_factory=dict)
-    tier3: Tier3Counts = field(default_factory=Tier3Counts)
+    __slots__ = ("cost", "truth_nodes", "measures", "classes", "tier3")
+
+    def __init__(self) -> None:
+        self.cost = Fraction(0)
+        self.truth_nodes = 0
+        self.measures = 0
+        self.classes: dict[str, ClassTally] = {}
+        self.tier3 = Tier3Counts()
 
     def add(self, ev: MeasureEval) -> None:
         self.cost += ev.cost

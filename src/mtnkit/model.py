@@ -4,15 +4,14 @@ A work holds parts, a part holds measures, and a measure is an ordered tree:
 internal nodes are structural kinds (note groups, chords, stems, ...), leaves
 are tokens (music primitives with optional staff position).
 
-All types are immutable; edits build new values with the constructors or
-``dataclasses.replace``. Equality is structural, ids included.
+All types are immutable named tuples; edits build new values with the
+constructors or ``._replace``. Equality is structural, ids included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from . import vocabulary
 from .vocabulary import (
@@ -80,8 +79,7 @@ _EXACTLY_ONE: dict[str, tuple[str, frozenset[str], str]] = {
 _ONSET_KINDS = frozenset(TOP_LEVEL_RANK) | {CHORD}
 
 
-@dataclass(frozen=True, slots=True)
-class StaffPosition:
+class StaffPosition(NamedTuple):
     """Vertical placement of a token.
 
     staff counts from 1 at the top of the part. step counts diatonic steps
@@ -93,8 +91,7 @@ class StaffPosition:
     step: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A music primitive leaf."""
 
     id: str
@@ -104,8 +101,7 @@ class Token:
     numeric_value: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     """Internal tree node of a measure."""
 
     kind: str
@@ -114,21 +110,18 @@ class Node:
     synthetic: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Measure:
+class Measure(NamedTuple):
     id: str
     children: tuple[Node, ...] = ()
     line_start: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Part:
+class Part(NamedTuple):
     staff_count: int
     measures: tuple[Measure, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class MTNWork:
+class MTNWork(NamedTuple):
     work_id: str
     parts: tuple[Part, ...] = ()
 
@@ -192,8 +185,7 @@ def map_tokens(work: MTNWork,
         for part in work.parts))
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation failure.
 
     subject is a token id, a measure id, or a path like "m4/1/0" naming a

@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import zipfile
 import zlib
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from io import BytesIO
 from pathlib import Path
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 from .canonical import assign_ids, canonicalize_work
@@ -58,8 +58,7 @@ def _integer(text: str | None) -> int | None:
     return int(text)
 
 
-@dataclass(frozen=True, slots=True)
-class ClefState:
+class ClefState(NamedTuple):
     """Active clef of one staff: token label, staff step of the clef token,
     and the diatonic index that maps to step 0."""
 
@@ -74,7 +73,7 @@ class ClefState:
 
 # A staff with no <clef> or an unsupported one: treble positions and no
 # clef token.
-_NO_CLEF_TOKEN = replace(ClefState.treble(), label=None)
+_NO_CLEF_TOKEN = ClefState.treble()._replace(label=None)
 
 
 def clef_state(sign: str, line: int | None, octave_change: int = 0) -> ClefState | None:
@@ -205,50 +204,59 @@ _SPANNERS = {
 }
 
 
-@dataclass(slots=True)
 class _NoteInfo:
     """One note element inside a chord event."""
 
-    staff: int
-    step: int | None
-    tokens: list[Token]  # notehead or rest, then modifiers
+    __slots__ = ("staff", "step", "tokens")
+
+    def __init__(self, staff: int, step: int | None,
+                 tokens: list[Token]) -> None:
+        self.staff = staff
+        self.step = step
+        self.tokens = tokens  # notehead or rest, then modifiers
 
 
-@dataclass(slots=True)
 class _ChordEvent:
-    onset: Fraction
-    voice: str
-    notes: list[_NoteInfo]
-    stem: str | None = None
-    beams: dict[int, str] = field(default_factory=dict)
-    flags: int = 0
-    kind: str = "black"  # black | half | whole | breve
+    __slots__ = ("onset", "voice", "notes", "stem", "beams", "flags", "kind")
+
+    def __init__(self, onset: Fraction, voice: str) -> None:
+        self.onset = onset
+        self.voice = voice
+        self.notes: list[_NoteInfo] = []
+        self.stem: str | None = None
+        self.beams: dict[int, str] = {}
+        self.flags = 0
+        self.kind = "black"  # black | half | whole | breve
 
 
-@dataclass(slots=True)
 class _PartState:
-    part_id: str
-    cursor: TimeCursor = field(default_factory=TimeCursor)
-    clefs: dict[int, ClefState] = field(default_factory=dict)
-    fifths: dict[int, int] = field(default_factory=dict)
-    staves: int = 1
+    __slots__ = ("part_id", "cursor", "clefs", "fifths", "staves")
+
+    def __init__(self, part_id: str) -> None:
+        self.part_id = part_id
+        self.cursor = TimeCursor()
+        self.clefs: dict[int, ClefState] = {}
+        self.fifths: dict[int, int] = {}
+        self.staves = 1
 
     def clef(self, staff: int) -> ClefState:
         return self.clefs.get(staff, ClefState.treble())
 
 
-@dataclass(frozen=True, slots=True)
-class ConvertOptions:
+class ConvertOptions(NamedTuple):
     work_id: str | None = None
     use_print_breaks: bool = True
     explicit_breaks: tuple[str, ...] = ()  # measure numbers starting lines
 
 
-@dataclass(slots=True)
 class ConversionResult:
-    work: MTNWork
-    warnings: list[str]
-    data: bytes  # serialize_work(work)
+    __slots__ = ("work", "warnings", "data")
+
+    def __init__(self, work: MTNWork, warnings: list[str],
+                 data: bytes) -> None:
+        self.work = work
+        self.warnings = warnings
+        self.data = data  # serialize_work(work)
 
 
 class _Converter:
@@ -712,7 +720,7 @@ class _Converter:
         else:
             onset = (state.cursor.now if grace
                      else state.cursor.advance(duration))
-            event = _ChordEvent(onset=onset, voice=voice, notes=[])
+            event = _ChordEvent(onset, voice)
             events.append(event)
 
         ntype = elem.findtext("type")
@@ -1015,7 +1023,7 @@ def convert_path(path: str | Path,
     path = Path(path)
     options = options or ConvertOptions()
     if options.work_id is None:
-        options = replace(options, work_id=path.stem)
+        options = options._replace(work_id=path.stem)
     data = path.read_bytes()
     if zipfile.is_zipfile(BytesIO(data)):
         data = _read_mxl(data, path)

@@ -9,7 +9,6 @@ because relabeling can change sibling order.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Callable
 
@@ -53,7 +52,7 @@ def relabel_fraction(work: MTNWork, source: str, target: str,
                      fraction: Fraction) -> tuple[MTNWork, int]:
     """Relabel an exact fraction of one token class to another label."""
     return _map_class_tokens(work, source, fraction,
-                             lambda tok: replace(tok, label=target))
+                             lambda tok: tok._replace(label=target))
 
 
 def shift_step_fraction(work: MTNWork, label: str, delta: int,
@@ -63,7 +62,7 @@ def shift_step_fraction(work: MTNWork, label: str, delta: int,
     def edit(tok: Token) -> Token:
         if tok.position.step is None:
             return tok
-        position = replace(tok.position, step=tok.position.step + delta)
-        return replace(tok, position=position)
+        position = tok.position._replace(step=tok.position.step + delta)
+        return tok._replace(position=position)
 
     return _map_class_tokens(work, label, fraction, edit)

@@ -10,7 +10,7 @@ score itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import MTNWork, iter_tokens
 
@@ -19,14 +19,12 @@ class SidecarError(ValueError):
     """Sidecar content is structurally wrong or references unknown tokens."""
 
 
-@dataclass(frozen=True, slots=True)
-class TextBox:
+class TextBox(NamedTuple):
     bbox: tuple[int, int, int, int]
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class TokenAnnotation:
+class TokenAnnotation(NamedTuple):
     bbox: tuple[int, int, int, int] | None = None
     text_boxes: tuple[TextBox, ...] = ()
     extra: tuple[tuple[str, object], ...] = ()
@@ -35,8 +33,7 @@ class TokenAnnotation:
         return dict(self.extra)
 
 
-@dataclass(frozen=True, slots=True)
-class Sidecar:
+class Sidecar(NamedTuple):
     entries: tuple[tuple[str, TokenAnnotation], ...] = ()
 
     def by_token(self) -> dict[str, TokenAnnotation]:

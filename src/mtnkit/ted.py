@@ -80,10 +80,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import vocabulary
 from .trees import LabeledTree, TreeNode
@@ -137,8 +136,7 @@ _RELABEL_FLOOR = {CostModel.substitute: 1,
                   SemanticCostModel.substitute: Fraction(1, 2)}
 
 
-@dataclass(frozen=True, slots=True)
-class EditScript:
+class EditScript(NamedTuple):
     """Optimal edit script between two trees.
 
     mapping holds (a_index, b_index) pairs into the postorder node lists;

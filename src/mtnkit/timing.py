@@ -6,15 +6,14 @@ every chord and top-level node carries its own (see model.validate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import vocabulary
 from .model import CHORD, NOTE, NOTE_GROUP, REST, Measure, Node, Token
 
 
-@dataclass(slots=True)
-class TimedEvent:
+class TimedEvent(NamedTuple):
     """A chord or rest located in its measure."""
 
     node: Node

@@ -10,9 +10,8 @@ only, so tiers 2 and 3 share one projection per measure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import vocabulary
 from .model import NOTE, REST, Measure, Node, Token
@@ -21,8 +20,7 @@ from .timing import TimedEvent, timed_events
 MEASURE_LABEL = "measure"
 
 
-@dataclass(frozen=True, slots=True)
-class NoteMeta:
+class NoteMeta(NamedTuple):
     """Semantic payload of a notehead leaf."""
 
     staff: int
@@ -31,8 +29,7 @@ class NoteMeta:
     is_rest: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """A projected node. token marks a leaf made from a token (an internal
     node with no children is not one); synthetic marks anything under a
     synthesized line-start attributes node."""
@@ -44,7 +41,6 @@ class TreeNode:
     token: bool = False
 
 
-@dataclass(frozen=True, slots=True)
 class LabeledTree:
     """An ordered labeled tree; root may be absent (the empty tree).
 
@@ -54,15 +50,15 @@ class LabeledTree:
     in which case no leaf carries metadata.
     """
 
-    root: TreeNode | None = None
-    timing_error: ValueError | None = field(default=None, compare=False)
-    nodes: tuple[TreeNode, ...] = field(init=False, repr=False, compare=False)
-    lml: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("root", "timing_error", "nodes", "lml")
 
-    def __post_init__(self) -> None:
+    def __init__(self, root: TreeNode | None = None,
+                 timing_error: ValueError | None = None) -> None:
+        self.root = root
+        self.timing_error = timing_error
         # Right-to-left preorder, reversed, is left-to-right postorder.
         order: list[TreeNode] = []
-        todo = [self.root] if self.root is not None else []
+        todo = [root] if root is not None else []
         while todo:
             n = todo.pop()
             order.append(n)
@@ -78,8 +74,8 @@ class LabeledTree:
                 del sizes[-k:]
             sizes.append(size)
             lml.append(i - size + 1)
-        object.__setattr__(self, "nodes", tuple(order))
-        object.__setattr__(self, "lml", tuple(lml))
+        self.nodes = tuple(order)
+        self.lml = tuple(lml)
 
     def timed(self) -> "LabeledTree":
         """This tree, or the timing error that kept its metadata off."""

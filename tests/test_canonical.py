@@ -3,7 +3,6 @@ construction-order independence."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -207,7 +206,7 @@ def _shuffled(item, rng):
     children = [_shuffled(c, rng) if isinstance(c, Node) else c
                 for c in item.children]
     rng.shuffle(children)
-    return replace(item, children=tuple(children))
+    return item._replace(children=tuple(children))
 
 
 def test_random_works_canonicalize_whatever_the_construction_order():

@@ -1,6 +1,5 @@
 """End-to-end command tests through main(): exit codes and outputs."""
 
-import dataclasses
 import json
 import os
 import re
@@ -325,20 +324,53 @@ def test_evaluate_bad_tier_list(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "perturb"])
-def test_usage_error_names_the_option(tmp_path, capsys, command):
-    argv, message = {
-        "evaluate": (["--pred", str(CORPUS), "--truth", str(CORPUS),
-                      "--manifest", str(ROOT / "fixtures" / "manifest.jsonl"),
-                      "--tiers", "x"], "bad tier list 'x'"),
-        "perturb": ([str(CORPUS / "anthem.mtn.xml"),
-                     "-o", str(tmp_path / "out.mtn.xml"), "--fraction", "1/2",
-                     "--shift-step", "notehead_black"],
-                    "--shift-step wants LABEL:DELTA"),
-    }[command]
-    assert main([command, *argv]) == 2
+EVALUATE_ARGS = ["evaluate", "--pred", str(CORPUS), "--truth", str(CORPUS),
+                 "--manifest", str(ROOT / "fixtures" / "manifest.jsonl")]
+PERTURB_ARGS = ["perturb", str(CORPUS / "anthem.mtn.xml")]
+USAGE_ERRORS = {
+    "evaluate": (["--tiers", "x"], "bad tier list 'x'"),
+    "evaluate-tiers-arabic-digit": (["--tiers", "1,٢"],
+                                    "bad tier list '1,٢'"),
+    "evaluate-jobs-arabic-digit": (
+        ["--jobs", "٢"], "--jobs wants an integer of at least 1, not '٢'"),
+    "evaluate-jobs-0": (
+        ["--jobs", "0"], "--jobs wants an integer of at least 1, not '0'"),
+    "evaluate-jobs-x": (
+        ["--jobs", "x"], "--jobs wants an integer of at least 1, not 'x'"),
+    "perturb": (["--fraction", "1/2", "--shift-step", "notehead_black"],
+                "--shift-step wants LABEL:DELTA"),
+    "perturb-delta-arabic-digit": (
+        ["--fraction", "1/2", "--shift-step", "notehead_black:٤"],
+        "--shift-step wants LABEL:DELTA"),
+    "perturb-delta-x": (
+        ["--fraction", "1/2", "--shift-step", "notehead_black:x"],
+        "--shift-step wants LABEL:DELTA"),
+    "perturb-fraction-arabic-digit": (
+        ["--fraction", "٣/4", "--shift-step", "notehead_black:1"],
+        "--fraction wants a fraction such as 1/2, not '٣/4'"),
+    "perturb-fraction-x": (
+        ["--fraction", "x", "--relabel", "notehead_black:notehead_white"],
+        "--fraction wants a fraction such as 1/2, not 'x'"),
+    "perturb-fraction-over-0": (
+        ["--fraction", "1/0", "--relabel", "notehead_black:notehead_white"],
+        "--fraction wants a fraction such as 1/2, not '1/0'"),
+    "validate-max-onset-x": (
+        ["--max-onset", "x"],
+        "--max-onset wants a fraction such as 1/2, not 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_names_the_option(tmp_path, capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    out = tmp_path / "out.mtn.xml"
+    command = case.split("-")[0]
+    prefix = {"evaluate": EVALUATE_ARGS,
+              "perturb": PERTURB_ARGS + ["-o", str(out)],
+              "validate": ["validate", str(CORPUS)]}[command]
+    assert main([*prefix, *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out.mtn.xml").exists()
+    assert not out.exists()
 
 
 def test_evaluate_tier2_prints_only_the_ter_column(tmp_path, capsys):
@@ -357,28 +389,43 @@ def test_evaluate_missing_manifest(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# Every command is a fresh interpreter, so evaluate must not pay for the
-# converter, the perturber or a process pool it does not run.
-EVALUATE_IN_A_FRESH_INTERPRETER = """
+# Every command is a fresh interpreter, so a command must not pay for
+# modules it does not run: evaluate for the converter, the perturber or a
+# process pool, and neither evaluate nor convert for dataclasses, which
+# imports inspect.
+IN_A_FRESH_INTERPRETER = """
 import sys
 from mtnkit.cli import main
-rc = main(sys.argv[1:])
-unused = ("mtnkit.musicxml", "mtnkit.perturb", "concurrent.futures",
-          "multiprocessing")
-print(rc, [name for name in unused if name in sys.modules])
+rc = main(sys.argv[2:])
+print(rc, [name for name in sys.argv[1].split(",") if name in sys.modules])
 """
 
 
-def test_evaluate_imports_only_what_it_runs():
+def loaded_modules(unused: tuple[str, ...], argv: list[str]) -> str:
+    """The exit code of `mtn argv` in a fresh interpreter and which of the
+    unused modules it loaded, as the last line it prints."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, "-c", EVALUATE_IN_A_FRESH_INTERPRETER, "evaluate",
-         "--pred", str(CORPUS), "--truth", str(CORPUS),
-         "--manifest", str(ROOT / "fixtures" / "manifest.jsonl"),
-         "--jobs", "1", "--quiet"],
-        env=env, capture_output=True, text=True, timeout=60)
+        [sys.executable, "-c", IN_A_FRESH_INTERPRETER, ",".join(unused),
+         *argv], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 []\n"
+    return done.stdout.splitlines()[-1]
+
+
+def test_evaluate_imports_only_what_it_runs():
+    unused = ("mtnkit.musicxml", "mtnkit.perturb", "concurrent.futures",
+              "multiprocessing", "dataclasses", "inspect")
+    assert loaded_modules(unused, [
+        "evaluate", "--pred", str(CORPUS), "--truth", str(CORPUS),
+        "--manifest", str(ROOT / "fixtures" / "manifest.jsonl"),
+        "--jobs", "1", "--quiet"]) == "0 []"
+
+
+def test_convert_imports_only_what_it_runs(tmp_path):
+    unused = ("dataclasses", "inspect", "mtnkit.perturb", "concurrent.futures")
+    assert loaded_modules(unused, [
+        "convert", str(ROOT / "fixtures" / "musicxml" / "simple.musicxml"),
+        "-o", str(tmp_path)]) == "0 []"
 
 
 def test_evaluate_report_does_not_follow_the_hash_seed(tmp_path):
@@ -576,7 +623,7 @@ def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys):
         anthem_manifest(tmp_path, truth).read_text(encoding="utf-8"))
     manifest = tmp_path / "two-pages.jsonl"
     manifest.write_text(write_manifest(
-        [entry, dataclasses.replace(entry, page="2")]), encoding="utf-8")
+        [entry, entry._replace(page="2")]), encoding="utf-8")
     for jobs in ("1", "2"):
         assert main(["evaluate", "--pred", str(truth), "--truth", str(pred),
                      "--manifest", str(manifest), "--jobs", jobs]) == 2

@@ -1,6 +1,5 @@
 """Harness tests: manifests, alignment, corpus evaluation, reports."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -118,10 +117,10 @@ def rename_measures(w, prefix):
     """Give every measure a fresh id so id-based alignment cannot apply."""
     parts = []
     for part in w.parts:
-        ms = tuple(dataclasses.replace(m, id=f"{prefix}{i + 1}")
+        ms = tuple(m._replace(id=f"{prefix}{i + 1}")
                    for i, m in enumerate(part.measures))
-        parts.append(dataclasses.replace(part, measures=ms))
-    return dataclasses.replace(w, parts=tuple(parts))
+        parts.append(part._replace(measures=ms))
+    return w._replace(parts=tuple(parts))
 
 
 def test_align_zip_discards_extras():

@@ -1,6 +1,5 @@
 """Metric tests with hand-computed expected values."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 from builders import (
@@ -24,12 +23,12 @@ def relabel_first(m: Measure, old: str, new: str) -> Measure:
             if isinstance(child, Token):
                 if child.label == old and not done[0]:
                     done[0] = True
-                    kids.append(replace(child, label=new))
+                    kids.append(child._replace(label=new))
                 else:
                     kids.append(child)
             else:
                 kids.append(fix(child))
-        return replace(node, children=tuple(kids))
+        return node._replace(children=tuple(kids))
 
     out = fix(m)
     assert done[0], f"no token labeled {old}"

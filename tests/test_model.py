@@ -1,6 +1,5 @@
 """Model constraints and the validator."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -304,7 +303,7 @@ def test_map_tokens_drops_none_and_the_nodes_it_empties():
     out = map_tokens(w, lambda tok: None if tok in gone else tok)
     # the direction, the upper note and the whole second group are gone
     assert out.parts[0].measures[0].children == (
-        B.group(replace(both, children=(both.children[0], lower))),)
+        B.group(both._replace(children=(both.children[0], lower))),)
 
 
 def test_map_tokens_keeps_empty_nodes_and_every_measure():

@@ -1,7 +1,6 @@
 """Edit-distance engine against the brute-force oracle and frozen cases."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from builders import random_tree
@@ -262,13 +261,13 @@ def _relabel_every_third_black(children):
     def visit(child):
         nonlocal seen
         if isinstance(child, Node):
-            return replace(child, children=tuple(visit(c)
-                                                 for c in child.children))
+            return child._replace(children=tuple(visit(c)
+                                                for c in child.children))
         if child.label != "notehead_black":
             return child
         seen += 1
         if seen % 3 == 1:
-            return replace(child, label="notehead_white")
+            return child._replace(label="notehead_white")
         return child
 
     return tuple(visit(c) for c in children)
@@ -329,14 +328,14 @@ def _shift_every_fourth_step(children):
     def visit(child):
         nonlocal seen
         if isinstance(child, Node):
-            return replace(child, children=tuple(visit(c)
-                                                 for c in child.children))
+            return child._replace(children=tuple(visit(c)
+                                                for c in child.children))
         if child.label != "notehead_black":
             return child
         seen += 1
         if seen % 4 == 1:
-            return replace(child, position=replace(
-                child.position, step=child.position.step + 1))
+            return child._replace(position=child.position._replace(
+                step=child.position.step + 1))
         return child
 
     return tuple(visit(c) for c in children)
@@ -421,17 +420,17 @@ def _edit_noteheads(rng, children, share):
     # Same shape: some noteheads swap black and white, others move a step.
     def visit(child):
         if isinstance(child, Node):
-            return replace(child, children=tuple(visit(c)
-                                                 for c in child.children))
+            return child._replace(children=tuple(visit(c)
+                                                for c in child.children))
         if child.label not in ("notehead_black", "notehead_white") \
                 or rng.random() >= share:
             return child
         if rng.random() < 0.5:
-            return replace(child, label="notehead_white"
-                           if child.label == "notehead_black"
-                           else "notehead_black")
-        return replace(child, position=replace(
-            child.position, step=child.position.step + rng.choice((-1, 1))))
+            return child._replace(label="notehead_white"
+                                  if child.label == "notehead_black"
+                                  else "notehead_black")
+        return child._replace(position=child.position._replace(
+            step=child.position.step + rng.choice((-1, 1))))
 
     return tuple(visit(c) for c in children)
 
