@@ -18,8 +18,7 @@ regardless of construction order.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import NamedTuple
+from operator import is_not, itemgetter
 
 from .model import (
     ATTR_STAFF, ATTRIBUTES, CHORD, CLEF, KEY, Measure, MTNWork, NOTE,
@@ -31,107 +30,118 @@ class CanonicalizeError(ValueError):
     """A measure cannot be ordered, e.g. a timed node is missing its onset."""
 
 
-class _Facts(NamedTuple):
-    """An ordered subtree and what sort keys read of it, built from its
-    children's facts so that each subtree is walked once."""
-
-    item: Node | Token
-    fingerprint: tuple  # content only: ids and pair-id values excluded
-    position: tuple  # uppermost (staff, step key) of the tokens below
-    stem: int  # first stem direction: 0 up, 1 down, 2 none
-    onset: Fraction | None  # a note group's earliest chord onset, else own
-    key: tuple | None  # a token's sort key; None for a node
-
+# What the sort keys read of an ordered subtree, built from its children's
+# so that each subtree is walked once, is a plain 6-tuple of these fields (a
+# NamedTuple's __new__ runs in Python, once per item of a measure):
+# item         the subtree with every sibling list below it in order
+# fingerprint  content only: ids and pair-id values excluded
+# position     uppermost (staff, step key) of the tokens below
+# stem         first stem direction: 0 up, 1 down, 2 none
+# onset        a note group's earliest chord onset, else its own
+# key          a token's sort key, (0, ...); None for a node
 
 _NO_STEP = (1, 0)  # positioned tokens sort before positionless ones
 _ATTR_ORDER = {CLEF: 0, KEY: 1, TIME_SIG: 2}
 _STEM_RANK = {"stem_up": 0, "stem_down": 1}
 
 
-def _token_facts(tok: Token) -> _Facts:
-    staff, step = tok.position.staff, tok.position.step
+def _token_facts(tok: Token) -> tuple:
+    _, label, (staff, step), pair_id, value = tok
     step_key = _NO_STEP if step is None else (0, step)
-    value = tok.numeric_value if tok.numeric_value is not None else 0
-    return _Facts(
-        tok, ("T", tok.label, staff, step_key, value, tok.pair_id is not None),
-        (staff, step_key), _STEM_RANK.get(tok.label, 2), None,
-        (staff, step_key, tok.label, value))
+    value = 0 if value is None else value
+    return (tok, ("T", label, staff, step_key, value, pair_id is not None),
+            (staff, step_key), _STEM_RANK.get(label, 2), None,
+            (0, staff, step_key, label, value))
 
 
-def _leaf_key(f: _Facts):
+def _leaf_key(facts: tuple):
     # Leaf-only kinds (clef, key, time sig, barline, direction, stem, note,
     # rest) hold tokens; any node among them follows the tokens.
-    return (0, f.key) if f.key is not None else (1, f.fingerprint)
+    _, fingerprint, _, _, _, key = facts
+    return key or (1, fingerprint)
 
 
-def _group_key(f: _Facts):
-    if f.key is not None:
-        return (0, f.key)  # beam tokens before grouped content
-    if f.onset is None:
+def _group_key(facts: tuple):
+    item, fingerprint, position, stem, onset, key = facts
+    if key is not None:
+        return key  # beam tokens before grouped content
+    if onset is None:
         raise CanonicalizeError(
-            "note group has no chords" if f.item.kind == NOTE_GROUP
-            else f"{f.item.kind} node is missing its onset")
-    return (1, f.onset, f.position, f.stem, f.fingerprint)
+            "note group has no chords" if item.kind == NOTE_GROUP
+            else f"{item.kind} node is missing its onset")
+    return (1, onset, position, stem, fingerprint)
 
 
-def _chord_key(f: _Facts):
-    kind = getattr(f.item, "kind", None)  # stem, then notes low to high
+def _chord_key(facts: tuple):
+    item, fingerprint, position, _, _, _ = facts
+    kind = getattr(item, "kind", None)  # stem, then notes low to high
     return (0 if kind == STEM else 1,
-            f.position if kind == NOTE else (0, (0, 0)), f.fingerprint)
+            position if kind == NOTE else (0, (0, 0)), fingerprint)
+
+
+def _staff_item_key(facts: tuple):
+    item, fingerprint, _, _, _, _ = facts
+    return (_ATTR_ORDER.get(getattr(item, "kind", None), 9), fingerprint)
 
 
 _SIBLING_KEY = {
-    ATTRIBUTES: lambda f: f.position,  # staves top down
-    ATTR_STAFF: lambda f: (_ATTR_ORDER.get(getattr(f.item, "kind", None), 9),
-                           f.fingerprint),
+    ATTRIBUTES: itemgetter(2),  # position: staves top down
+    ATTR_STAFF: _staff_item_key,
     NOTE_GROUP: _group_key,
     CHORD: _chord_key,
 }
 
 
-def _order(node: Node) -> _Facts:
+def _order(node: Node) -> tuple:
     """node with every sibling list below it in canonical order, and the
     facts of the ordered subtree."""
-    kind = node.kind
-    if not node.children:
-        # its position would be needed by the top-level sort key above it
+    kind, children, onset, synthetic = node
+    if not children:  # the sort key above it would need its position
         raise CanonicalizeError(f"{kind} node has no tokens")
-    facts = [_order(c) if isinstance(c, Node) else _token_facts(c)
-             for c in node.children]
-    facts.sort(key=_SIBLING_KEY.get(kind, _leaf_key))
-    items, fingerprints, positions, _, _, _ = zip(*facts)
-    # the first stem in document order: a stem's own direction token (its
-    # tokens sort first), else the first child node's
-    stem = 2
-    for f in facts:
-        if f.stem != 2 and (f.key is None or kind == STEM):
-            stem = f.stem
-            break
-    onset = node.onset
-    if kind == NOTE_GROUP:
-        onset = min((f.onset for f in facts if f.key is None), default=None)
+    if len(children) == 1 and not isinstance(children[0], Node):
+        # one token: nothing to sort, and the node is its own ordered copy
+        _, fingerprint, position, stem, _, _ = _token_facts(children[0])
+        item, fingerprints = node, (fingerprint,)
+        stem = stem if kind == STEM else 2
+        onset = None if kind == NOTE_GROUP else onset
+    else:
+        facts = [_order(c) if isinstance(c, Node) else _token_facts(c)
+                 for c in children]
+        facts.sort(key=_SIBLING_KEY.get(kind, _leaf_key))
+        items, fingerprints, positions, stems, onsets, keys = zip(*facts)
+        item = _with_children(node, items)
+        position = min(positions)
+        # the first stem in document order: a stem's own direction token
+        # (its tokens sort first), else the first child node's
+        stem = 2
+        for child_stem, key in zip(stems, keys):
+            if child_stem != 2 and (key is None or kind == STEM):
+                stem = child_stem
+                break
+        if kind == NOTE_GROUP:
+            # a token's onset is None; a node's is set, or its key raised
+            onset = min((o for o in onsets if o is not None), default=None)
     # () sorts before any onset, so siblings that differ only in carrying
     # one still compare.
-    own_onset = (node.onset.numerator, node.onset.denominator) \
-        if node.onset is not None else ()
-    return _Facts(_with_children(node, items),
-                  ("N", kind, own_onset, node.synthetic, fingerprints),
-                  min(positions), stem, onset, None)
+    own_onset = () if node.onset is None else (node.onset.numerator,
+                                               node.onset.denominator)
+    return (item, ("N", kind, own_onset, synthetic, fingerprints),
+            position, stem, onset, None)
 
 
-def _top_level_key(f: _Facts):
-    node = f.item
+def _top_level_key(facts: tuple):
+    node, fingerprint, position, stem, _, _ = facts
     if node.onset is None:
         raise CanonicalizeError(f"{node.kind} node is missing its onset")
-    return (node.onset, TOP_LEVEL_RANK[node.kind], f.position,
-            f.stem if node.kind == NOTE_GROUP else 0, f.fingerprint)
+    return (node.onset, TOP_LEVEL_RANK[node.kind], position,
+            stem if node.kind == NOTE_GROUP else 0, fingerprint)
 
 
 def _with_children(item, children: tuple):
     """item itself when children are its own, in order; else a copy."""
-    if all(a is b for a, b in zip(children, item.children)):
-        return item
-    return item._replace(children=children)
+    if any(map(is_not, children, item.children)):
+        return item._replace(children=children)
+    return item
 
 
 def canonicalize(measure: Measure) -> Measure:
@@ -147,7 +157,7 @@ def canonicalize(measure: Measure) -> Measure:
         if not isinstance(child, Node) or child.kind not in TOP_LEVEL_RANK:
             raise CanonicalizeError("measure child is not a top-level node")
     facts = sorted(map(_order, measure.children), key=_top_level_key)
-    return _with_children(measure, tuple(f.item for f in facts))
+    return _with_children(measure, tuple([f[0] for f in facts]))
 
 
 def canonicalize_work(work: MTNWork) -> MTNWork:

@@ -215,28 +215,40 @@ class _Validator:
         self.out.append(Violation(rule, subject, message))
 
     def run(self) -> list[Violation]:
+        work_id = self.work.work_id
+        if type(work_id) is not str:
+            work_id = repr(work_id)
+            self.fail("field-type", work_id, f"work_id {work_id} is not a str")
         measure_ids: set[str] = set()
         for part in self.work.parts:
             if type(part.staff_count) is not int:
-                self.fail("field-type", self.work.work_id,
+                self.fail("field-type", work_id,
                           f"part has staff_count {part.staff_count!r}, "
                           "not an int")
             elif part.staff_count < 1:
-                self.fail("staff-count", self.work.work_id,
+                self.fail("staff-count", work_id,
                           f"part has staff_count {part.staff_count}")
             for measure in part.measures:
-                if measure.id in measure_ids:
-                    self.fail("duplicate-measure-id", measure.id,
+                mid = measure.id
+                if type(mid) is not str:
+                    mid = repr(mid)
+                    self.fail("field-type", mid, f"measure id {mid} is not a str")
+                elif mid in measure_ids:
+                    self.fail("duplicate-measure-id", mid,
                               "measure id appears more than once")
-                measure_ids.add(measure.id)
-                self.check_measure(part, measure)
+                else:
+                    measure_ids.add(mid)
+                if type(measure.line_start) is not bool:
+                    self.fail("field-type", mid, f"line_start "
+                              f"{measure.line_start!r} is not a bool")
+                self.check_measure(part, measure, mid)
         self.check_pairs()
         return self.out
 
-    def check_measure(self, part: Part, measure: Measure) -> None:
+    def check_measure(self, part: Part, measure: Measure, mid: str) -> None:
         start = len(self.out)
         for i, child in enumerate(measure.children):
-            path = f"{measure.id}/{i}"
+            path = f"{mid}/{i}"
             if not isinstance(child, Node) or child.kind not in TOP_LEVEL_RANK:
                 self.fail("child-kind", path,
                           f"{_note_kind_name(child)} not allowed under a measure")
@@ -250,96 +262,123 @@ class _Validator:
         from .canonical import canonicalize, CanonicalizeError
         try:
             if canonicalize(measure) is not measure:
-                self.fail("non-canonical", measure.id,
+                self.fail("non-canonical", mid,
                           "children are not in canonical reading order")
         except CanonicalizeError:
             pass  # missing onsets are reported by the onset rules
 
     def check_node(self, part: Part, node: Node, path: str) -> None:
-        onset = node.onset
+        kind, children, onset, synthetic = node
         typed = (onset is None or isinstance(onset, Fraction)
                  or type(onset) is int)
-        if not typed:
-            self.fail("field-type", path,
-                      f"onset {onset!r} is neither an int nor a Fraction")
-        if node.kind in _ONSET_KINDS:
+        if not typed or type(synthetic) is not bool:
+            self.check_node_types(node, path)
+        if kind in _ONSET_KINDS:
             if onset is None:
-                self.fail("missing-onset", path,
-                          f"{node.kind} requires an onset")
-            elif typed and onset < 0:
-                self.fail("negative-onset", path,
-                          f"onset {node.onset} is negative")
-        elif node.onset is not None:
+                self.fail("missing-onset", path, f"{kind} requires an onset")
+            elif typed and onset.numerator < 0:
+                self.fail("negative-onset", path, f"onset {onset} is negative")
+        elif onset is not None:
             self.fail("onset-not-allowed", path,
-                      f"{node.kind} must not carry an onset")
-        if node.synthetic and node.kind != ATTRIBUTES:
+                      f"{kind} must not carry an onset")
+        if synthetic is True and kind != ATTRIBUTES:
             self.fail("synthetic-not-allowed", path,
                       "only attributes nodes can be synthetic")
 
-        allowed_kinds, allowed_tokens = _GRAMMAR[node.kind]
-        for i, child in enumerate(node.children):
-            sub = f"{path}/{i}"
+        allowed_kinds, allowed_tokens = _GRAMMAR[kind]
+        for i, child in enumerate(children):
             if isinstance(child, Token):
-                pos = child.position  # every token of a valid work passes
-                if not (type(pos.staff) is int
-                        and (pos.step is None or type(pos.step) is int)
-                        and (child.numeric_value is None
-                             or type(child.numeric_value) is int)):
-                    self.check_types(child)
-                if child.label in allowed_tokens:
+                tid, label, (staff, step), pair_id, value = child
+                # every token of a valid work passes this test
+                if not (type(tid) is str and type(label) is str
+                        and type(staff) is int
+                        and (step is None or type(step) is int)
+                        and (pair_id is None or type(pair_id) is str)
+                        and (value is None or type(value) is int)):
+                    if self.check_types(child, f"{path}/{i}"):
+                        continue  # the token rules read its id and label
+                if label in allowed_tokens:
                     self.check_token(part, child)
-                elif not vocabulary.is_known(child.label):
-                    self.fail("unknown-label", child.id,
-                              f"label {child.label} is not in the vocabulary")
+                elif not vocabulary.is_known(label):
+                    self.fail("unknown-label", tid,
+                              f"label {label} is not in the vocabulary")
                 else:
-                    self.fail("child-kind", sub,
-                              f"token {child.label} not allowed under {node.kind}")
+                    self.fail("child-kind", f"{path}/{i}",
+                              f"token {label} not allowed under {kind}")
             elif child.kind in allowed_kinds:
-                self.check_node(part, child, sub)
+                self.check_node(part, child, f"{path}/{i}")
             else:
-                self.fail("child-kind", sub,
-                          f"{child.kind} not allowed under {node.kind}")
+                self.fail("child-kind", f"{path}/{i}",
+                          f"{child.kind} not allowed under {kind}")
+                self.check_types_below(child, f"{path}/{i}")
         self.check_counts(node, path)
 
+    def check_node_types(self, node: Node, path: str) -> None:
+        """Report an onset that is neither an int nor a Fraction, and a
+        synthetic flag that is not a bool."""
+        onset = node.onset
+        if not (onset is None or isinstance(onset, Fraction)
+                or type(onset) is int):
+            self.fail("field-type", path,
+                      f"onset {onset!r} is neither an int nor a Fraction")
+        if type(node.synthetic) is not bool:
+            self.fail("field-type", path,
+                      f"synthetic {node.synthetic!r} is not a bool")
+
+    def check_types_below(self, node: Node, path: str) -> None:
+        """Report the mistyped fields in a subtree that child-kind rejected:
+        the walk does not enter it, but the order check reads them."""
+        self.check_node_types(node, path)
+        for i, child in enumerate(node.children):
+            if isinstance(child, Token):
+                self.check_types(child, f"{path}/{i}")
+            else:
+                self.check_types_below(child, f"{path}/{i}")
+
     def check_counts(self, node: Node, path: str) -> None:
-        tokens = [c for c in node.children if isinstance(c, Token)]
-        nodes = [c for c in node.children if isinstance(c, Node)]
-        if node.kind in _EXACTLY_ONE:
-            rule, labels, what = _EXACTLY_ONE[node.kind]
-            n = sum(1 for t in tokens if t.label in labels)
+        kind, children = node.kind, node.children
+        if kind in _EXACTLY_ONE:
+            rule, labels, what = _EXACTLY_ONE[kind]
+            n = len([c for c in children if isinstance(c, Token)
+                     and type(c.label) is str and c.label in labels])
             if n != 1:
-                self.fail(rule, path,
-                          f"{node.kind} has {n} {what}, wants exactly 1")
-        elif node.kind == CHORD:
-            stems = [n for n in nodes if n.kind == STEM]
-            notes = [n for n in nodes if n.kind == NOTE]
-            if len(stems) > 1:
+                self.fail(rule, path, f"{kind} has {n} {what}, wants exactly 1")
+        elif kind == CHORD:
+            kinds = [c.kind for c in children if isinstance(c, Node)]
+            if kinds.count(STEM) > 1:
                 self.fail("chord-stems", path, "chord has more than one stem")
-            if not notes:
+            if NOTE not in kinds:
                 self.fail("chord-notes", path, "chord has no note")
-        elif node.kind == DIRECTION:
-            if len(tokens) != 1 or nodes:
+        elif kind == DIRECTION:
+            if len(children) != 1 or isinstance(children[0], Node):
                 self.fail("direction-tokens", path,
                           "direction holds exactly one token")
-        elif node.kind == NOTE_GROUP:
-            chords = [n for n in nodes if n.kind in (CHORD, NOTE_GROUP)]
-            if not chords:
+        elif kind == NOTE_GROUP:
+            if not any(isinstance(c, Node) and c.kind in (CHORD, NOTE_GROUP)
+                       for c in children):
                 self.fail("group-empty", path, "note group has no chords")
-        elif node.kind in (CLEF, KEY, TIME_SIG, BARLINE, ATTR_STAFF, ATTRIBUTES):
-            if not node.children:
-                self.fail("node-empty", path, f"{node.kind} has no children")
+        elif kind in (CLEF, KEY, TIME_SIG, BARLINE, ATTR_STAFF, ATTRIBUTES):
+            if not children:
+                self.fail("node-empty", path, f"{kind} has no children")
 
-    def check_types(self, token: Token) -> None:
-        """Report each of the token's staff, step and numeric value that is
-        not an int (a bool is not one); step and numeric value may be
-        None."""
-        pos = token.position
-        for name, value in (("staff", pos.staff), ("step", pos.step),
-                            ("numeric_value", token.numeric_value)):
-            if type(value) is not int and (value is not None
-                                           or name == "staff"):
-                self.fail("field-type", token.id,
-                          f"{name} {value!r} is not an int")
+    def check_types(self, token: Token, path: str) -> bool:
+        """Report each field of the token of the wrong type: id and label
+        are str, pair_id str or None, staff an int (a bool is not one), step
+        and numeric value an int or None. A token with a mistyped id is
+        named by its path. True when id, label or pair_id is mistyped."""
+        tid, label, (staff, step), pair_id, value = token
+        subject = tid if type(tid) is str else path
+        mistyped = False
+        for name, got, want, optional in (
+                ("id", tid, str, False), ("label", label, str, False),
+                ("staff", staff, int, False), ("step", step, int, True),
+                ("pair_id", pair_id, str, True),
+                ("numeric_value", value, int, True)):
+            if type(got) is not want and not (optional and got is None):
+                self.fail("field-type", subject, f"{name} {got!r} is not "
+                          + ("a str" if want is str else "an int"))
+                mistyped = mistyped or want is str
+        return mistyped
 
     def check_token(self, part: Part, token: Token) -> None:
         if token.id in self.token_ids:

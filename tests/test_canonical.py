@@ -15,6 +15,7 @@ from mtnkit.canonical import (
 from mtnkit.model import Measure, Node
 from mtnkit.musicxml import convert_path
 from mtnkit.xmlio import parse_work
+from oracles import reference_canonicalize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -186,7 +187,7 @@ def test_construction_order_independence_end_to_end():
         assert a == b
 
 
-def test_canonical_measures_come_back_unchanged():
+def fixture_measures():
     measures = []
     for path in sorted((FIXTURES / "corpus").glob("*.mtn.xml")):
         warnings = []
@@ -196,6 +197,11 @@ def test_canonical_measures_come_back_unchanged():
     for path in sorted((FIXTURES / "musicxml").glob("*.musicxml")):
         work = convert_path(path).work
         measures += [m for part in work.parts for m in part.measures]
+    return measures
+
+
+def test_canonical_measures_come_back_unchanged():
+    measures = fixture_measures()
     assert measures
     for m in measures:
         assert canonicalize(m) is m
@@ -265,3 +271,134 @@ def test_which_measures_cannot_be_ordered(case):
             canonicalize(build())
     else:
         canonicalize(build())
+
+
+_EXTRAS = [("dot", None), ("staccato", None), ("accent", None),
+           ("fermata", None), ("accidental_sharp", 0), ("accidental_flat", 0),
+           ("slur_start", None), ("tied_stop", None)]
+
+
+def _rich_note(rng, staff, step):
+    extras = []
+    for label, at in rng.sample(_EXTRAS, rng.randint(0, 2)):
+        pair = "p1" if label in ("slur_start", "tied_stop") else None
+        extras.append(B.tok(label, staff, None if at is None else step,
+                            pair=pair))
+    if rng.random() < 0.05:  # a stem direction outside a stem
+        extras.append(B.tok(rng.choice(["stem_up", "stem_down"]), staff))
+    head = rng.choice(["notehead_black", "notehead_white"])
+    return B.note(head, step, staff, tuple(extras))
+
+
+def _rich_chord(rng, onset, staff):
+    steps = rng.sample(range(-2, 14), rng.randint(1, 3))
+    notes = [_rich_note(rng, staff, step) for step in steps]
+    stem = None
+    if rng.random() < 0.8:
+        stem = B.stem(rng.choice(["stem_up", "stem_down"]),
+                      rng.randint(0, 2), staff)
+    elif rng.random() < 0.5:  # no stem, but a note of one direction token
+        notes.append(Node("note", (B.tok(
+            rng.choice(["stem_up", "stem_down"]), staff),)))
+    return B.chord(*notes, onset=onset, stem_node=stem)
+
+
+def _rich_group(rng, onset, staff, depth=0):
+    members = [_rich_chord(rng, onset + Fraction(i, 2), staff)
+               for i in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:  # a second voice at the first chord's onset
+        members.append(_flip_stems(members[0]))
+    if depth == 0 and rng.random() < 0.3:
+        nested = _rich_group(rng, onset + Fraction(1, 4), staff, 1)
+        # a nested group is ordered by its earliest chord, not its onset
+        members.append(nested._replace(onset=rng.choice(
+            [nested.onset, Fraction(0), Fraction(3)])))
+    return B.group(*members, beams=rng.randint(0, 2), staff=staff)
+
+
+def _rich_attributes(rng):
+    blocks = []
+    for staff in rng.sample([1, 2], rng.randint(1, 2)):
+        kids = [B.clef_node(rng.choice(["clef_G", "clef_F"]), staff,
+                            rng.choice([4, 8]))]
+        if rng.random() < 0.5:
+            kids.append(Node("key", tuple(
+                B.tok("accidental_sharp", staff, step)
+                for step in rng.sample(range(4, 12), rng.randint(1, 3)))))
+        if rng.random() < 0.5:
+            kids.append(Node("time_sig", (
+                B.tok("timesig_number", staff, 8, value=rng.choice([2, 3])),
+                B.tok("timesig_number", staff, 4, value=4))))
+        rng.shuffle(kids)
+        blocks.append(B.attr_staff(*kids))
+    return B.attributes(*blocks, onset=rng.choice([0, 2]),
+                        synthetic=rng.random() < 0.3)
+
+
+def _flip_stems(item):
+    if isinstance(item, Node):
+        return item._replace(children=tuple(map(_flip_stems, item.children)))
+    flipped = {"stem_up": "stem_down", "stem_down": "stem_up"}
+    return item._replace(label=flipped.get(item.label, item.label))
+
+
+def rich_measure(rng, mid):
+    """A measure holding every node kind at a few shared onsets, on two
+    staves, with chords, modifiers, flags, beams and nested groups, and
+    now and then a stem direction token inside a note."""
+    children = []
+    for _ in range(rng.randint(2, 7)):
+        onset = rng.choice([0, Fraction(1, 2), 1, 2])
+        staff = rng.choice([1, 1, 2])
+        kind = rng.random()
+        if kind < 0.4:
+            group = _rich_group(rng, onset, staff)
+            children.append(group)
+            if rng.random() < 0.3:  # the same group, stems flipped
+                children.append(_flip_stems(group))
+        elif kind < 0.55:
+            extras = (B.tok("dot", staff),) if rng.random() < 0.3 else ()
+            children.append(B.rest(rng.choice(["rest_quarter", "rest_half"]),
+                                   onset, staff, extras))
+        elif kind < 0.7:
+            children.append(B.direction(
+                rng.choice(["dyn_p", "dyn_f", "dyn_mf"]), onset, staff))
+        elif kind < 0.85:
+            children.append(B.barline(onset, rng.choice(
+                ["barline_tok_regular", "barline_tok_heavy"]), staff))
+        else:
+            children.append(_rich_attributes(rng))
+    return B.measure(*children, id=mid)
+
+
+def test_reference_canonicalizer_agrees_on_shuffled_measures():
+    rng = random.Random(5150)
+    measures = fixture_measures() + [B.standard_measure()]
+    measures += [B.random_measure(rng, f"m{i}") for i in range(40)]
+    measures += [rich_measure(rng, f"m{i}") for i in range(150)]
+    moved = 0
+    for m in measures:
+        for given in (m, _shuffled(m, rng), _shuffled(m, rng)):
+            out = canonicalize(given)
+            expected = reference_canonicalize(given)
+            assert out == expected
+            # returned itself exactly when already in canonical order
+            assert (out is given) == (expected == given)
+            moved += out is not given
+            assert canonicalize(out) is out
+    assert 0 < moved < 3 * len(measures)
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+def test_reference_canonicalizer_agrees_on_errors(case):
+    build, _ = FAILURE_CASES[case]
+    measure = build()
+    try:
+        expected = reference_canonicalize(measure)
+    except CanonicalizeError as error:
+        with pytest.raises(CanonicalizeError) as raised:
+            canonicalize(measure)
+        assert type(raised.value) is CanonicalizeError
+        assert str(raised.value) == str(error)
+    else:
+        assert canonicalize(measure) == expected

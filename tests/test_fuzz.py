@@ -5,7 +5,8 @@ file-reading subcommand on it through main(): each must return 0, 1 or 2,
 never raise, and `evaluate` must score the edited prediction and return 0.
 The converter gets the same treatment from MusicXML fixtures whose element
 texts are rewritten, or whose elements are deleted, duplicated or given an
-`<alter>`, and from `.mxl` archives of them with bytes flipped.
+`<alter>`, and from `.mxl` archives of them with bytes flipped. `validate`
+is given fixture works with fields of the wrong Python type.
 """
 
 import contextlib
@@ -15,15 +16,18 @@ import json
 import re
 import tempfile
 import zipfile
+from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from mtnkit.cli import main
-from mtnkit.model import NODE_KINDS, validate
-from mtnkit.xmlio import parse_work
+from mtnkit.model import NODE_KINDS, Node, StaffPosition, Token, validate
+from mtnkit.xmlio import InvalidWorkError, parse_work, serialize_work
 from test_golden_line_starts import (
     ALTO_2, BACKUP, BOTH, BREAK, CLEFS, attributes, half, two_staff, whole,
 )
@@ -318,3 +322,120 @@ def test_convert_never_raises_on_a_corrupted_mxl(archive, flips):
         if rc == 0:
             work = parse_work((out / (source.stem + ".mtn.xml")).read_bytes())
             assert validate(work) == []
+
+
+# field -> whether a value has the type the model wants for it
+FIELD_TYPES = {
+    "work_id": lambda v: type(v) is str,
+    "staff_count": lambda v: type(v) is int,
+    "id": lambda v: type(v) is str,
+    "line_start": lambda v: type(v) is bool,
+    "onset": lambda v: (v is None or type(v) is int
+                        or isinstance(v, Fraction)),
+    "synthetic": lambda v: type(v) is bool,
+    "label": lambda v: type(v) is str,
+    "pair_id": lambda v: v is None or type(v) is str,
+    "staff": lambda v: type(v) is int,
+    "step": lambda v: v is None or type(v) is int,
+    "numeric_value": lambda v: v is None or type(v) is int,
+}
+SLOTS = [("work", "work_id"), ("part", "staff_count"), ("measure", "id"),
+         ("measure", "line_start"), ("node", "onset"), ("node", "synthetic"),
+         ("token", "id"), ("token", "label"), ("token", "pair_id"),
+         ("token", "staff"), ("token", "step"), ("token", "numeric_value")]
+VALUES = [None, 0, 7, -1, True, False, 1.5, "x", "t1", b"x", [],
+          Fraction(1, 2)]
+
+
+def _edit_below(item, want, n, fn, seen):
+    """item with fn applied to the n-th `want` below it in document order;
+    seen[0] counts the ones passed."""
+    if isinstance(item, want):
+        seen[0] += 1
+        if seen[0] == n:
+            item = fn(item)
+    if isinstance(item, Token):
+        return item
+    return item._replace(children=tuple(
+        _edit_below(child, want, n, fn, seen) for child in item.children))
+
+
+def mistype(work, record, at, field, value):
+    """work with field of its at-th (mod their count) record set to value."""
+    if record == "work":
+        return work._replace(**{field: value})
+    if record in ("part", "measure"):
+        parts = list(work.parts)
+        slots = [(p, m) for p in range(len(parts))
+                 for m in ([None] if record == "part"
+                           else range(len(parts[p].measures)))]
+        p, m = slots[at % len(slots)]
+        if m is None:
+            parts[p] = parts[p]._replace(**{field: value})
+        else:
+            measures = list(parts[p].measures)
+            measures[m] = measures[m]._replace(**{field: value})
+            parts[p] = parts[p]._replace(measures=tuple(measures))
+        return work._replace(parts=tuple(parts))
+    want = Token if record == "token" else Node
+
+    def set_field(item):
+        if field in ("staff", "step"):
+            return item._replace(position=item.position._replace(
+                **{field: value}))
+        return item._replace(**{field: value})
+
+    for n in (None, at):  # count them, then edit the at-th
+        seen = [-1]
+        measures = [_edit_below(m, want, n, set_field, seen)
+                    for part in work.parts for m in part.measures]
+        if n is None:
+            at = at % (seen[0] + 1)
+    it = iter(measures)
+    return work._replace(parts=tuple(
+        part._replace(measures=tuple(next(it) for _ in part.measures))
+        for part in work.parts))
+
+
+def _fields(work):
+    """(field, value) of every typed field in the work."""
+    yield "work_id", work.work_id
+    for part in work.parts:
+        yield "staff_count", part.staff_count
+        for measure in part.measures:
+            yield "id", measure.id
+            yield "line_start", measure.line_start
+            stack = list(measure.children)
+            while stack:
+                item = stack.pop()
+                if isinstance(item, Token):
+                    yield from (("id", item.id), ("label", item.label),
+                                ("pair_id", item.pair_id),
+                                ("staff", item.position.staff),
+                                ("step", item.position.step),
+                                ("numeric_value", item.numeric_value))
+                else:
+                    yield from (("onset", item.onset),
+                                ("synthetic", item.synthetic))
+                    stack.extend(item.children)
+
+
+WORKS = {name: parse_work((FIXTURES / "corpus" / name).read_bytes())
+         for name in NAMES}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(NAMES),
+       edits=st.lists(st.tuples(st.sampled_from(SLOTS),
+                                st.integers(0, 500), st.sampled_from(VALUES)),
+                      min_size=1, max_size=3))
+def test_validate_never_raises_on_mistyped_fields(name, edits):
+    work = WORKS[name]
+    for (record, field), at, value in edits:
+        work = mistype(work, record, at, field, value)
+    violations = validate(work)
+    assert all(type(v.subject) is str for v in violations)
+    if any(not FIELD_TYPES[field](value) for field, value in _fields(work)):
+        assert "field-type" in {v.rule for v in violations}
+        with pytest.raises(InvalidWorkError):  # not a TypeError
+            serialize_work(work)

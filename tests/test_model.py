@@ -7,8 +7,9 @@ import pytest
 import builders as B
 from mtnkit.model import (
     BARLINE, CHORD, CLEF, DIRECTION, MTNWork, NOTE, NOTE_GROUP, Node, Part,
-    StaffPosition, Token, iter_tokens, map_tokens, validate,
+    StaffPosition, Token, Violation, iter_tokens, map_tokens, validate,
 )
+from mtnkit.xmlio import InvalidWorkError, serialize_work
 
 
 def rules(work):
@@ -184,13 +185,136 @@ def test_onset_types():
 
 
 def test_serialize_refuses_a_mistyped_step():
-    from mtnkit.xmlio import InvalidWorkError, serialize_work
     bad = Token("t1", "notehead_black", StaffPosition(1, "<x"))
     w = B.work(B.measure(B.group(B.chord(Node(NOTE, (bad,)),
                                          stem_node=B.stem()))),
                normalize=False)
     with pytest.raises(InvalidWorkError, match="field-type"):
         serialize_work(w)
+
+
+def _with_first_token(work, **fields):
+    """work with its first token's fields replaced."""
+    first = next(iter_tokens(work))
+    return map_tokens(work, lambda tok: tok._replace(**fields)
+                      if tok is first else tok)
+
+
+def test_label_of_the_wrong_type_is_reported_not_raised():
+    # ordering the note compared None with notehead_black: a TypeError
+    bad = Token("q1", None, StaffPosition(1))
+    w = B.work(B.measure(B.group(B.chord(B.note(step=4, extras=(bad,)),
+                                         stem_node=B.stem()))),
+               normalize=False)
+    assert validate(w) == [
+        Violation("field-type", "q1", "label None is not a str")]
+
+
+@pytest.mark.parametrize("fields, subject, message", [
+    ({"id": 7}, "m1/0/0/0/0", "id 7 is not a str"),
+    ({"id": None}, "m1/0/0/0/0", "id None is not a str"),
+    ({"label": 7}, "t1", "label 7 is not a str"),
+    ({"pair_id": 7}, "t1", "pair_id 7 is not a str"),
+], ids=["id-int", "id-none", "label-int", "pair-id-int"])
+def test_token_string_fields_of_the_wrong_type(fields, subject, message):
+    # the first token of the standard work is its clef, m1/0/0/0/0
+    w = _with_first_token(B.standard_work(), **fields)
+    assert validate(w) == [Violation("field-type", subject, message)]
+    with pytest.raises(InvalidWorkError, match="field-type"):
+        serialize_work(w)
+
+
+def test_measure_and_work_fields_of_the_wrong_type():
+    first, second = B.standard_work().parts[0].measures
+    w = MTNWork(None, (Part(1, (first._replace(id=7),
+                                second._replace(line_start=1))),))
+    assert validate(w) == [
+        Violation("field-type", "None", "work_id None is not a str"),
+        Violation("field-type", "7", "measure id 7 is not a str"),
+        Violation("field-type", "m2", "line_start 1 is not a bool")]
+    with pytest.raises(InvalidWorkError, match="field-type"):
+        serialize_work(w)
+
+
+def test_synthetic_flags_of_the_wrong_type():
+    # a mistyped flag is not also reported as synthetic-not-allowed
+    assert found(
+        "field-type",
+        B.attributes(B.attr_staff(B.clef_node()))._replace(synthetic=1),
+        B.rest(onset=0)._replace(synthetic="yes"),
+    ) == [("m1/0", "synthetic 1 is not a bool"),
+          ("m1/1", "synthetic 'yes' is not a bool")]
+    w = B.work(B.measure(B.rest(onset=0)._replace(synthetic="yes")),
+               normalize=False)
+    assert rules(w) == {"field-type"}
+
+
+def test_fields_below_a_rejected_node_are_type_checked():
+    # the walk does not enter a rest under a note group, but ordering the
+    # measure reads its onset: that ended in an AttributeError
+    misplaced = Node("rest", (B.tok("rest_quarter"),), onset="1")
+    w = B.work(B.measure(Node(NOTE_GROUP, (B.simple_chord(onset=0),
+                                           misplaced),
+                              onset=Fraction(0))), normalize=False)
+    assert validate(w) == [
+        Violation("child-kind", "m1/0/1", "rest not allowed under note_group"),
+        Violation("field-type", "m1/0/1",
+                  "onset '1' is neither an int nor a Fraction")]
+
+
+def test_every_node_walk_rule_in_order():
+    # one work that breaks each rule of the node walk once; the whole list
+    # is pinned, so a reworked walk can neither drop nor reorder a message
+    m1 = B.measure(
+        B.rest(onset=0),
+        Node("rest", (B.tok("rest_quarter"), B.tok("rest_half")),
+             onset=Fraction(0)),
+        Node(DIRECTION, (B.tok("dyn_p"), B.tok("dyn_f")), onset=Fraction(0)),
+        Node(NOTE_GROUP, (B.tok("beam"),), onset=Fraction(0)),
+        B.group(Node(CHORD, (B.stem(), B.stem("stem_down"), B.note(step=4)),
+                     onset=Fraction(1))),
+        B.group(B.chord(stem_node=B.stem(), onset=2)),
+        B.group(Node(CHORD, (Node("stem", (B.tok("flag"),)),
+                             Node(NOTE, (B.tok("dot"),))),
+                     onset=Fraction(3))),
+        Node(NOTE_GROUP, (B.chord(B.note(step=2), onset=None,
+                                  stem_node=B.stem()),), onset=Fraction(1)),
+        Node("rest", (B.tok("rest_quarter"),), onset=Fraction(-1)),
+        Node(BARLINE, (B.tok("barline_tok_regular"),), onset=Fraction(4),
+             synthetic=True),
+        B.group(Node(CHORD, (B.stem(), Node(NOTE, (
+            B.tok("notehead_black", step=3),), onset=Fraction(0))),
+            onset=Fraction(3))),
+        B.attributes(B.attr_staff(Node(CLEF, ()))),
+        B.group(B.chord(B.note(step=5), onset=2), B.rest(onset=2)),
+        B.tok("rest_quarter"),
+        id="m1")
+    m2 = B.measure(Node("rest", (Token("r1", "rest_quarter",
+                                       StaffPosition("1")),),
+                        onset=Fraction(0)), id="m2")
+    got = [(v.rule, v.subject, v.message)
+           for v in validate(B.work(m1, m2, normalize=False))]
+    assert got == [
+        ("rest-tokens", "m1/1", "rest has 2 rest tokens, wants exactly 1"),
+        ("direction-tokens", "m1/2", "direction holds exactly one token"),
+        ("group-empty", "m1/3", "note group has no chords"),
+        ("chord-stems", "m1/4/0", "chord has more than one stem"),
+        ("chord-notes", "m1/5/0", "chord has no note"),
+        ("stem-tokens", "m1/6/0/0",
+         "stem has 0 direction tokens, wants exactly 1"),
+        ("note-noteheads", "m1/6/0/1",
+         "note has 0 noteheads, wants exactly 1"),
+        ("missing-onset", "m1/7/0", "chord requires an onset"),
+        ("negative-onset", "m1/8", "onset -1 is negative"),
+        ("synthetic-not-allowed", "m1/9",
+         "only attributes nodes can be synthetic"),
+        ("onset-not-allowed", "m1/10/0/1", "note must not carry an onset"),
+        ("node-empty", "m1/11/0/0", "clef has no children"),
+        ("child-kind", "m1/12/1", "rest not allowed under note_group"),
+        ("child-kind", "m1/13", "token rest_quarter not allowed under a "
+         "measure"),
+        ("field-type", "r1", "staff '1' is not an int"),
+    ]
 
 
 def test_child_kind_rules():
