@@ -644,6 +644,118 @@ def test_converter_warning_text(measure, warning):
     assert convert_score(score(measure)).warnings == [warning]
 
 
+def _direction_type(content: str) -> str:
+    return f"<direction><direction-type>{content}</direction-type></direction>"
+
+
+def _whole_with(mark: str) -> str:
+    return note("C", 5, 4, "whole", mark)
+
+
+_DYNAMICS_WORDS = ("p pp ppp pppp ppppp pppppp f ff fff ffff fffff ffffff "
+                   "mp mf sf sfp sfpp fp rf rfz sfz sffz fz n pf sfzp").split()
+_UNREPRESENTABLE_DIRECTIONS = (
+    "words rehearsal metronome octave-shift pedal dashes bracket "
+    "principal-voice percussion accordion-registration string-mute "
+    "scordatura image harp-pedals damp damp-all eyeglasses symbol "
+    "other-direction staff-divide").split()
+_UNSUPPORTED_NOTATIONS = ("technical glissando slide non-arpeggiate "
+                          "accidental-mark other-notation dynamics").split()
+_ACCIDENTALS = {
+    "sharp": "accidental_sharp", "flat": "accidental_flat",
+    "natural": "accidental_natural", "double-sharp": "accidental_double_sharp",
+    "sharp-sharp": "accidental_double_sharp",
+    "flat-flat": "accidental_double_flat",
+}
+_REG, _HEAVY = "barline_tok_regular", "barline_tok_heavy"
+_WHITE = "notehead_white"
+
+# (measure content, sorted token labels of the measure, warnings without
+# their "part P1 measure 1: " location): one row per tag that the converter
+# names in each family, and one unknown tag per family.
+FAMILY_ROWS = [
+    *((_direction_type(f"<dynamics><{word}/></dynamics>"), [f"dyn_{word}"],
+       []) for word in _DYNAMICS_WORDS),
+    (_direction_type("<dynamics><other-dynamics>mfz</other-dynamics>"
+                     "</dynamics>"),
+     [], ["dynamics mark <other-dynamics> unsupported"]),
+    (_direction_type("<segno/>"), ["segno"], []),
+    (_direction_type("<coda/>"), ["coda"], []),
+    *((_direction_type(f"<{tag}/>"), [],
+       [f"direction <{tag}> is not representable"])
+      for tag in _UNREPRESENTABLE_DIRECTIONS),
+    (_direction_type("<swirl/>"), [], ["unhandled direction <swirl>"]),
+    *((f"<barline><bar-style>{style}</bar-style></barline>", labels, [])
+      for style, labels in [
+          ("regular", [_REG]), ("light-light", [_REG, _REG]),
+          ("light-heavy", [_HEAVY, _REG]), ("heavy-light", [_HEAVY, _REG]),
+          ("heavy", [_HEAVY]), ("heavy-heavy", [_HEAVY, _HEAVY]),
+          ("none", [])]),
+    *((f"<barline><bar-style>{style}</bar-style></barline>", [_REG],
+       [f"bar style '{style}' approximated as regular"])
+      for style in ("dotted", "dashed", "tick", "short")),
+    ("<barline><bar-style>wavy</bar-style></barline>", [],
+     ["bar style 'wavy' unsupported"]),
+    ("<barline><bar-style/></barline>", [], ["bar style '' unsupported"]),
+    ("<barline/>", [], []),
+    *((_whole_with(f"<accidental>{name}</accidental>"), [label, _WHITE], [])
+      for name, label in _ACCIDENTALS.items()),
+    (_whole_with("<accidental> flat </accidental>"),
+     ["accidental_flat", _WHITE], []),
+    (_whole_with("<accidental>quarter-sharp</accidental>"), [_WHITE],
+     ["accidental 'quarter-sharp' unsupported"]),
+    *((_whole_with(f"<notations><articulations><{tag}/></articulations>"
+                   "</notations>"), sorted([tag, _WHITE]), [])
+      for tag in ("staccato", "accent", "tenuto", "caesura")),
+    (_whole_with("<notations><articulations><strong-accent/>"
+                 "</articulations></notations>"),
+     ["accent", _WHITE], ["strong accent approximated as accent"]),
+    (_whole_with("<notations><articulations><breath-mark/>"
+                 "</articulations></notations>"),
+     [_WHITE], ["breath mark is not representable"]),
+    (_whole_with("<notations><articulations><doit/></articulations>"
+                 "</notations>"),
+     [_WHITE], ["articulation <doit> unsupported"]),
+    *((_whole_with(f"<notations><ornaments>{ornament}</ornaments>"
+                   "</notations>"), labels, warnings)
+      for ornament, labels, warnings in [
+          ("<trill-mark/>", [_WHITE, "trill"], []),
+          ("<turn/>", [_WHITE, "turn"], []),
+          ("<delayed-turn/>", [_WHITE, "turn"],
+           ["delayed-turn approximated as a turn"]),
+          ("<inverted-turn/>", [_WHITE, "turn"],
+           ["inverted-turn approximated as a turn"]),
+          ('<wavy-line type="start"/>', [_WHITE, "wavy_line"], []),
+          ('<wavy-line type="stop"/>', [_WHITE], []),
+          ('<wavy-line type="continue"/>', [_WHITE, "wavy_line"], []),
+          ("<accidental-mark>sharp</accidental-mark>", [_WHITE], []),
+          ("<mordent/>", [_WHITE], ["ornament <mordent> unsupported"])]),
+    (_whole_with("<notations><fermata/></notations>"), ["fermata", _WHITE],
+     []),
+    (_whole_with("<notations><arpeggiate/></notations>"),
+     ["arpeggiate", _WHITE], []),
+    *((_whole_with(f"<notations><{tag}/></notations>"), [_WHITE],
+       [f"notation <{tag}> unsupported"]) for tag in _UNSUPPORTED_NOTATIONS),
+    (note("C", 5, 8, "breve"), ["notehead_breve"], []),
+    (note("C", 5, 16, "long"), ["notehead_breve"],
+     ["note type 'long' approximated as a breve"]),
+    (note("C", 5, 32, "maxima"), ["notehead_breve"],
+     ["note type 'maxima' approximated as a breve"]),
+    (note("C", 5, 4, "whole"), [_WHITE], []),
+    (note("C", 5, 2, "half"), [_WHITE, "stem_down"], []),
+    (note("C", 5, 1, "quarter"), ["notehead_black", "stem_down"], []),
+]
+
+
+def test_every_family_row():
+    for content, labels, warnings in FAMILY_ROWS:
+        result = convert_score(score(f'<measure number="1">{content}'
+                                     "</measure>"))
+        assert (sorted(t.label for t in iter_tokens(result.work)),
+                [w.removeprefix("part P1 measure 1: ")
+                 for w in result.warnings]) == (labels, warnings), content
+
+
 def test_dangling_pair_warnings_name_each_pair():
     slur = '<notations><slur type="{}"/></notations>'
     body = (f'<measure number="1">{ATTRS_44}'
