@@ -7,10 +7,13 @@ pair through shared ids, key signatures expand to clef-dependent accidental
 positions, and system breaks mark line-start measures which then receive
 synthetic clef/key restatements.
 
-Everything the walker cannot represent is reported in the returned warning
-list with the element's location; nothing is dropped silently except
-content that is excluded by design (lyrics, harmony frames, playback-only
-elements).
+A MusicXML tag has one of three outcomes: token labels; an approximation,
+whose labels come with a warning; or no token and a warning that the tag is
+unsupported or not representable. The notation families below state these
+as one table row per tag, and a tag missing from its family's table gets
+the family's "unsupported" warning. Warnings carry the element's location;
+nothing is dropped silently except content that is excluded by design
+(lyrics, and the layout, playback and analysis elements of a measure).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .model import (
     Measure, NOTE, NOTE_GROUP, Node, Part, REST, STEM, StaffPosition,
     TIME_SIG, Token, map_tokens,
 )
+from .vocabulary import DYNAMICS, REPEATS, RESTS
 from .xmlio import InvalidWorkError, serialize_work
 
 _LETTERS = {"C": 0, "D": 1, "E": 2, "F": 3, "G": 4, "A": 5, "B": 6}
@@ -89,12 +93,8 @@ def clef_state(sign: str, line: int | None, octave_change: int = 0) -> ClefState
     line = line if line is not None else defaults[sign]
     line_step = 2 * line
     ref = anchors[sign] - line_step + 7 * octave_change
-    if sign == "C":
-        label = "clef_C"
-    elif octave_change:
-        label = f"clef_oct_{sign}"
-    else:
-        label = f"clef_{sign}"
+    label = (f"clef_oct_{sign}" if octave_change and sign != "C"
+             else f"clef_{sign}")
     return ClefState(label, line_step, ref)
 
 
@@ -181,19 +181,99 @@ class TimeCursor:
 _TYPE_FLAGS = {"eighth": 1, "16th": 2, "32nd": 3, "64th": 4, "128th": 5,
                "256th": 6}
 _KIND_RANK = {"black": 0, "half": 1, "whole": 2, "breve": 3}
-_REST_BY_TYPE = {
-    "maxima": "rest_maxima", "long": "rest_long", "breve": "rest_breve",
-    "whole": "rest_whole", "half": "rest_half", "quarter": "rest_quarter",
-    "eighth": "rest_eighth", "16th": "rest_16th", "32nd": "rest_32nd",
-    "64th": "rest_64th", "128th": "rest_128th", "256th": "rest_128th",
-}
-_ARTICULATIONS = {"staccato": "staccato", "accent": "accent",
-                  "tenuto": "tenuto", "caesura": "caesura"}
-_DYNAMICS_WORDS = {
-    "p", "pp", "ppp", "pppp", "ppppp", "pppppp", "f", "ff", "fff", "ffff",
-    "fffff", "ffffff", "mp", "mf", "sf", "sfp", "sfpp", "fp", "rf", "rfz",
-    "sfz", "sffz", "fz", "n", "pf", "sfzp",
-}
+
+
+# ---------------------------------------------------------------------------
+# Notation families as tables. A family maps a tag to its row: (token
+# labels, warning or None). An _IN_X family holds the tags of <X>'s
+# children, the others the texts of one element. A tag with no row gets the
+# family's default labels (none for most) and its "unsupported" warning.
+# {tag} in a warning is the tag looked up. _Converter.lookup reads them all.
+
+_Row = tuple[tuple[str, ...], str | None]
+
+
+class _Family(NamedTuple):
+    rows: dict[str, _Row]
+    unsupported: str | None
+    default: tuple[str, ...] = ()
+
+
+def _silent(labels, prefix: str = "") -> dict[str, _Row]:
+    """Rows without a warning: each label under its name less prefix."""
+    return {label.removeprefix(prefix): ((label,), None) for label in labels}
+
+
+# Measure content other than <attributes>, <note>, <backup>, <forward>,
+# <direction> and <barline>: layout, playback and analysis content is
+# excluded by design.
+_IN_MEASURE = _Family(dict.fromkeys((
+    "print", "sound", "listening", "grouping", "harmony", "figured-bass",
+    "bookmark", "link"), ((), None)), "unhandled element <{tag}>")
+_IN_DYNAMICS = _Family(_silent(DYNAMICS, "dyn_"),
+                       "dynamics mark <{tag}> unsupported")
+# <dynamics> and <wedge> are read before this table.
+_IN_DIRECTION_TYPE = _Family({
+    **_silent(("segno", "coda")),
+    **dict.fromkeys((
+        "words", "rehearsal", "metronome", "octave-shift", "pedal", "dashes",
+        "bracket", "principal-voice", "percussion", "accordion-registration",
+        "string-mute", "scordatura", "image", "harp-pedals", "damp",
+        "damp-all", "eyeglasses", "symbol", "other-direction",
+        "staff-divide"), ((), "direction <{tag}> is not representable")),
+}, "unhandled direction <{tag}>")
+_REPEATS = _Family(_silent(REPEATS, "repeat_"),
+                   "repeat direction {tag!r} unsupported")
+_REGULAR, _HEAVY = "barline_tok_regular", "barline_tok_heavy"
+_BAR_STYLES = _Family({
+    "none": ((), None), "regular": ((_REGULAR,), None),
+    "heavy": ((_HEAVY,), None), "light-light": ((_REGULAR, _REGULAR), None),
+    "light-heavy": ((_REGULAR, _HEAVY), None),
+    "heavy-light": ((_HEAVY, _REGULAR), None),
+    "heavy-heavy": ((_HEAVY, _HEAVY), None),
+    **dict.fromkeys(("dotted", "dashed", "tick", "short"), (
+        (_REGULAR,), "bar style {tag!r} approximated as regular")),
+}, "bar style {tag!r} unsupported")
+_ACCIDENTALS = _Family({
+    **_silent(("accidental_sharp", "accidental_flat", "accidental_natural"),
+              "accidental_"),
+    **dict.fromkeys(("double-sharp", "sharp-sharp"),
+                    (("accidental_double_sharp",), None)),
+    "flat-flat": (("accidental_double_flat",), None),
+}, "accidental {tag!r} unsupported")
+_IN_ARTICULATIONS = _Family({
+    **_silent(("staccato", "accent", "tenuto", "caesura")),
+    "strong-accent": (("accent",), "strong accent approximated as accent"),
+    "breath-mark": ((), "breath mark is not representable"),
+}, "articulation <{tag}> unsupported")
+# A wavy line's stop is dropped before this table.
+_IN_ORNAMENTS = _Family({
+    "trill-mark": (("trill",), None), "turn": (("turn",), None),
+    **dict.fromkeys(("delayed-turn", "inverted-turn"), (
+        ("turn",), "{tag} approximated as a turn")),
+    "wavy-line": (("wavy_line",), None),
+    "accidental-mark": ((), None),  # engraved with its ornament
+}, "ornament <{tag}> unsupported")
+# Spanners, <articulations> and <ornaments> are read before this table.
+_IN_NOTATIONS = _Family(_silent(("fermata", "arpeggiate")),
+                        "notation <{tag}> unsupported")
+# (notehead label, chord kind) of a note that is neither grace nor cue.
+_NOTE_TYPES = _Family({
+    "breve": (("notehead_breve", "breve"), None),
+    **dict.fromkeys(("long", "maxima"), (
+        ("notehead_breve", "breve"),
+        "note type {tag!r} approximated as a breve")),
+    "whole": (("notehead_white", "whole"), None),
+    "half": (("notehead_white", "half"), None),
+}, None, ("notehead_black", "black"))
+# No labels: every notehead shape is drawn as a normal one.
+_NOTEHEADS = _Family({"normal": ((), None)},
+                     "notehead {tag!r} converted as a normal notehead")
+# A rest type with no row is classified by its duration.
+_REST_TYPES = _Family({**_silent(RESTS, "rest_"),
+                       "256th": (("rest_128th",), None)},
+                      "rest type {tag!r} unsupported; using duration")
+
 # Spanner token prefix -> (name in warnings, types that open a pair, types
 # passed over without a warning). A pair closes on type "stop".
 _SPANNERS = {
@@ -230,10 +310,9 @@ class _ChordEvent:
 
 
 class _PartState:
-    __slots__ = ("part_id", "cursor", "clefs", "fifths", "staves")
+    __slots__ = ("cursor", "clefs", "fifths", "staves")
 
-    def __init__(self, part_id: str) -> None:
-        self.part_id = part_id
+    def __init__(self) -> None:
         self.cursor = TimeCursor()
         self.clefs: dict[int, ClefState] = {}
         self.fifths: dict[int, int] = {}
@@ -272,6 +351,14 @@ class _Converter:
     def warn(self, message: str) -> None:
         self.warnings.append(f"{self.where}: {message}" if self.where
                              else message)
+
+    def lookup(self, family: _Family, tag: str | None) -> tuple[str, ...]:
+        """The labels of tag's row in family, after warning its warning."""
+        labels, warning = (family.rows.get(tag)
+                           or (family.default, family.unsupported))
+        if warning is not None:
+            self.warn(warning.format(tag=tag))
+        return labels
 
     # -- token helpers ----------------------------------------------------
 
@@ -313,7 +400,6 @@ class _Converter:
         if root.tag != "score-partwise":
             raise ConversionError(
                 f"expected score-partwise or score-timewise, got <{root.tag}>")
-        parts: list[Part] = []
         breaks: set[str] = set(self.options.explicit_breaks)
         part_elems = root.findall("part")
         if not part_elems:
@@ -337,9 +423,8 @@ class _Converter:
             if number not in known_numbers:
                 raise ConversionError(
                     f"explicit break names unknown measure {number!r}")
-        for pe in part_elems:
-            parts.append(self.convert_part(pe, breaks))
-        work = MTNWork(work_id, tuple(parts))
+        work = MTNWork(work_id, tuple(self.convert_part(pe, breaks)
+                                      for pe in part_elems))
         work = _prune_dangling_pairs(work, self)
         work = assign_ids(canonicalize_work(work))
         try:
@@ -352,7 +437,7 @@ class _Converter:
     def convert_part(self, pe: ET.Element, breaks: set[str]) -> Part:
         part_id = pe.get("id", "P")
         self.part_scope = part_id
-        state = _PartState(part_id)
+        state = _PartState()
         measures = []
         seen_ids: set[str] = set()
         for index, me in enumerate(pe.findall("measure")):
@@ -402,11 +487,8 @@ class _Converter:
                 got = self.handle_barline(elem)
                 if got is not None:
                     barlines.append(got)
-            elif tag in ("print", "sound", "listening", "grouping",
-                         "harmony", "figured-bass", "bookmark", "link"):
-                pass  # layout/playback/analysis content, excluded by design
             else:
-                self.warn(f"unhandled element <{tag}>")
+                self.lookup(_IN_MEASURE, tag)
         top.extend(self.build_note_groups(events))
         end = state.cursor.high_water
         for location, tokens in barlines:
@@ -604,72 +686,31 @@ class _Converter:
             if onset < 0:
                 self.warn("direction offset before measure start; clamped")
                 onset = Fraction(0)
-        out: list[Node] = []
+        tokens: list[Token] = []
         for dt in elem.findall("direction-type"):
             for child in dt:
-                out.extend(self.direction_tokens(child, staff, onset))
-        return out
-
-    def direction_tokens(self, child: ET.Element, staff: int,
-                         onset: Fraction) -> list[Node]:
-        tag = child.tag
-        nodes: list[Node] = []
-        if tag == "dynamics":
-            for mark in child:
-                if mark.tag in _DYNAMICS_WORDS:
-                    nodes.append(Node(DIRECTION, (self.token(
-                        f"dyn_{mark.tag}", staff),), onset=onset))
-                else:
-                    self.warn(f"dynamics mark <{mark.tag}> unsupported")
-        elif tag == "wedge":
-            nodes.extend(Node(DIRECTION, (tok,), onset=onset)
-                         for tok in self.spanner(tag, child, staff, None))
-        elif tag in ("segno", "coda"):
-            nodes.append(Node(DIRECTION, (self.token(tag, staff),),
-                              onset=onset))
-        elif tag in ("words", "rehearsal", "metronome", "octave-shift",
-                     "pedal", "dashes", "bracket", "principal-voice",
-                     "percussion", "accordion-registration", "string-mute",
-                     "scordatura", "image", "harp-pedals", "damp",
-                     "damp-all", "eyeglasses", "symbol", "other-direction",
-                     "staff-divide"):
-            self.warn(f"direction <{tag}> is not representable")
-        else:
-            self.warn(f"unhandled direction <{tag}>")
-        return nodes
+                if child.tag == "wedge":
+                    tokens.extend(self.spanner("wedge", child, staff, None))
+                    continue
+                labels = ([label for mark in child
+                           for label in self.lookup(_IN_DYNAMICS, mark.tag)]
+                          if child.tag == "dynamics"
+                          else self.lookup(_IN_DIRECTION_TYPE, child.tag))
+                tokens.extend(self.token(label, staff) for label in labels)
+        return [Node(DIRECTION, (token,), onset=onset) for token in tokens]
 
     # -- barlines ---------------------------------------------------------
 
     def handle_barline(self, elem: ET.Element) -> tuple[str, list[Token]] | None:
         location = elem.get("location", "right")
-        tokens: list[Token] = []
-        style = elem.findtext("bar-style")
-        style_map = {
-            "regular": ["barline_tok_regular"],
-            "light-light": ["barline_tok_regular", "barline_tok_regular"],
-            "light-heavy": ["barline_tok_regular", "barline_tok_heavy"],
-            "heavy-light": ["barline_tok_heavy", "barline_tok_regular"],
-            "heavy": ["barline_tok_heavy"],
-            "heavy-heavy": ["barline_tok_heavy", "barline_tok_heavy"],
-        }
-        if style in style_map:
-            tokens.extend(self.token(lbl, 1) for lbl in style_map[style])
-        elif style in ("dotted", "dashed", "tick", "short"):
-            self.warn(f"bar style {style!r} approximated as regular")
-            tokens.append(self.token("barline_tok_regular", 1))
-        elif style == "none" or style is None:
-            pass
-        else:
-            self.warn(f"bar style {style!r} unsupported")
+        tokens = [self.token(label, 1) for label in self.lookup(
+            _BAR_STYLES, elem.findtext("bar-style", "none"))]
         repeat = elem.find("repeat")
         if repeat is not None:
-            direction = repeat.get("direction")
-            if direction in ("forward", "backward"):
-                tokens.append(self.token(f"repeat_{direction}", 1))
-            else:
-                self.warn(f"repeat direction {direction!r} unsupported")
-        for fe in elem.findall("fermata"):
-            tokens.append(self.token("fermata", 1))
+            tokens.extend(self.token(label, 1) for label in self.lookup(
+                _REPEATS, repeat.get("direction")))
+        tokens.extend(self.token("fermata", 1)
+                      for _ in elem.findall("fermata"))
         if elem.find("ending") is not None:
             self.warn("volta ending bracket is not representable")
         if not tokens:
@@ -725,6 +766,9 @@ class _Converter:
 
         ntype = elem.findtext("type")
         head, kind = self.head_class(elem, ntype, duration, state, grace)
+        shape = elem.findtext("notehead")
+        if shape is not None:
+            self.lookup(_NOTEHEADS, shape.strip())
         info = _NoteInfo(staff, step, [self.token(head, staff, step)])
         self.note_modifiers(elem, info, staff, step)
         event.notes.append(info)
@@ -750,7 +794,7 @@ class _Converter:
             event.flags = _TYPE_FLAGS[ntype]
 
     def head_class(self, elem: ET.Element, ntype: str | None, duration: int,
-                   state: _PartState, grace: bool) -> tuple[str, str | None]:
+                   state: _PartState, grace: bool) -> tuple[str, ...]:
         """(notehead token label, chord kind) for one note element."""
         if grace:
             return "notehead_grace_black", "black"
@@ -760,39 +804,17 @@ class _Converter:
             return "notehead_cue_black", "black"
         if ntype is None:
             quarters = state.cursor.quarters(duration) if duration else Fraction(1)
-            if quarters >= 8:
-                ntype = "breve"
-            elif quarters >= 4:
-                ntype = "whole"
-            elif quarters >= 2:
-                ntype = "half"
-            else:
-                ntype = "quarter"
+            ntype = ("breve" if quarters >= 8 else "whole" if quarters >= 4
+                     else "half" if quarters >= 2 else "quarter")
             self.warn(f"note without type; assuming {ntype} from duration")
-        if ntype in ("breve", "long", "maxima"):
-            if ntype != "breve":
-                self.warn(f"note type {ntype!r} approximated as a breve")
-            return "notehead_breve", "breve"
-        if ntype == "whole":
-            return "notehead_white", "whole"
-        if ntype == "half":
-            return "notehead_white", "half"
-        return "notehead_black", "black"
+        return self.lookup(_NOTE_TYPES, ntype)
 
     def note_modifiers(self, elem: ET.Element, info: _NoteInfo, staff: int,
                        step: int | None) -> None:
         acc = elem.findtext("accidental")
-        acc_map = {"sharp": "accidental_sharp", "flat": "accidental_flat",
-                   "natural": "accidental_natural",
-                   "double-sharp": "accidental_double_sharp",
-                   "sharp-sharp": "accidental_double_sharp",
-                   "flat-flat": "accidental_double_flat"}
         if acc is not None:
-            acc = acc.strip()
-            if acc in acc_map:
-                info.tokens.append(self.token(acc_map[acc], staff, step))
-            else:
-                self.warn(f"accidental {acc!r} unsupported")
+            info.tokens.extend(self.token(label, staff, step) for label
+                               in self.lookup(_ACCIDENTALS, acc.strip()))
         for _ in elem.findall("dot"):
             info.tokens.append(self.token("dot", staff))
 
@@ -803,43 +825,20 @@ class _Converter:
                 if tag in ("slur", "tied", "tuplet"):
                     info.tokens.extend(self.spanner(tag, item, staff, step))
                     handled_tie = handled_tie or tag == "tied"
-                elif tag == "articulations":
-                    for art in item:
-                        if art.tag in _ARTICULATIONS:
-                            info.tokens.append(self.token(
-                                _ARTICULATIONS[art.tag], staff))
-                        elif art.tag == "strong-accent":
-                            self.warn("strong accent approximated as accent")
-                            info.tokens.append(self.token("accent", staff))
-                        elif art.tag == "breath-mark":
-                            self.warn("breath mark is not representable")
-                        else:
-                            self.warn(f"articulation <{art.tag}> unsupported")
+                    continue
+                if tag == "articulations":
+                    labels = [label for art in item
+                              for label in self.lookup(_IN_ARTICULATIONS,
+                                                       art.tag)]
                 elif tag == "ornaments":
-                    for orn in item:
-                        if orn.tag == "trill-mark":
-                            info.tokens.append(self.token("trill", staff))
-                        elif orn.tag in ("turn", "delayed-turn",
-                                         "inverted-turn"):
-                            if orn.tag != "turn":
-                                self.warn(f"{orn.tag} approximated as a turn")
-                            info.tokens.append(self.token("turn", staff))
-                        elif orn.tag == "wavy-line":
-                            if orn.get("type") != "stop":
-                                info.tokens.append(self.token("wavy_line",
-                                                              staff))
-                        elif orn.tag == "accidental-mark":
-                            pass  # engraved with its ornament; skipped
-                        else:
-                            self.warn(f"ornament <{orn.tag}> unsupported")
-                elif tag == "fermata":
-                    info.tokens.append(self.token("fermata", staff))
-                elif tag == "arpeggiate":
-                    info.tokens.append(self.token("arpeggiate", staff))
-                elif tag in ("technical", "glissando", "slide",
-                             "non-arpeggiate", "accidental-mark",
-                             "other-notation", "dynamics"):
-                    self.warn(f"notation <{tag}> unsupported")
+                    labels = [label for orn in item
+                              if not (orn.tag == "wavy-line"
+                                      and orn.get("type") == "stop")
+                              for label in self.lookup(_IN_ORNAMENTS, orn.tag)]
+                else:
+                    labels = self.lookup(_IN_NOTATIONS, tag)
+                info.tokens.extend(self.token(label, staff)
+                                   for label in labels)
         if not handled_tie:
             for tie in elem.findall("tie"):
                 info.tokens.extend(self.spanner("tied", tie, staff, step))
@@ -854,10 +853,8 @@ class _Converter:
             label = ("rest_whole" if quarters == 0
                      else _rest_for_duration(quarters))
         else:
-            label = _REST_BY_TYPE.get(ntype)
-            if label is None:
-                self.warn(f"rest type {ntype!r} unsupported; using duration")
-                label = _rest_for_duration(quarters)
+            labels = self.lookup(_REST_TYPES, ntype)
+            label = labels[0] if labels else _rest_for_duration(quarters)
         info = _NoteInfo(staff, None, [self.token(label, staff)])
         self.note_modifiers(elem, info, staff, None)
         return Node(REST, tuple(info.tokens), onset=onset)

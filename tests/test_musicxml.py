@@ -756,6 +756,32 @@ def test_every_family_row():
                  for w in result.warnings]) == (labels, warnings), content
 
 
+def test_unknown_notation_is_reported():
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 16, "whole", "<notations><swirl/></notations>")
+            + "</measure>")
+    result = convert_score(score(body))
+    assert result.warnings == [
+        "part P1 measure 1: notation <swirl> unsupported"]
+    assert [t.label for t in tokens_of(result.work.parts[0].measures[0])
+            if t.label.startswith("notehead")] == ["notehead_white"]
+
+
+def test_notehead_shape_is_reported():
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 16, "whole", "<notehead>x</notehead>")
+            + "</measure>")
+    result = convert_score(score(body))
+    assert result.warnings == [
+        "part P1 measure 1: notehead 'x' converted as a normal notehead"]
+    assert [t.label for t in tokens_of(result.work.parts[0].measures[0])
+            if t.label.startswith("notehead")] == ["notehead_white"]
+
+
+def test_normal_notehead_is_silent():
+    assert whole_note_warnings("", "<notehead>normal</notehead>") == []
+
+
 def test_dangling_pair_warnings_name_each_pair():
     slur = '<notations><slur type="{}"/></notations>'
     body = (f'<measure number="1">{ATTRS_44}'
