@@ -126,9 +126,6 @@ class MTNWork(NamedTuple):
     parts: tuple[Part, ...] = ()
 
 
-Child = Union[Node, Token]
-
-
 def iter_nodes(root: Node) -> Iterator[Node]:
     """Yield root and every descendant Node, depth first, document order."""
     yield root
@@ -200,8 +197,8 @@ class Violation(NamedTuple):
         return f"[{self.rule}] {self.subject}: {self.message}"
 
 
-def _note_kind_name(child: Child) -> str:
-    return child.kind if isinstance(child, Node) else f"token {child.label}"
+# A type that a field wants -> how a field-type message names it.
+_TYPE_NAMES = {str: "a str", int: "an int", StaffPosition: "a StaffPosition"}
 
 
 class _Validator:
@@ -215,12 +212,16 @@ class _Validator:
         self.out.append(Violation(rule, subject, message))
 
     def run(self) -> list[Violation]:
+        if not isinstance(self.work, MTNWork):
+            self.fail("field-type", "work",
+                      f"work {self.work!r} is not an MTNWork")
+            return self.out
         work_id = self.work.work_id
         if type(work_id) is not str:
             work_id = repr(work_id)
             self.fail("field-type", work_id, f"work_id {work_id} is not a str")
         measure_ids: set[str] = set()
-        for part in self.work.parts:
+        for part in self.records(self.work.parts, "parts", Part, work_id):
             if type(part.staff_count) is not int:
                 self.fail("field-type", work_id,
                           f"part has staff_count {part.staff_count!r}, "
@@ -228,7 +229,8 @@ class _Validator:
             elif part.staff_count < 1:
                 self.fail("staff-count", work_id,
                           f"part has staff_count {part.staff_count}")
-            for measure in part.measures:
+            for measure in self.records(part.measures, "measures", Measure,
+                                        work_id):
                 mid = measure.id
                 if type(mid) is not str:
                     mid = repr(mid)
@@ -245,15 +247,40 @@ class _Validator:
         self.check_pairs()
         return self.out
 
+    def records(self, items: tuple, field: str, record: type,
+                subject: str) -> Iterator:
+        """Each item of a parts or measures tuple that is of the record
+        type; a field-type report for any other item, and for a field that
+        is not a tuple."""
+        if type(items) is not tuple:
+            self.fail("field-type", subject, f"{field} {items!r} is not a tuple")
+            return
+        for item in items:
+            if isinstance(item, record):
+                yield item
+            else:
+                self.fail("field-type", subject,
+                          f"{item!r} in {field} is not a {record.__name__}")
+
     def check_measure(self, part: Part, measure: Measure, mid: str) -> None:
         start = len(self.out)
-        for i, child in enumerate(measure.children):
+        children = measure.children
+        if type(children) is not tuple:
+            self.fail("field-type", mid,
+                      f"children {children!r} is not a tuple")
+            return
+        for i, child in enumerate(children):
             path = f"{mid}/{i}"
-            if not isinstance(child, Node) or child.kind not in TOP_LEVEL_RANK:
+            if isinstance(child, Token):
                 self.fail("child-kind", path,
-                          f"{_note_kind_name(child)} not allowed under a measure")
-                continue
-            self.check_node(part, child, path)
+                          f"token {child.label} not allowed under a measure")
+            elif isinstance(child, Node) and type(child.kind) is str:
+                if child.kind in TOP_LEVEL_RANK:
+                    self.check_node(part, child, path)
+                    continue
+                self.fail("child-kind", path,
+                          f"{child.kind} not allowed under a measure")
+            self.check_types_below(child, path)
         if any(v.rule == "field-type" for v in self.out[start:]):
             return  # ordering would compare values of the wrong type
         # Canonical order is validated measure-wide: canonicalize returns
@@ -271,7 +298,8 @@ class _Validator:
         kind, children, onset, synthetic = node
         typed = (onset is None or isinstance(onset, Fraction)
                  or type(onset) is int)
-        if not typed or type(synthetic) is not bool:
+        if (not typed or type(synthetic) is not bool
+                or type(children) is not tuple):
             self.check_node_types(node, path)
         if kind in _ONSET_KINDS:
             if onset is None:
@@ -284,15 +312,19 @@ class _Validator:
         if synthetic is True and kind != ATTRIBUTES:
             self.fail("synthetic-not-allowed", path,
                       "only attributes nodes can be synthetic")
+        if type(children) is not tuple:
+            return
 
         allowed_kinds, allowed_tokens = _GRAMMAR[kind]
         for i, child in enumerate(children):
             if isinstance(child, Token):
-                tid, label, (staff, step), pair_id, value = child
+                tid, label, position, pair_id, value = child
                 # every token of a valid work passes this test
                 if not (type(tid) is str and type(label) is str
-                        and type(staff) is int
-                        and (step is None or type(step) is int)
+                        and type(position) is StaffPosition
+                        and type(position.staff) is int
+                        and (position.step is None
+                             or type(position.step) is int)
                         and (pair_id is None or type(pair_id) is str)
                         and (value is None or type(value) is int)):
                     if self.check_types(child, f"{path}/{i}"):
@@ -305,17 +337,25 @@ class _Validator:
                 else:
                     self.fail("child-kind", f"{path}/{i}",
                               f"token {label} not allowed under {kind}")
-            elif child.kind in allowed_kinds:
-                self.check_node(part, child, f"{path}/{i}")
-            else:
+                continue
+            if isinstance(child, Node) and type(child.kind) is str:
+                if child.kind in allowed_kinds:
+                    self.check_node(part, child, f"{path}/{i}")
+                    continue
                 self.fail("child-kind", f"{path}/{i}",
                           f"{child.kind} not allowed under {kind}")
-                self.check_types_below(child, f"{path}/{i}")
+            self.check_types_below(child, f"{path}/{i}")
         self.check_counts(node, path)
 
     def check_node_types(self, node: Node, path: str) -> None:
-        """Report an onset that is neither an int nor a Fraction, and a
-        synthetic flag that is not a bool."""
+        """Report a kind that is not a str, children that are not a tuple,
+        an onset that is neither an int nor a Fraction, and a synthetic
+        flag that is not a bool."""
+        if type(node.kind) is not str:
+            self.fail("field-type", path, f"kind {node.kind!r} is not a str")
+        if type(node.children) is not tuple:
+            self.fail("field-type", path,
+                      f"children {node.children!r} is not a tuple")
         onset = node.onset
         if not (onset is None or isinstance(onset, Fraction)
                 or type(onset) is int):
@@ -325,15 +365,20 @@ class _Validator:
             self.fail("field-type", path,
                       f"synthetic {node.synthetic!r} is not a bool")
 
-    def check_types_below(self, node: Node, path: str) -> None:
-        """Report the mistyped fields in a subtree that child-kind rejected:
-        the walk does not enter it, but the order check reads them."""
-        self.check_node_types(node, path)
-        for i, child in enumerate(node.children):
-            if isinstance(child, Token):
-                self.check_types(child, f"{path}/{i}")
-            else:
-                self.check_types_below(child, f"{path}/{i}")
+    def check_types_below(self, item, path: str) -> None:
+        """Report the mistyped values in a subtree that the walk does not
+        enter, and a child that is neither a Node nor a Token: the order
+        check reads them."""
+        if isinstance(item, Token):
+            self.check_types(item, path)
+        elif not isinstance(item, Node):
+            self.fail("field-type", path,
+                      f"child {item!r} is neither a Node nor a Token")
+        else:
+            self.check_node_types(item, path)
+            if type(item.children) is tuple:
+                for i, child in enumerate(item.children):
+                    self.check_types_below(child, f"{path}/{i}")
 
     def check_counts(self, node: Node, path: str) -> None:
         kind, children = node.kind, node.children
@@ -363,21 +408,25 @@ class _Validator:
 
     def check_types(self, token: Token, path: str) -> bool:
         """Report each field of the token of the wrong type: id and label
-        are str, pair_id str or None, staff an int (a bool is not one), step
-        and numeric value an int or None. A token with a mistyped id is
-        named by its path. True when id, label or pair_id is mistyped."""
-        tid, label, (staff, step), pair_id, value = token
+        are str, position a StaffPosition, pair_id str or None, staff an int
+        (a bool is not one), step and numeric value an int or None. A token
+        with a mistyped id is named by its path. True when id, label,
+        position or pair_id is mistyped."""
+        tid, label, position, pair_id, value = token
         subject = tid if type(tid) is str else path
+        placed = type(position) is StaffPosition
+        staff, step = position if placed else (None, None)
         mistyped = False
         for name, got, want, optional in (
                 ("id", tid, str, False), ("label", label, str, False),
-                ("staff", staff, int, False), ("step", step, int, True),
+                ("position", position, StaffPosition, False),
+                ("staff", staff, int, not placed), ("step", step, int, True),
                 ("pair_id", pair_id, str, True),
                 ("numeric_value", value, int, True)):
             if type(got) is not want and not (optional and got is None):
-                self.fail("field-type", subject, f"{name} {got!r} is not "
-                          + ("a str" if want is str else "an int"))
-                mistyped = mistyped or want is str
+                self.fail("field-type", subject,
+                          f"{name} {got!r} is not {_TYPE_NAMES[want]}")
+                mistyped = mistyped or want is not int
         return mistyped
 
     def check_token(self, part: Part, token: Token) -> None:

@@ -6,7 +6,8 @@ never raise, and `evaluate` must score the edited prediction and return 0.
 The converter gets the same treatment from MusicXML fixtures whose element
 texts are rewritten, or whose elements are deleted, duplicated or given an
 `<alter>`, and from `.mxl` archives of them with bytes flipped. `validate`
-is given fixture works with fields of the wrong Python type.
+is given fixture works with fields, children and records of the wrong
+Python type, and values that are not a work at all.
 """
 
 import contextlib
@@ -26,7 +27,9 @@ from hypothesis import strategies as st
 import pytest
 
 from mtnkit.cli import main
-from mtnkit.model import NODE_KINDS, Node, StaffPosition, Token, validate
+from mtnkit.model import (
+    NODE_KINDS, MTNWork, Measure, Node, Part, StaffPosition, Token, validate,
+)
 from mtnkit.xmlio import InvalidWorkError, parse_work, serialize_work
 from test_golden_line_starts import (
     ALTO_2, BACKUP, BOTH, BREAK, CLEFS, attributes, half, two_staff, whole,
@@ -324,107 +327,134 @@ def test_convert_never_raises_on_a_corrupted_mxl(archive, flips):
             assert validate(work) == []
 
 
-# field -> whether a value has the type the model wants for it
+# field -> whether a value has the type the model wants for it. "work",
+# "part", "measure" and "child" are a record in the work, a parts tuple, a
+# measures tuple or a children tuple.
 FIELD_TYPES = {
+    "work": lambda v: isinstance(v, MTNWork),
     "work_id": lambda v: type(v) is str,
+    "parts": lambda v: type(v) is tuple,
+    "part": lambda v: isinstance(v, Part),
     "staff_count": lambda v: type(v) is int,
+    "measures": lambda v: type(v) is tuple,
+    "measure": lambda v: isinstance(v, Measure),
     "id": lambda v: type(v) is str,
     "line_start": lambda v: type(v) is bool,
+    "children": lambda v: type(v) is tuple,
+    "child": lambda v: isinstance(v, (Node, Token)),
+    "kind": lambda v: type(v) is str,
     "onset": lambda v: (v is None or type(v) is int
                         or isinstance(v, Fraction)),
     "synthetic": lambda v: type(v) is bool,
     "label": lambda v: type(v) is str,
+    "position": lambda v: type(v) is StaffPosition,
     "pair_id": lambda v: v is None or type(v) is str,
     "staff": lambda v: type(v) is int,
     "step": lambda v: v is None or type(v) is int,
     "numeric_value": lambda v: v is None or type(v) is int,
 }
-SLOTS = [("work", "work_id"), ("part", "staff_count"), ("measure", "id"),
-         ("measure", "line_start"), ("node", "onset"), ("node", "synthetic"),
-         ("token", "id"), ("token", "label"), ("token", "pair_id"),
-         ("token", "staff"), ("token", "step"), ("token", "numeric_value")]
+# (record, field); field None replaces the work itself
+SLOTS = [("work", None), ("work", "work_id"), ("work", "parts"),
+         ("part", "staff_count"), ("part", "measures"), ("measure", "id"),
+         ("measure", "line_start"), ("measure", "children"), ("node", "kind"),
+         ("node", "children"), ("node", "onset"), ("node", "synthetic"),
+         ("token", "id"), ("token", "label"), ("token", "position"),
+         ("token", "pair_id"), ("token", "staff"), ("token", "step"),
+         ("token", "numeric_value")]
 VALUES = [None, 0, 7, -1, True, False, 1.5, "x", "t1", b"x", [],
-          Fraction(1, 2)]
+          Fraction(1, 2), (), (5,), ["rest"], (1, None), "rest",
+          StaffPosition(1), Node("rest"),
+          Token("t1", "rest_quarter", StaffPosition(1))]
+RECORDS = {"work": MTNWork, "part": Part, "measure": Measure, "node": Node,
+           "token": Token}
+# record -> the field that holds its records
+CONTAINERS = {MTNWork: "parts", Part: "measures", Measure: "children",
+              Node: "children"}
 
 
-def _edit_below(item, want, n, fn, seen):
-    """item with fn applied to the n-th `want` below it in document order;
-    seen[0] counts the ones passed."""
-    if isinstance(item, want):
+def _edit(item, want, n, fn, seen):
+    """item with fn applied to the n-th `want` record in document order,
+    found through containers that are tuples; seen[0] counts the ones
+    passed."""
+    if type(item) is want:
         seen[0] += 1
         if seen[0] == n:
             item = fn(item)
-    if isinstance(item, Token):
+    field = CONTAINERS.get(type(item))
+    if field is None or type(getattr(item, field)) is not tuple:
         return item
-    return item._replace(children=tuple(
-        _edit_below(child, want, n, fn, seen) for child in item.children))
+    return item._replace(**{field: tuple(
+        _edit(child, want, n, fn, seen) for child in getattr(item, field))})
 
 
 def mistype(work, record, at, field, value):
-    """work with field of its at-th (mod their count) record set to value."""
-    if record == "work":
-        return work._replace(**{field: value})
-    if record in ("part", "measure"):
-        parts = list(work.parts)
-        slots = [(p, m) for p in range(len(parts))
-                 for m in ([None] if record == "part"
-                           else range(len(parts[p].measures)))]
-        p, m = slots[at % len(slots)]
-        if m is None:
-            parts[p] = parts[p]._replace(**{field: value})
-        else:
-            measures = list(parts[p].measures)
-            measures[m] = measures[m]._replace(**{field: value})
-            parts[p] = parts[p]._replace(measures=tuple(measures))
-        return work._replace(parts=tuple(parts))
-    want = Token if record == "token" else Node
+    """work with field of its at-th (mod their count) record set to value;
+    work as it is when it holds no such record."""
+    if field is None:
+        return value
 
     def set_field(item):
         if field in ("staff", "step"):
+            if type(item.position) is not StaffPosition:
+                return item
             return item._replace(position=item.position._replace(
                 **{field: value}))
         return item._replace(**{field: value})
 
-    for n in (None, at):  # count them, then edit the at-th
-        seen = [-1]
-        measures = [_edit_below(m, want, n, set_field, seen)
-                    for part in work.parts for m in part.measures]
-        if n is None:
-            at = at % (seen[0] + 1)
-    it = iter(measures)
-    return work._replace(parts=tuple(
-        part._replace(measures=tuple(next(it) for _ in part.measures))
-        for part in work.parts))
+    seen = [-1]
+    _edit(work, RECORDS[record], None, set_field, seen)
+    if seen[0] < 0:
+        return work
+    return _edit(work, RECORDS[record], at % (seen[0] + 1), set_field, [-1])
+
+
+def _tuple(value) -> tuple:
+    return value if type(value) is tuple else ()
 
 
 def _fields(work):
-    """(field, value) of every typed field in the work."""
-    yield "work_id", work.work_id
-    for part in work.parts:
-        yield "staff_count", part.staff_count
-        for measure in part.measures:
-            yield "id", measure.id
-            yield "line_start", measure.line_start
-            stack = list(measure.children)
+    """(field, value) of every typed field and record that validate can
+    reach in the work."""
+    yield "work", work
+    if not isinstance(work, MTNWork):
+        return
+    yield from (("work_id", work.work_id), ("parts", work.parts))
+    for part in _tuple(work.parts):
+        yield "part", part
+        if not isinstance(part, Part):
+            continue
+        yield from (("staff_count", part.staff_count),
+                    ("measures", part.measures))
+        for measure in _tuple(part.measures):
+            yield "measure", measure
+            if not isinstance(measure, Measure):
+                continue
+            yield from (("id", measure.id), ("line_start", measure.line_start),
+                        ("children", measure.children))
+            stack = list(_tuple(measure.children))
             while stack:
                 item = stack.pop()
+                yield "child", item
                 if isinstance(item, Token):
                     yield from (("id", item.id), ("label", item.label),
+                                ("position", item.position),
                                 ("pair_id", item.pair_id),
-                                ("staff", item.position.staff),
-                                ("step", item.position.step),
                                 ("numeric_value", item.numeric_value))
-                else:
-                    yield from (("onset", item.onset),
-                                ("synthetic", item.synthetic))
-                    stack.extend(item.children)
+                    if type(item.position) is StaffPosition:
+                        yield from (("staff", item.position.staff),
+                                    ("step", item.position.step))
+                elif isinstance(item, Node):
+                    yield from (("kind", item.kind), ("onset", item.onset),
+                                ("synthetic", item.synthetic),
+                                ("children", item.children))
+                    stack.extend(_tuple(item.children))
 
 
 WORKS = {name: parse_work((FIXTURES / "corpus" / name).read_bytes())
          for name in NAMES}
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(name=st.sampled_from(NAMES),
        edits=st.lists(st.tuples(st.sampled_from(SLOTS),
                                 st.integers(0, 500), st.sampled_from(VALUES)),

@@ -236,6 +236,44 @@ def test_measure_and_work_fields_of_the_wrong_type():
         serialize_work(w)
 
 
+def test_structural_values_of_the_wrong_type():
+    # each of these ended validate in a TypeError or an AttributeError
+    unplaced = Token("r1", "rest_quarter", None)
+    chord = B.chord(B.note(step=4), stem_node=B.stem(), onset=2)
+    w = B.work(B.measure(
+        Node("rest", (unplaced,), onset=Fraction(0)),
+        Node(["rest"], (B.tok("rest_quarter"),), onset=Fraction(1)),
+        5,
+        B.group(chord._replace(children=None))), normalize=False)
+    assert [(v.rule, v.subject, v.message) for v in validate(w)] == [
+        ("field-type", "r1", "position None is not a StaffPosition"),
+        ("field-type", "m1/1", "kind ['rest'] is not a str"),
+        ("field-type", "m1/2", "child 5 is neither a Node nor a Token"),
+        ("field-type", "m1/3/0", "children None is not a tuple"),
+    ]
+    with pytest.raises(InvalidWorkError, match="field-type"):
+        serialize_work(w)
+
+
+def test_records_of_the_wrong_type():
+    measure = B.standard_work().parts[0].measures[0]
+    for work, message in [
+            (None, "work None is not an MTNWork"),
+            (MTNWork("w", [Part(1, (measure,))]),
+             f"parts {[Part(1, (measure,))]!r} is not a tuple"),
+            (MTNWork("w", (7,)), "7 in parts is not a Part"),
+            (MTNWork("w", (Part(1, None),)), "measures None is not a tuple"),
+            (MTNWork("w", (Part(1, (measure, "m2")),)),
+             "'m2' in measures is not a Measure")]:
+        subject = "work" if work is None else "w"
+        assert validate(work) == [Violation("field-type", subject, message)]
+        with pytest.raises(InvalidWorkError, match="field-type"):
+            serialize_work(work)
+    children = measure._replace(children=[])
+    assert validate(MTNWork("w", (Part(1, (children,)),))) == [
+        Violation("field-type", "m1", "children [] is not a tuple")]
+
+
 def test_synthetic_flags_of_the_wrong_type():
     # a mistyped flag is not also reported as synthetic-not-allowed
     assert found(
