@@ -93,8 +93,12 @@ def clef_state(sign: str, line: int | None, octave_change: int = 0) -> ClefState
     line = line if line is not None else defaults[sign]
     line_step = 2 * line
     ref = anchors[sign] - line_step + 7 * octave_change
-    label = (f"clef_oct_{sign}" if octave_change and sign != "C"
-             else f"clef_{sign}")
+    if sign == "C":
+        label = "clef_C"
+    elif octave_change:
+        label = f"clef_oct_{sign}"
+    else:
+        label = f"clef_{sign}"
     return ClefState(label, line_step, ref)
 
 
@@ -180,7 +184,6 @@ class TimeCursor:
 
 _TYPE_FLAGS = {"eighth": 1, "16th": 2, "32nd": 3, "64th": 4, "128th": 5,
                "256th": 6}
-_KIND_RANK = {"black": 0, "half": 1, "whole": 2, "breve": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +300,8 @@ class _NoteInfo:
 
 
 class _ChordEvent:
-    __slots__ = ("onset", "voice", "notes", "stem", "beams", "flags", "kind")
+    __slots__ = ("onset", "voice", "notes", "stem", "beams", "flags",
+                 "stemless")
 
     def __init__(self, onset: Fraction, voice: str) -> None:
         self.onset = onset
@@ -306,7 +310,7 @@ class _ChordEvent:
         self.stem: str | None = None
         self.beams: dict[int, str] = {}
         self.flags = 0
-        self.kind = "black"  # black | half | whole | breve
+        self.stemless = True  # until a note of a stemmed kind joins
 
 
 class _PartState:
@@ -773,9 +777,7 @@ class _Converter:
         self.note_modifiers(elem, info, staff, step)
         event.notes.append(info)
         # a mixed chord keeps a stem if any member is a stemmed shape
-        if (len(event.notes) == 1
-                or _KIND_RANK[kind] < _KIND_RANK[event.kind]):
-            event.kind = kind
+        event.stemless = event.stemless and kind in ("whole", "breve")
         stem_text = elem.findtext("stem")
         if stem_text in ("up", "down") and event.stem is None:
             event.stem = f"stem_{stem_text}"
@@ -941,7 +943,7 @@ class _Converter:
         return Node(CHORD, kids, onset=ev.onset)
 
     def stem_node(self, ev: _ChordEvent, beamed: bool) -> Node | None:
-        if ev.kind in ("whole", "breve") or ev.stem == "none":
+        if ev.stemless or ev.stem == "none":
             return None
         direction = ev.stem or self.infer_stem(ev)
         staff = ev.notes[0].staff
