@@ -484,7 +484,8 @@ class _Validator:
 def validate(work: MTNWork) -> list[Violation]:
     """Check a work against the model constraints.
 
-    Returns all violations found (empty list means valid). Never raises on
-    bad content; structural impossibilities are reported as violations.
+    Returns all violations found (empty list means valid). Never raises,
+    whatever Python values work holds: a value of the wrong type, work
+    itself included, is a field-type violation.
     """
     return _Validator(work).run()

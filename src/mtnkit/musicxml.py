@@ -24,7 +24,7 @@ import zlib
 from fractions import Fraction
 from io import BytesIO
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 from xml.etree import ElementTree as ET
 
 from .canonical import assign_ids, canonicalize_work
@@ -202,7 +202,7 @@ class _Family(NamedTuple):
     default: tuple[str, ...] = ()
 
 
-def _silent(labels, prefix: str = "") -> dict[str, _Row]:
+def _silent(labels: Iterable[str], prefix: str = "") -> dict[str, _Row]:
     """Rows without a warning: each label under its name less prefix."""
     return {label.removeprefix(prefix): ((label,), None) for label in labels}
 
@@ -713,8 +713,8 @@ class _Converter:
         if repeat is not None:
             tokens.extend(self.token(label, 1) for label in self.lookup(
                 _REPEATS, repeat.get("direction")))
-        tokens.extend(self.token("fermata", 1)
-                      for _ in elem.findall("fermata"))
+        for fe in elem.findall("fermata"):
+            tokens.append(self.token("fermata", 1))
         if elem.find("ending") is not None:
             self.warn("volta ending bracket is not representable")
         if not tokens:
