@@ -11,9 +11,9 @@ A MusicXML tag has one of three outcomes: token labels; an approximation,
 whose labels come with a warning; or no token and a warning that the tag is
 unsupported or not representable. The notation families below state these
 as one table row per tag, and a tag missing from its family's table gets
-the family's "unsupported" warning. Warnings carry the element's location;
-nothing is dropped silently except content that is excluded by design
-(lyrics, and the layout, playback and analysis elements of a measure).
+the family's "unsupported" warning. Warnings carry the element's location.
+Content excluded by design (lyrics, and the layout, playback and analysis
+elements of a measure) is dropped without a warning.
 """
 
 from __future__ import annotations
