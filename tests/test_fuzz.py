@@ -327,9 +327,9 @@ def test_convert_never_raises_on_a_corrupted_mxl(archive, flips):
             assert validate(work) == []
 
 
-# field -> whether a value has the type the model wants for it. "work",
-# "part", "measure" and "child" are a record in the work, a parts tuple, a
-# measures tuple or a children tuple.
+# field -> whether a value has the type the model wants for it. "work" is
+# the work itself; "part", "measure" and "child" are an item of a parts,
+# measures or children tuple.
 FIELD_TYPES = {
     "work": lambda v: isinstance(v, MTNWork),
     "work_id": lambda v: type(v) is str,
