@@ -9,13 +9,15 @@ or differences found, 2 I/O, format, or usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
+from contextlib import closing
 from fractions import Fraction
 from pathlib import Path
 
 from .harness import (
-    EvalConfig, evaluate_corpus, manifest_for_work, read_manifest,
+    EvalConfig, convert_input, evaluate_corpus, ordered_map, read_manifest,
     render_report, report_to_json, write_manifest,
 )
 from .metrics import ter_score
@@ -67,32 +69,47 @@ def _iter_work_files(paths: list[str]) -> list[Path]:
 
 # -- convert ------------------------------------------------------------------
 
+def _available_cpus() -> int:
+    # Where the affinity call is missing (macOS, Windows), pool processes
+    # are spawned and import mtnkit anew; no run there has shown that to
+    # pay, so those platforms convert in one process.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def cmd_convert(args: argparse.Namespace) -> int:
-    from .musicxml import ConvertOptions, convert_path
+    from .musicxml import ConvertOptions
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    options = ConvertOptions(
+        work_id=args.work_id,
+        use_print_breaks=not args.no_print_breaks,
+        explicit_breaks=tuple(args.break_measures.split(","))
+        if args.break_measures else (),
+    )
+    sources = [Path(raw) for raw in args.inputs]
+    targets = [out_dir / (source.stem + ".mtn.xml") for source in sources]
+    tasks = [(source, target.name, options, args.partition)
+             for source, target in zip(sources, targets)]
+    # The inputs convert in one process per available CPU, this one among
+    # them; all the command prints and writes happens here, in input
+    # order, as it does in one process.
+    results = ordered_map(convert_input, tasks, _available_cpus())
     entries = []
     written: set[Path] = set()
-    for raw in args.inputs:
-        source = Path(raw)
-        options = ConvertOptions(
-            work_id=args.work_id,
-            use_print_breaks=not args.no_print_breaks,
-            explicit_breaks=tuple(args.break_measures.split(","))
-            if args.break_measures else (),
-        )
-        result = convert_path(source, options)
-        for warning in result.warnings:
-            print(f"{source.name}: {warning}", file=sys.stderr)
-        target = out_dir / (source.stem + ".mtn.xml")
-        if target in written:
-            raise ValueError(f"two inputs map to the same output {target}")
-        written.add(target)
-        target.write_bytes(result.data)
-        print(f"wrote {target}")
-        entries.extend(manifest_for_work(result.work, target.name,
-                                         partition=args.partition))
+    with closing(results):
+        for source, target, (warnings, data, file_entries) in zip(
+                sources, targets, results):
+            for warning in warnings:
+                print(f"{source.name}: {warning}", file=sys.stderr)
+            if target in written:
+                raise ValueError(f"two inputs map to the same output {target}")
+            written.add(target)
+            target.write_bytes(data)
+            print(f"wrote {target}")
+            entries.extend(file_entries)
     if args.manifest:
         Path(args.manifest).write_text(write_manifest(entries),
                                        encoding="utf-8")
@@ -308,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matched-only", action="store_true",
                    help="score only measure pairs that aligned")
     p.add_argument("--partition", help="restrict to one partition tag")
-    p.add_argument("--jobs", default="1", help="worker processes, at least 1")
+    p.add_argument("--jobs", default="1",
+                   help="processes that share the pages, this one "
+                   "included; at least 1")
     p.add_argument("--per-measure", action="store_true",
                    help="include the per-measure cost table")
     p.add_argument("-o", "--out", help="write the JSON report here")

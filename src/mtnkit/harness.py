@@ -15,7 +15,8 @@ the matched-only switch is set.
 
 Page evaluations are independent, so they can run on a process pool; the
 merge is associative and applied in manifest order, which makes the
-report byte-identical for any worker count.
+report byte-identical for any worker count. `ordered_map` is that pool for
+both `mtn evaluate` and `mtn convert`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
 from .metrics import CorpusTally, MeasureEval, evaluate_measure, rate
@@ -160,6 +161,52 @@ def align_measures(entry: ManifestEntry, truth: MTNWork,
 
 
 # ---------------------------------------------------------------------------
+# Independent work, in order.
+
+def ordered_map(function: Callable, items: list,
+                workers: int) -> Iterator:
+    """function(item) for each item, yielded in item order.
+
+    min(workers, len(items)) processes share the calls: this one and a
+    pool of the others. This one takes every workers-th item, from the
+    first, each when its result is asked for, while the pool runs the
+    rest ahead; so it works instead of only waiting, and no more
+    processes run than workers. With one process, no pool module is
+    imported. The pool starts by the platform's default method; on Linux
+    before Python 3.14 that is fork, and its processes inherit the
+    imported modules. A call's exception is raised at its turn, and pool
+    calls not yet started are cancelled then, or when the caller closes
+    the generator.
+    """
+    workers = min(workers, len(items))
+    if workers < 2:
+        yield from map(function, items)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    try:
+        pooled = [None if i % workers == 0 else pool.submit(function, item)
+                  for i, item in enumerate(items)]
+        for item, future in zip(items, pooled):
+            yield function(item) if future is None else future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def convert_input(args: tuple) -> tuple[list[str], bytes,
+                                        list[ManifestEntry]]:
+    """One input of `mtn convert`: its warnings, its .mtn.xml bytes and its
+    manifest entries. The work itself is not returned: a worker process
+    sends back no trees."""
+    from .musicxml import convert_path
+
+    source, target_name, options, partition = args
+    result = convert_path(source, options)
+    return (result.warnings, result.data,
+            manifest_for_work(result.work, target_name, partition))
+
+
+# ---------------------------------------------------------------------------
 # Corpus evaluation.
 
 class EvalConfig(NamedTuple):
@@ -259,13 +306,8 @@ def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
     report = EvalReport(config)
     args = [(str(truth_root), str(pred_root), entry, config)
             for entry in entries]
-    if config.jobs > 1 and len(args) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_evaluate_entry, args))
-    else:
-        outcomes = [_evaluate_entry(a) for a in args]
-    for entry, outcome in zip(entries, outcomes):
+    for entry, outcome in zip(entries, ordered_map(_evaluate_entry, args,
+                                                   config.jobs)):
         report.truth_measures += len(entry.measures)
         report.matched += outcome.matched
         report.discarded += outcome.discarded

@@ -12,8 +12,9 @@ whose labels come with a warning; or no token and a warning that the tag is
 unsupported or not representable. The notation families below state these
 as one table row per tag, and a tag missing from its family's table gets
 the family's "unsupported" warning. Warnings carry the element's location.
-Content excluded by design (lyrics, and the layout, playback and analysis
-elements of a measure) is dropped without a warning.
+Content excluded by design (lyrics; the layout, playback and analysis
+elements of a measure; and the footnote, level, part-symbol and
+instruments children of <attributes>) is dropped without a warning.
 """
 
 from __future__ import annotations
@@ -213,6 +214,12 @@ def _silent(labels: Iterable[str], prefix: str = "") -> dict[str, _Row]:
 _IN_MEASURE = _Family(dict.fromkeys((
     "print", "sound", "listening", "grouping", "harmony", "figured-bass",
     "bookmark", "link"), ((), None)), "unhandled element <{tag}>")
+# <attributes> children: the five read by handle_attributes, then the
+# editorial, layout and instrument content excluded by design.
+_IN_ATTRIBUTES = _Family(dict.fromkeys((
+    "divisions", "key", "time", "staves", "clef",
+    "footnote", "level", "part-symbol", "instruments"), ((), None)),
+    "unhandled attributes content <{tag}>")
 _IN_DYNAMICS = _Family(_silent(DYNAMICS, "dyn_"),
                        "dynamics mark <{tag}> unsupported")
 # <dynamics> and <wedge> are read before this table.
@@ -625,9 +632,8 @@ class _Converter:
                     per_staff.setdefault(staff, []).append(
                         Node(TIME_SIG, tuple(tokens)))
 
-        for tag in ("measure-style", "directive", "for-part"):
-            if elem.find(tag) is not None:
-                self.warn(f"unhandled attributes content <{tag}>")
+        for tag in dict.fromkeys(child.tag for child in elem):
+            self.lookup(_IN_ATTRIBUTES, tag)
 
         if not per_staff:
             return None
@@ -801,7 +807,9 @@ class _Converter:
         if grace:
             return "notehead_grace_black", "black"
         if elem.find("cue") is not None:
-            if ntype in ("whole", "breve", "long", "maxima", "half"):
+            if ntype == "half":
+                return "notehead_cue_white", "half"
+            if ntype in ("whole", "breve", "long", "maxima"):
                 return "notehead_cue_white", "whole"
             return "notehead_cue_black", "black"
         if ntype is None:

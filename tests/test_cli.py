@@ -401,15 +401,33 @@ print(rc, [name for name in sys.argv[1].split(",") if name in sys.modules])
 """
 
 
-def loaded_modules(unused: tuple[str, ...], argv: list[str]) -> str:
-    """The exit code of `mtn argv` in a fresh interpreter and which of the
-    unused modules it loaded, as the last line it prints."""
+PINNABLE = hasattr(os, "sched_setaffinity")
+
+
+def on_one_cpu() -> None:
+    """A preexec_fn: the child, and only the child, runs on one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def fresh_mtn(unused: tuple[str, ...], argv: list[str], one_cpu: bool = False,
+              cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """`mtn argv` run in a fresh interpreter, on one CPU if one_cpu. The
+    last line it prints holds its exit code and which of the unused
+    modules it loaded."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-c", IN_A_FRESH_INTERPRETER, ",".join(unused),
-         *argv], env=env, capture_output=True, text=True, timeout=60)
+         *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=on_one_cpu if one_cpu else None)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    return done
+
+
+def loaded_modules(unused: tuple[str, ...], argv: list[str],
+                   one_cpu: bool = False) -> str:
+    """The exit code of `mtn argv` in a fresh interpreter and which of the
+    unused modules it loaded, as the last line it prints."""
+    return fresh_mtn(unused, argv, one_cpu).stdout.splitlines()[-1]
 
 
 def test_evaluate_imports_only_what_it_runs():
@@ -426,6 +444,102 @@ def test_convert_imports_only_what_it_runs(tmp_path):
     assert loaded_modules(unused, [
         "convert", str(ROOT / "fixtures" / "musicxml" / "simple.musicxml"),
         "-o", str(tmp_path)]) == "0 []"
+
+
+@pytest.mark.skipif(not PINNABLE, reason="needs os.sched_setaffinity")
+def test_convert_on_one_cpu_starts_no_pool(tmp_path):
+    musicxml = ROOT / "fixtures" / "musicxml"
+    assert loaded_modules(("concurrent.futures", "multiprocessing"), [
+        "convert", str(musicxml / "simple.musicxml"),
+        str(musicxml / "torture.musicxml"), "-o", str(tmp_path)],
+        one_cpu=True) == "0 []"
+
+
+def convert_in_fresh_interpreter(cwd: Path, inputs: list[Path],
+                                 one_cpu: bool) -> tuple:
+    """`mtn convert INPUTS -o out --manifest out/manifest.jsonl` run in cwd:
+    its exit code and whether it loaded a process pool, then its stdout,
+    its stderr and the bytes of each file it wrote."""
+    cwd.mkdir()
+    done = fresh_mtn(("concurrent.futures",), [
+        "convert", *map(str, inputs), "-o", "out",
+        "--manifest", "out/manifest.jsonl"], one_cpu, cwd)
+    *printed, last = done.stdout.splitlines(keepends=True)
+    out = cwd / "out"
+    files = ({path.name: path.read_bytes() for path in out.iterdir()}
+             if out.is_dir() else {})
+    return last, "".join(printed), done.stderr, files
+
+
+def pooled_and_alone(tmp_path, inputs: list[Path]) -> tuple:
+    """A convert of inputs by default, in a process pool, and one pinned to
+    one CPU, in one process: (exit code line, stdout, stderr, files) of
+    each, after checking that the two agree on all but the pool."""
+    pooled = convert_in_fresh_interpreter(tmp_path / "pooled", inputs, False)
+    alone = convert_in_fresh_interpreter(tmp_path / "alone", inputs, True)
+    rc = pooled[0].split()[0]
+    assert (pooled[0], alone[0]) == (f"{rc} ['concurrent.futures']\n",
+                                     f"{rc} []\n")
+    assert pooled[1:] == alone[1:]
+    return alone
+
+
+MANY_CPUS = PINNABLE and len(os.sched_getaffinity(0)) > 1
+needs_many_cpus = pytest.mark.skipif(
+    not MANY_CPUS, reason="needs os.sched_setaffinity and two or more CPUs")
+
+
+@needs_many_cpus
+def test_parallel_convert_matches_one_process(tmp_path):
+    import zipfile
+    musicxml = ROOT / "fixtures" / "musicxml"
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    packed = inputs / "packed.mxl"
+    with zipfile.ZipFile(packed, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("packed.xml", (musicxml / "simple.musicxml").read_bytes())
+    # a slur that never stops and two articulations the converter cannot
+    # hold draw warnings from a copy of the torture fixture
+    torture = (musicxml / "torture.musicxml").read_text(encoding="utf-8")
+    warned = inputs / "warned.musicxml"
+    warned.write_text(torture.replace(
+        '<tuplet type="start"/>', '<tuplet type="start"/><slur type="start"/>'
+        "<articulations><breath-mark/><doit/></articulations>"),
+        encoding="utf-8")
+    last, stdout, stderr, files = pooled_and_alone(tmp_path, [
+        musicxml / "simple.musicxml", musicxml / "torture.musicxml", packed,
+        warned])
+    assert last.startswith("0 ")
+    assert sorted(files) == ["manifest.jsonl", "packed.mtn.xml",
+                             "simple.mtn.xml", "torture.mtn.xml",
+                             "warned.mtn.xml"]
+    assert stdout.splitlines() == [f"wrote out/{name}" for name in (
+        "simple.mtn.xml", "torture.mtn.xml", "packed.mtn.xml",
+        "warned.mtn.xml", "manifest.jsonl")]
+    assert "warned.musicxml: " in stderr and "<doit>" in stderr
+
+
+@needs_many_cpus
+@pytest.mark.parametrize("failing", ["bad", "missing"])
+def test_parallel_convert_stops_where_one_process_does(tmp_path, failing):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for name in ("first", "third"):
+        (inputs / f"{name}.musicxml").write_text(MUSICXML, encoding="utf-8")
+    second = inputs / "second.musicxml"
+    if failing == "bad":
+        second.write_text(MUSICXML.replace(
+            "<type>half</type></note>",
+            "<type>half</type><staff>x</staff></note>", 1), encoding="utf-8")
+        error = (f"error: {second}: part P1 measure 1: <staff> must be an "
+                 "integer, got 'x'\n")
+    else:
+        error = f"error: [Errno 2] No such file or directory: '{second}'\n"
+    last, stdout, stderr, files = pooled_and_alone(tmp_path, [
+        inputs / "first.musicxml", second, inputs / "third.musicxml"])
+    assert last.startswith("2 ")
+    assert (stdout, stderr) == ("wrote out/first.mtn.xml\n", error)
+    assert list(files) == ["first.mtn.xml"]
 
 
 def test_evaluate_report_does_not_follow_the_hash_seed(tmp_path):

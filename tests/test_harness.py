@@ -1,6 +1,7 @@
 """Harness tests: manifests, alignment, corpus evaluation, reports."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from builders import random_work_checked, standard_measure, standard_work, work
 from mtnkit.harness import (
     EvalConfig, ManifestEntry, ManifestError, align_measures,
-    evaluate_corpus, manifest_for_work, read_manifest, render_report,
-    report_to_json, write_manifest,
+    evaluate_corpus, manifest_for_work, ordered_map, read_manifest,
+    render_report, report_to_json, write_manifest,
 )
 from mtnkit.xmlio import serialize_work
 import random
@@ -237,6 +238,31 @@ def test_parallel_jobs_identical_report(tmp_path):
         for jobs in (1, 2, 4)
     ]
     assert reports[0] == reports[1] == reports[2]
+
+
+def inverse_and_pid(item: int) -> tuple[Fraction, int]:
+    """1/item and the process that worked it out (ZeroDivisionError for 0)."""
+    return Fraction(1, item), os.getpid()
+
+
+def test_ordered_map_shares_the_items_with_the_caller():
+    items = [1, 2, 3, 4, 5, 6, 7]
+    results = list(ordered_map(inverse_and_pid, items, 3))
+    assert [value for value, _ in results] == [Fraction(1, i) for i in items]
+    here = [pid == os.getpid() for _, pid in results]
+    assert here == [True, False, False, True, False, False, True]
+    assert all(pid == os.getpid()
+               for _, pid in ordered_map(inverse_and_pid, items, 1))
+
+
+@pytest.mark.parametrize("items", [[1, 0, 3], [1, 2, 0]],
+                         ids=["in-the-pool", "in-the-caller"])
+def test_ordered_map_raises_at_the_failing_items_turn(items):
+    results = ordered_map(inverse_and_pid, items, 2)
+    for value in items[:items.index(0)]:
+        assert next(results)[0] == Fraction(1, value)
+    with pytest.raises(ZeroDivisionError):
+        next(results)
 
 
 # -- report rendering ---------------------------------------------------------

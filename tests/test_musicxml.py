@@ -667,6 +667,9 @@ _ACCIDENTALS = {
     "sharp-sharp": "accidental_double_sharp",
     "flat-flat": "accidental_double_flat",
 }
+_SILENT_ATTRIBUTES = ("footnote", "level", "part-symbol", "instruments")
+_WARNED_ATTRIBUTES = ("staff-details", "transpose", "measure-style",
+                      "directive", "for-part", "swirl")
 _REG, _HEAVY = "barline_tok_regular", "barline_tok_heavy"
 _WHITE = "notehead_white"
 
@@ -744,6 +747,20 @@ FAMILY_ROWS = [
     (note("C", 5, 4, "whole"), [_WHITE], []),
     (note("C", 5, 2, "half"), [_WHITE, "stem_down"], []),
     (note("C", 5, 1, "quarter"), ["notehead_black", "stem_down"], []),
+    # a cue note is stemmed as the same note without <cue/>
+    *((note("C", 5, 1, ntype, "<cue/>"), labels, [])
+      for ntype, labels in [
+          ("quarter", ["notehead_cue_black", "stem_down"]),
+          ("half", ["notehead_cue_white", "stem_down"]),
+          ("whole", ["notehead_cue_white"]),
+          ("breve", ["notehead_cue_white"]),
+          ("long", ["notehead_cue_white"]),
+          ("maxima", ["notehead_cue_white"])]),
+    *((f"<attributes><{tag}/></attributes>", [], [])
+      for tag in _SILENT_ATTRIBUTES),
+    *((f"<attributes><{tag}/></attributes>", [],
+       [f"unhandled attributes content <{tag}>"])
+      for tag in _WARNED_ATTRIBUTES),
 ]
 
 
@@ -754,6 +771,37 @@ def test_every_family_row():
         assert (sorted(t.label for t in iter_tokens(result.work)),
                 [w.removeprefix("part P1 measure 1: ")
                  for w in result.warnings]) == (labels, warnings), content
+
+
+def test_cue_half_keeps_its_stem():
+    body = ('<measure number="1"><attributes><divisions>4</divisions>'
+            "<clef><sign>G</sign><line>2</line></clef></attributes>"
+            + note("A", 5, 8, "half", "<cue/>") + note("A", 5, 8, "half")
+            + "</measure>")
+    result = convert_score(score(body))
+    assert [outline(c) for c in result.work.parts[0].measures[0].children] == [
+        "attributes@0[attr_staff[clef[clef_G/4]]]",
+        "note_group@0[chord@0[stem[stem_down] note[notehead_cue_white/12]]]",
+        "note_group@2[chord@2[stem[stem_down] note[notehead_white/12]]]"]
+    assert result.warnings == []
+
+
+def test_unread_attributes_warn_once_per_tag():
+    # A one-line staff moves every staff step, and a transposition every
+    # pitch: neither is converted, so both warn, once per element however
+    # many there are, in document order.
+    attrs = ATTRS_44.replace(
+        "</attributes>",
+        "<staff-details><staff-lines>1</staff-lines></staff-details>"
+        "<transpose><chromatic>-2</chromatic></transpose>"
+        "<staff-details><staff-lines>1</staff-lines></staff-details>"
+        "<footnote>editorial</footnote></attributes>")
+    body = f'<measure number="1">{attrs}' + note("C", 5, 16, "whole")
+    result = convert_score(score(body + "</measure>" + body.replace(
+        'number="1"', 'number="2"') + "</measure>"))
+    assert result.warnings == [
+        f"part P1 measure {n}: unhandled attributes content <{tag}>"
+        for n in (1, 2) for tag in ("staff-details", "transpose")]
 
 
 def test_unknown_notation_is_reported():
@@ -940,7 +988,7 @@ def test_less_common_notation_tokens():
         "note[notehead_black/10 dot]] note_group@3/2[beam chord@3/2["
         "stem[stem_down] note[notehead_black/11]]]]",
         "note_group@2[chord@2[stem[stem_up] note[notehead_white/1]]]",
-        "note_group@2[chord@2[note[notehead_cue_white/12]]]",
+        "note_group@2[chord@2[stem[stem_down] note[notehead_cue_white/12]]]",
     ]
     assert result.warnings == [
         f"part P1 measure 2: note without type; assuming {ntype} from duration"
