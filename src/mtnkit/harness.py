@@ -40,7 +40,7 @@ class ManifestError(ValueError):
 # Reference results of a published large-corpus baseline run (a commercial
 # recognition engine against an engraved-score corpus). Not reproducible
 # from this package; kept to document expected report columns and rough
-# magnitudes. Keys mirror EvalReport fields.
+# magnitudes. Keys name figures of the JSON report, not EvalReport fields.
 REFERENCE_BASELINE = {
     "coverage": 0.769,
     "aggregate_precision": 0.894,

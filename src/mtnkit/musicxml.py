@@ -294,18 +294,6 @@ _SPANNERS = {
 }
 
 
-class _NoteInfo:
-    """One note element inside a chord event."""
-
-    __slots__ = ("staff", "step", "tokens")
-
-    def __init__(self, staff: int, step: int | None,
-                 tokens: list[Token]) -> None:
-        self.staff = staff
-        self.step = step
-        self.tokens = tokens  # notehead or rest, then modifiers
-
-
 class _ChordEvent:
     __slots__ = ("onset", "voice", "notes", "stem", "beams", "flags",
                  "stemless")
@@ -313,7 +301,8 @@ class _ChordEvent:
     def __init__(self, onset: Fraction, voice: str) -> None:
         self.onset = onset
         self.voice = voice
-        self.notes: list[_NoteInfo] = []
+        # each note's tokens: its notehead, then its modifiers
+        self.notes: list[list[Token]] = []
         self.stem: str | None = None
         self.beams: dict[int, str] = {}
         self.flags = 0
@@ -339,14 +328,10 @@ class ConvertOptions(NamedTuple):
     explicit_breaks: tuple[str, ...] = ()  # measure numbers starting lines
 
 
-class ConversionResult:
-    __slots__ = ("work", "warnings", "data")
-
-    def __init__(self, work: MTNWork, warnings: list[str],
-                 data: bytes) -> None:
-        self.work = work
-        self.warnings = warnings
-        self.data = data  # serialize_work(work)
+class ConversionResult(NamedTuple):
+    work: MTNWork
+    warnings: list[str]
+    data: bytes  # serialize_work(work)
 
 
 class _Converter:
@@ -411,32 +396,39 @@ class _Converter:
         if root.tag != "score-partwise":
             raise ConversionError(
                 f"expected score-partwise or score-timewise, got <{root.tag}>")
-        breaks: set[str] = set(self.options.explicit_breaks)
         part_elems = root.findall("part")
         if not part_elems:
             raise ConversionError("score has no parts")
-        part_ids = [pe.get("id", "P") for pe in part_elems]
-        for part_id in part_ids:
-            if part_ids.count(part_id) > 1:
-                raise ConversionError(
-                    f"part id {part_id!r} is used by more than one part")
-        if self.options.use_print_breaks:
-            for pe in part_elems:
-                for me in pe.findall("measure"):
-                    pr = me.find("print")
-                    if pr is not None and (
-                            pr.get("new-system") == "yes"
-                            or pr.get("new-page") == "yes"):
-                        breaks.add(me.get("number", ""))
-        known_numbers = {me.get("number", "")
-                         for pe in part_elems for me in pe.findall("measure")}
+        # each part's measures as (element, number): a measure without a
+        # number takes its 1-based place in its part
+        parts = [(part_id, [(me, me.get("number", str(index + 1)))
+                            for index, me in enumerate(pe.findall("measure"))])
+                 for part_id, pe in zip(_part_ids(part_elems), part_elems)]
+        breaks: set[str] = set(self.options.explicit_breaks)
+        known_numbers: set[str] = set()
+        for _, measures in parts:
+            for me, number in measures:
+                known_numbers.add(number)
+                pr = me.find("print")
+                if self.options.use_print_breaks and pr is not None and (
+                        pr.get("new-system") == "yes"
+                        or pr.get("new-page") == "yes"):
+                    breaks.add(number)
         for number in self.options.explicit_breaks:
             if number not in known_numbers:
                 raise ConversionError(
                     f"explicit break names unknown measure {number!r}")
-        work = MTNWork(work_id, tuple(self.convert_part(pe, breaks)
-                                      for pe in part_elems))
-        work = _prune_dangling_pairs(work, self)
+        work = MTNWork(work_id, tuple(
+            self.convert_part(part_id, measures, breaks)
+            for part_id, measures in parts))
+        dangling = self.unclosed_pairs
+        for pid in sorted(dangling):
+            self.warnings.append(
+                f"spanner pair {pid} never completed; its token was dropped")
+        if dangling:
+            # a dropped wedge empties its direction node, which goes with it
+            work = map_tokens(work, lambda tok: None if tok.pair_id in dangling
+                              else tok)
         work = assign_ids(canonicalize_work(work))
         try:
             data = serialize_work(work)
@@ -445,14 +437,14 @@ class _Converter:
                 f"conversion produced an invalid work: {exc}") from None
         return ConversionResult(work, self.warnings, data)
 
-    def convert_part(self, pe: ET.Element, breaks: set[str]) -> Part:
-        part_id = pe.get("id", "P")
+    def convert_part(self, part_id: str,
+                     measures: list[tuple[ET.Element, str]],
+                     breaks: set[str]) -> Part:
         self.part_scope = part_id
         state = _PartState()
-        measures = []
+        converted = []
         seen_ids: set[str] = set()
-        for index, me in enumerate(pe.findall("measure")):
-            number = me.get("number", str(index + 1))
+        for index, (me, number) in enumerate(measures):
             self.where = f"part {part_id} measure {number}"
             if me.get("implicit") == "yes":
                 self.warn("pickup measure (implicit); converted as ordinary")
@@ -462,9 +454,9 @@ class _Converter:
                 measure_id += "+"
                 self.warn(f"duplicate measure number; renamed {measure_id}")
             seen_ids.add(measure_id)
-            measures.append(self.convert_measure(me, state, measure_id,
-                                                 line_start))
-        return Part(state.staves, tuple(measures))
+            converted.append(self.convert_measure(me, state, measure_id,
+                                                  line_start))
+        return Part(state.staves, tuple(converted))
 
     def convert_measure(self, me: ET.Element, state: _PartState,
                         measure_id: str, line_start: bool) -> Measure:
@@ -546,6 +538,13 @@ class _Converter:
                 f"got {text!r}")
         return value
 
+    def staff_number(self, text: str, element: str, state: _PartState) -> int:
+        """A staff number of 1 or more, or a ConversionError naming element
+        and text; the part gets at least that many staves."""
+        staff = self.positive_integer(text, element)
+        state.staves = max(state.staves, staff)
+        return staff
+
     def staff_step(self, letter: str, octave: str, prefix: str,
                    clef: ClefState) -> int:
         """Staff step of <step> and <octave>, or with prefix "display-"."""
@@ -585,8 +584,8 @@ class _Converter:
         per_staff: dict[int, list[Node]] = {}
 
         for ce in elem.findall("clef"):
-            staff = self.positive_integer(ce.get("number", "1"), "clef number")
-            state.staves = max(state.staves, staff)
+            staff = self.staff_number(ce.get("number", "1"), "clef number",
+                                      state)
             sign = ce.findtext("sign", "G")
             line = ce.findtext("line")
             octave_change = self.integer(
@@ -605,10 +604,7 @@ class _Converter:
                 Node(CLEF, (self.token(cs.label, staff, cs.line_step),)))
 
         for ke in elem.findall("key"):
-            target_staves = (
-                [self.positive_integer(ke.get("number"), "key number")]
-                if ke.get("number") else list(range(1, state.staves + 1)))
-            state.staves = max(state.staves, *target_staves)
+            target_staves = self.target_staves(ke, "key number", state)
             raw = ke.findtext("fifths")
             if raw is None:
                 self.warn("key without fifths")
@@ -622,11 +618,7 @@ class _Converter:
                         Node(KEY, tuple(tokens)))
 
         for te in elem.findall("time"):
-            target_staves = (
-                [self.positive_integer(te.get("number"), "time number")]
-                if te.get("number") else list(range(1, state.staves + 1)))
-            state.staves = max(state.staves, *target_staves)
-            for staff in target_staves:
+            for staff in self.target_staves(te, "time number", state):
                 tokens = self.time_tokens(te, staff)
                 if tokens:
                     per_staff.setdefault(staff, []).append(
@@ -640,6 +632,14 @@ class _Converter:
         blocks = tuple(Node(ATTR_STAFF, tuple(kids))
                        for _, kids in sorted(per_staff.items()))
         return Node(ATTRIBUTES, blocks, onset=onset)
+
+    def target_staves(self, elem: ET.Element, element: str,
+                      state: _PartState) -> Iterable[int]:
+        """The staff that a key or time names by its number, else every
+        staff of the part."""
+        number = elem.get("number")
+        return ([self.staff_number(number, element, state)] if number
+                else range(1, state.staves + 1))
 
     def key_tokens(self, fifths: int, staff: int,
                    state: _PartState) -> list[Token]:
@@ -684,7 +684,8 @@ class _Converter:
 
     def handle_direction(self, elem: ET.Element,
                          state: _PartState) -> list[Node]:
-        staff = self.positive_integer(elem.findtext("staff") or "1", "staff")
+        staff = self.staff_number(elem.findtext("staff") or "1", "staff",
+                                  state)
         onset = state.cursor.now
         offset = elem.findtext("offset")
         if offset:
@@ -731,8 +732,8 @@ class _Converter:
 
     def handle_note(self, elem: ET.Element, state: _PartState,
                     events: list[_ChordEvent], top: list[Node]) -> None:
-        staff = self.positive_integer(elem.findtext("staff") or "1", "staff")
-        state.staves = max(state.staves, staff)
+        staff = self.staff_number(elem.findtext("staff") or "1", "staff",
+                                  state)
         voice = elem.findtext("voice") or "1"
         grace = elem.find("grace") is not None
         is_chord_note = elem.find("chord") is not None
@@ -779,9 +780,9 @@ class _Converter:
         shape = elem.findtext("notehead")
         if shape is not None:
             self.lookup(_NOTEHEADS, shape.strip())
-        info = _NoteInfo(staff, step, [self.token(head, staff, step)])
-        self.note_modifiers(elem, info, staff, step)
-        event.notes.append(info)
+        tokens = [self.token(head, staff, step)]
+        self.note_modifiers(elem, tokens)
+        event.notes.append(tokens)
         # a mixed chord keeps a stem if any member is a stemmed shape
         event.stemless = event.stemless and kind in ("whole", "breve")
         stem_text = elem.findtext("stem")
@@ -819,21 +820,23 @@ class _Converter:
             self.warn(f"note without type; assuming {ntype} from duration")
         return self.lookup(_NOTE_TYPES, ntype)
 
-    def note_modifiers(self, elem: ET.Element, info: _NoteInfo, staff: int,
-                       step: int | None) -> None:
+    def note_modifiers(self, elem: ET.Element, tokens: list[Token]) -> None:
+        """Append the modifiers of a note or rest to tokens, which holds its
+        notehead or rest token."""
+        staff, step = tokens[0].position
         acc = elem.findtext("accidental")
         if acc is not None:
-            info.tokens.extend(self.token(label, staff, step) for label
-                               in self.lookup(_ACCIDENTALS, acc.strip()))
+            tokens.extend(self.token(label, staff, step) for label
+                          in self.lookup(_ACCIDENTALS, acc.strip()))
         for _ in elem.findall("dot"):
-            info.tokens.append(self.token("dot", staff))
+            tokens.append(self.token("dot", staff))
 
         handled_tie = False
         for notations in elem.findall("notations"):
             for item in notations:
                 tag = item.tag
                 if tag in ("slur", "tied", "tuplet"):
-                    info.tokens.extend(self.spanner(tag, item, staff, step))
+                    tokens.extend(self.spanner(tag, item, staff, step))
                     handled_tie = handled_tie or tag == "tied"
                     continue
                 if tag == "articulations":
@@ -847,11 +850,10 @@ class _Converter:
                               for label in self.lookup(_IN_ORNAMENTS, orn.tag)]
                 else:
                     labels = self.lookup(_IN_NOTATIONS, tag)
-                info.tokens.extend(self.token(label, staff)
-                                   for label in labels)
+                tokens.extend(self.token(label, staff) for label in labels)
         if not handled_tie:
             for tie in elem.findall("tie"):
-                info.tokens.extend(self.spanner("tied", tie, staff, step))
+                tokens.extend(self.spanner("tied", tie, staff, step))
 
     def rest_node(self, elem: ET.Element, rest_elem: ET.Element, staff: int,
                   onset: Fraction, quarters: Fraction) -> Node:
@@ -865,9 +867,9 @@ class _Converter:
         else:
             labels = self.lookup(_REST_TYPES, ntype)
             label = labels[0] if labels else _rest_for_duration(quarters)
-        info = _NoteInfo(staff, None, [self.token(label, staff)])
-        self.note_modifiers(elem, info, staff, None)
-        return Node(REST, tuple(info.tokens), onset=onset)
+        tokens = [self.token(label, staff)]
+        self.note_modifiers(elem, tokens)
+        return Node(REST, tuple(tokens), onset=onset)
 
     # -- beam grouping ----------------------------------------------------
 
@@ -906,7 +908,7 @@ class _Converter:
     def beamed_group(self, run: list[_ChordEvent], level: int) -> Node:
         """One beam level's run; deeper levels nest, full-width deeper runs
         collapse into extra beam tokens on the same group."""
-        staff = run[0].notes[0].staff
+        staff = run[0].notes[0][0].position.staff
         beam_tokens = [self.token("beam", staff)]
         # a deeper beam spanning the whole run joins this group directly
         while (len(run) > 1
@@ -931,7 +933,7 @@ class _Converter:
                     state_here = run[i].beams.get(level + 1)
                 children.append(self.beamed_group(sub, level + 1))
             elif state_here in ("forward hook", "backward hook"):
-                hook_staff = ev.notes[0].staff
+                hook_staff = ev.notes[0][0].position.staff
                 chord = self.chord_node(ev, beamed=True)
                 children.append(Node(
                     NOTE_GROUP,
@@ -945,7 +947,7 @@ class _Converter:
                     onset=onset)
 
     def chord_node(self, ev: _ChordEvent, beamed: bool) -> Node:
-        notes = tuple(Node(NOTE, tuple(info.tokens)) for info in ev.notes)
+        notes = tuple(Node(NOTE, tuple(tokens)) for tokens in ev.notes)
         stem = self.stem_node(ev, beamed)
         kids = ((stem,) if stem is not None else ()) + notes
         return Node(CHORD, kids, onset=ev.onset)
@@ -954,14 +956,14 @@ class _Converter:
         if ev.stemless or ev.stem == "none":
             return None
         direction = ev.stem or self.infer_stem(ev)
-        staff = ev.notes[0].staff
+        staff = ev.notes[0][0].position.staff
         flags = 0 if beamed else ev.flags
         tokens = [self.token(direction, staff)]
         tokens.extend(self.token("flag", staff) for _ in range(flags))
         return Node(STEM, tuple(tokens))
 
     def infer_stem(self, ev: _ChordEvent) -> str:
-        steps = [n.step for n in ev.notes]
+        steps = [tokens[0].position.step for tokens in ev.notes]
         above = max(steps) - MIDDLE_STEP
         below = MIDDLE_STEP - min(steps)
         return "stem_down" if above >= below else "stem_up"
@@ -979,21 +981,19 @@ def _rest_for_duration(quarters: Fraction) -> str:
     return "rest_128th"
 
 
-def _prune_dangling_pairs(work: MTNWork, conv: _Converter) -> MTNWork:
-    """Remove spanner tokens whose pair never completed."""
-    dangling = conv.unclosed_pairs
-    if not dangling:
-        return work
-    for pid in sorted(dangling):
-        conv.warnings.append(
-            f"spanner pair {pid} never completed; its token was dropped")
-    # a dropped wedge empties its direction node, which goes with it
-    return map_tokens(work, lambda tok: None if tok.pair_id in dangling
-                      else tok)
-
-
 # ---------------------------------------------------------------------------
 # Entry points.
+
+def _part_ids(part_elems: list[ET.Element]) -> list[str]:
+    """The id of each <part>, "P" where it has none; a ConversionError if
+    two of them share one."""
+    part_ids = [pe.get("id", "P") for pe in part_elems]
+    for part_id in part_ids:
+        if part_ids.count(part_id) > 1:
+            raise ConversionError(
+                f"part id {part_id!r} is used by more than one part")
+    return part_ids
+
 
 def _timewise_to_partwise(root: ET.Element) -> ET.Element:
     out = ET.Element("score-partwise")
@@ -1002,8 +1002,8 @@ def _timewise_to_partwise(root: ET.Element) -> ET.Element:
             out.append(child)
     parts: dict[str, ET.Element] = {}
     for me in root.findall("measure"):
-        for pe in me.findall("part"):
-            pid = pe.get("id", "P1")
+        part_elems = me.findall("part")
+        for pid, pe in zip(_part_ids(part_elems), part_elems):
             if pid not in parts:
                 parts[pid] = ET.SubElement(out, "part", {"id": pid})
             measure = ET.SubElement(parts[pid], "measure",

@@ -10,10 +10,8 @@ from __future__ import annotations
 # positionless (step must be absent).
 _POSITIONED: set[str] = set()
 
-# label -> "start" | "stop" for classes that pair via a shared pair id.
-_PAIR_ROLE: dict[str, str] = {}
-
-# start label -> set of admissible stop labels.
+# start label -> set of admissible stop labels: the classes that pair via
+# a shared pair id.
 PAIR_PARTNERS: dict[str, frozenset[str]] = {
     "slur_start": frozenset({"slur_stop"}),
     "tied_start": frozenset({"tied_stop"}),
@@ -22,20 +20,22 @@ PAIR_PARTNERS: dict[str, frozenset[str]] = {
     "wedge_diminuendo": frozenset({"wedge_stop"}),
 }
 
+# label -> "start" | "stop" for the classes in PAIR_PARTNERS.
+_PAIR_ROLE: dict[str, str] = {
+    **{stop: "stop" for stops in PAIR_PARTNERS.values() for stop in stops},
+    **dict.fromkeys(PAIR_PARTNERS, "start"),
+}
+
 _ALL: set[str] = set()
 
 
-def _define(labels: str | list[str], *, positioned: bool = False,
-            pair_role: str | None = None) -> frozenset[str]:
-    if isinstance(labels, str):
-        labels = labels.split()
-    for label in labels:
-        _ALL.add(label)
-        if positioned:
-            _POSITIONED.add(label)
-        if pair_role is not None:
-            _PAIR_ROLE[label] = pair_role
-    return frozenset(labels)
+def _define(labels: str, *, positioned: bool = False) -> frozenset[str]:
+    """The space-separated labels, registered as known."""
+    defined = frozenset(labels.split())
+    _ALL.update(defined)
+    if positioned:
+        _POSITIONED.update(defined)
+    return defined
 
 
 NOTEHEADS = _define(
@@ -70,18 +70,13 @@ DYNAMICS = _define(
     "dyn_sf dyn_sfz dyn_sffz dyn_sfp dyn_sfpp dyn_sfzp dyn_fz dyn_rf "
     "dyn_rfz dyn_fp dyn_pf dyn_n")
 
-WEDGES = _define("wedge_crescendo", pair_role="start") \
-    | _define("wedge_diminuendo", pair_role="start") \
-    | _define("wedge_stop", pair_role="stop")
+WEDGES = _define("wedge_crescendo wedge_diminuendo wedge_stop")
 
 MARKS = _define("segno coda")
 
-SLURS = _define("slur_start", pair_role="start") \
-    | _define("slur_stop", pair_role="stop")
-TIES = _define("tied_start", pair_role="start") \
-    | _define("tied_stop", pair_role="stop")
-TUPLETS = _define("tuplet_start", pair_role="start") \
-    | _define("tuplet_stop", pair_role="stop")
+SLURS = _define("slur_start slur_stop")
+TIES = _define("tied_start tied_stop")
+TUPLETS = _define("tuplet_start tuplet_stop")
 
 DOT = _define("dot")
 ARTICULATIONS = _define("staccato accent tenuto")

@@ -39,12 +39,16 @@ _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
 class FormatError(ValueError):
-    """Base for parse errors; carries the 1-based line and column."""
+    """Base for parse errors; carries the 1-based line and column. Its
+    args are the constructor's, so that a pickled copy reads the same."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(message, line, column)
         self.line = line
         self.column = column
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (line {self.line}, column {self.column})"
 
 
 class MalformedXmlError(FormatError):

@@ -865,6 +865,19 @@ def test_dynamics_direction():
     assert dyn[0].onset == 0
 
 
+@pytest.mark.parametrize("content", [
+    "<direction><direction-type><dynamics><f/></dynamics></direction-type>"
+    "<staff>2</staff></direction>" + note("C", 5, 16, "whole"),
+    note("C", 5, 16, "whole", "<staff>2</staff>"),
+], ids=["direction", "note"])
+def test_any_element_on_a_staff_adds_it_to_the_part(content):
+    # the part declares one staff; a direction or a note on staff 2 adds it
+    body = f'<measure number="1">{ATTRS_44}{content}</measure>'
+    part = convert_score(score(body)).work.parts[0]
+    assert part.staff_count == 2
+    assert 2 in {t.position.staff for t in tokens_of(part.measures[0])}
+
+
 def test_final_barline_onset():
     body = (f'<measure number="1">{ATTRS_44}'
             + note("C", 5, 16, "whole")
@@ -1023,6 +1036,22 @@ def test_explicit_breaks():
     assert work.parts[0].measures[1].line_start
 
 
+@pytest.mark.parametrize("options", [
+    ConvertOptions(),
+    ConvertOptions(use_print_breaks=False, explicit_breaks=("3",)),
+])
+def test_measures_without_a_number_are_numbered_by_place(options):
+    # a print break, or an explicit break naming "3", starts the third
+    # measure's line
+    m1 = f"<measure>{ATTRS_44}" + note("C", 5, 16, "whole") + "</measure>"
+    m2 = "<measure>" + note("D", 5, 16, "whole") + "</measure>"
+    m3 = ('<measure><print new-system="yes"/>'
+          + note("E", 5, 16, "whole") + "</measure>")
+    work = convert_score(score(m1 + m2 + m3), options).work
+    assert [(m.id, m.line_start) for m in work.parts[0].measures] == [
+        ("P1.1", True), ("P1.2", False), ("P1.3", True)]
+
+
 def test_unknown_explicit_break_is_an_error():
     m1 = f'<measure number="1">{ATTRS_44}' + note("C", 5, 16, "whole") + "</measure>"
     with pytest.raises(ConversionError):
@@ -1102,6 +1131,31 @@ def test_timewise_score():
     a = serialize_work(convert_score(partwise).work)
     b = serialize_work(convert_score(timewise).work)
     assert a == b
+    # a part without an id is "P" in both layouts
+    partwise, timewise = both_layouts(ATTRS_44 + note("C", 4, 4, "quarter"),
+                                      parts=1)
+    result = convert_score(timewise)
+    assert result.data == convert_score(partwise).data
+    assert [m.id for m in result.work.parts[0].measures] == ["P.1"]
+
+
+def both_layouts(content: str, parts: int) -> list[str]:
+    """A one-measure score, partwise and timewise, of `parts` parts that
+    have no id and each hold content."""
+    return ['<score-partwise version="4.0">'
+            + f'<part><measure number="1">{content}</measure></part>' * parts
+            + "</score-partwise>",
+            '<score-timewise version="4.0"><measure number="1">'
+            + f"<part>{content}</part>" * parts
+            + "</measure></score-timewise>"]
+
+
+@pytest.mark.parametrize("layout", [0, 1], ids=["partwise", "timewise"])
+def test_two_parts_without_an_id_are_refused(layout):
+    xml = both_layouts(ATTRS_44 + note("C", 4, 4, "quarter"), parts=2)[layout]
+    with pytest.raises(ConversionError) as info:
+        convert_score(xml)
+    assert str(info.value) == "part id 'P' is used by more than one part"
 
 
 def test_mxl_archive(tmp_path):

@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 
 from builders import group, measure, rest, simple_chord
-from mtnkit.harness import EvalConfig, _evaluate_entry, read_manifest
+from mtnkit.harness import (
+    EvalConfig, _evaluate_entry, convert_input, read_manifest,
+)
 from mtnkit.metrics import evaluate_measure
 from mtnkit.model import Node, StaffPosition, Token
 from mtnkit.musicxml import ClefState, ConvertOptions
 from mtnkit.ted import EditScript
 from mtnkit.trees import NoteMeta, TreeNode, project_tree
-from mtnkit.xmlio import parse_work
+from mtnkit.xmlio import UnknownElementError, parse_work
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "fixtures" / "corpus"
@@ -95,6 +97,11 @@ def pool_values() -> dict[str, object]:
         "MeasureEval": evaluate_measure(first, untimeable),
         "PageOutcome": _evaluate_entry(
             (str(CORPUS), str(CORPUS), entry, EvalConfig())),
+        "convert_input": convert_input(
+            (ROOT / "fixtures" / "musicxml" / "torture.musicxml",
+             "torture.mtn.xml", ConvertOptions(), "test")),
+        "UnknownElementError": UnknownElementError(
+            "unknown element <x>", 3, 4),
     }
 
 
