@@ -10,6 +10,7 @@ constructors or ``._replace``. Equality is structural, ids included.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -197,6 +198,11 @@ class Violation(NamedTuple):
         return f"[{self.rule}] {self.subject}: {self.message}"
 
 
+# The first character outside XML 1.0's Char production: no XML 1.0 file
+# can hold one, escaped or not.
+_NOT_XML_CHAR = re.compile(
+    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]").search
+
 # A type that a field wants -> how a field-type message names it.
 _TYPE_NAMES = {str: "a str", int: "an int", StaffPosition: "a StaffPosition"}
 
@@ -211,6 +217,14 @@ class _Validator:
     def fail(self, rule: str, subject: str, message: str) -> None:
         self.out.append(Violation(rule, subject, message))
 
+    def check_chars(self, field: str, value: str) -> None:
+        """Report an id that holds a character XML 1.0 cannot hold. The
+        subject is the id's repr, so that the report shows the character."""
+        bad = _NOT_XML_CHAR(value)
+        if bad is not None:
+            self.fail("xml-char", repr(value), f"{field} holds "
+                      f"U+{ord(bad.group()):04X}, which XML 1.0 cannot hold")
+
     def run(self) -> list[Violation]:
         if not isinstance(self.work, MTNWork):
             self.fail("field-type", "work",
@@ -220,6 +234,8 @@ class _Validator:
         if type(work_id) is not str:
             work_id = repr(work_id)
             self.fail("field-type", work_id, f"work_id {work_id} is not a str")
+        else:
+            self.check_chars("work_id", work_id)
         measure_ids: set[str] = set()
         for part in self.records(self.work.parts, "parts", Part, work_id):
             if type(part.staff_count) is not int:
@@ -240,6 +256,7 @@ class _Validator:
                               "measure id appears more than once")
                 else:
                     measure_ids.add(mid)
+                    self.check_chars("measure id", mid)
                 if type(measure.line_start) is not bool:
                     self.fail("field-type", mid, f"line_start "
                               f"{measure.line_start!r} is not a bool")
@@ -434,6 +451,7 @@ class _Validator:
             self.fail("duplicate-token-id", token.id,
                       "token id appears more than once")
         self.token_ids[token.id] = token.label
+        self.check_chars("token id", token.id)
         pos = token.position
         if (type(pos.staff) is int and type(part.staff_count) is int
                 and not 1 <= pos.staff <= part.staff_count):
@@ -467,6 +485,7 @@ class _Validator:
 
     def check_pairs(self) -> None:
         for pair_id, members in sorted(self.pairs.items()):
+            self.check_chars("pair id", pair_id)
             if len(members) != 2:
                 self.fail("pair-multiplicity", pair_id,
                           f"pair used by {len(members)} tokens, wants exactly 2")

@@ -6,22 +6,8 @@ every chord and top-level node carries its own (see model.validate).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
-
 from . import vocabulary
 from .model import CHORD, NOTE, NOTE_GROUP, REST, Measure, Node, Token
-
-
-class TimedEvent(NamedTuple):
-    """A chord or rest located in its measure."""
-
-    node: Node
-    path: tuple[int, ...]  # child indices from the measure
-
-    @property
-    def onset(self) -> Fraction | None:
-        return self.node.onset
 
 
 def _check_event(node: Node) -> None:
@@ -38,30 +24,30 @@ def _check_event(node: Node) -> None:
         raise ValueError("chord has no noteheads")
 
 
-def timed_events(measure: Measure) -> list[TimedEvent]:
-    """Chords and top-level rests in document order.
+def timed_events(measure: Measure) -> list[Node]:
+    """The measure's chords under chains of note groups and its top-level
+    rests, in document order. The events are the measure's own nodes, and
+    a caller tells them apart by object, not by equality: two equal chords
+    are two events.
 
     Raises ValueError for the first event, in document order, that is a
     chord without noteheads or a rest without a rest token.
     """
-    events: list[TimedEvent] = []
+    events: list[Node] = []
 
-    def add(node: Node, path: tuple[int, ...]) -> None:
-        _check_event(node)
-        events.append(TimedEvent(node, path))
+    def walk_group(node: Node) -> None:
+        for child in node.children:
+            if isinstance(child, Node):
+                if child.kind == CHORD:
+                    events.append(child)
+                elif child.kind == NOTE_GROUP:
+                    walk_group(child)
 
-    def walk_group(node: Node, path: tuple[int, ...]) -> None:
-        for i, child in enumerate(node.children):
-            if not isinstance(child, Node):
-                continue
-            if child.kind == CHORD:
-                add(child, path + (i,))
-            elif child.kind == NOTE_GROUP:
-                walk_group(child, path + (i,))
-
-    for i, child in enumerate(measure.children):
+    for child in measure.children:
         if child.kind == NOTE_GROUP:
-            walk_group(child, (i,))
+            walk_group(child)
         elif child.kind == REST:
-            add(child, (i,))
+            events.append(child)
+    for event in events:
+        _check_event(event)
     return events

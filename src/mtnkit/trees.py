@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from . import vocabulary
 from .model import NOTE, REST, Measure, Node, Token
-from .timing import TimedEvent, timed_events
+from .timing import timed_events
 
 MEASURE_LABEL = "measure"
 
@@ -96,11 +96,11 @@ def untimeable(side: str, name: str, measure_id: str,
         f"{side} {name}: measure {measure_id} cannot be timed: {error}")
 
 
-def _meta(token: Token, ev: TimedEvent, is_rest: bool) -> NoteMeta:
-    step = token.position.step
+def _meta(token: Token, event: Node, is_rest: bool) -> NoteMeta:
+    step, onset = token.position.step, event.onset
     return NoteMeta(staff=token.position.staff,
                     step=0 if is_rest or step is None else step,
-                    onset=ev.onset if ev.onset is not None else Fraction(0),
+                    onset=Fraction(0) if onset is None else onset,
                     is_rest=is_rest)
 
 
@@ -115,33 +115,32 @@ def project_tree(measure: Measure | None) -> LabeledTree:
     if measure is None:
         return EMPTY_TREE
     try:
-        ev_by_path = {ev.path: ev for ev in timed_events(measure)}
+        events = {id(event) for event in timed_events(measure)}
         error = None
     except ValueError as exc:
-        ev_by_path, error = {}, exc
+        events, error = set(), exc
 
-    def build(node: Node, path: tuple[int, ...], synthetic: bool,
-              parent_ev: TimedEvent | None) -> TreeNode:
+    def build(node: Node, synthetic: bool,
+              parent_event: Node | None) -> TreeNode:
         synthetic = synthetic or node.synthetic
-        ev = ev_by_path.get(path)
+        event = node if id(node) in events else None
         kids: list[TreeNode] = []
-        for i, child in enumerate(node.children):
+        for child in node.children:
             if isinstance(child, Node):
-                kids.append(build(child, path + (i,), synthetic, ev))
+                kids.append(build(child, synthetic, event))
                 continue
             meta = None
-            if (node.kind == REST and ev is not None
+            if (node.kind == REST and event is not None
                     and child.label in vocabulary.RESTS):
-                meta = _meta(child, ev, True)
-            elif (node.kind == NOTE and parent_ev is not None
+                meta = _meta(child, event, True)
+            elif (node.kind == NOTE and parent_event is not None
                     and child.label in vocabulary.NOTEHEADS):
-                meta = _meta(child, parent_ev, False)
+                meta = _meta(child, parent_event, False)
             kids.append(TreeNode(child.label, meta=meta, synthetic=synthetic,
                                  token=True))
         return TreeNode(node.kind, tuple(kids), synthetic=synthetic)
 
-    children = tuple(build(child, (i,), False, None)
-                     for i, child in enumerate(measure.children))
+    children = tuple(build(child, False, None) for child in measure.children)
     return LabeledTree(TreeNode(MEASURE_LABEL, children), error)
 
 

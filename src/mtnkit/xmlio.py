@@ -13,8 +13,12 @@ and nothing under a token; an element anywhere else is misplaced. Values
 must be in the writer's form: an int is 0 or -?[1-9][0-9]* (ASCII), a
 fraction an int or n/d in lowest terms with d > 1, a flag "true" (a false
 flag is omitted, so "false" is refused); any other is a FractionSyntaxError
-at the start tag. Files whose sibling order is not canonical are accepted,
-reordered, and reported through the warning callback.
+at the start tag. Between elements only space, tab, CR and LF may sit; any
+other text is a MalformedXmlError. Files whose sibling order is not
+canonical are accepted, reordered, and reported through the warning
+callback. The writer refuses a work that does not validate, so no id it
+writes holds a character outside XML 1.0's Char production (validate's
+xml-char rule).
 """
 
 from __future__ import annotations
@@ -262,9 +266,11 @@ class _Parser:
         self.stack[-1][2].append(item)
 
     def text(self, data: str) -> None:
-        if data.strip():
+        # Only XML's own whitespace may sit between elements.
+        text = data.strip(" \t\r\n")
+        if text:
             self.err(MalformedXmlError,
-                     f"unexpected text content {data.strip()[:20]!r}")
+                     f"unexpected text content {text[:20]!r}")
 
     def _canonical(self, measure: Measure) -> Measure:
         try:

@@ -16,7 +16,7 @@ from mtnkit.canonical import assign_ids, canonicalize_work
 from mtnkit.model import (
     ATTR_STAFF, ATTRIBUTES, BARLINE, CHORD, CLEF, DIRECTION, MTNWork,
     Measure, NOTE, NOTE_GROUP, Node, Part, REST, STEM, StaffPosition,
-    Token,
+    Token, iter_tokens, map_tokens,
 )
 from mtnkit.trees import LabeledTree, TreeNode
 
@@ -238,3 +238,24 @@ def random_work_checked(rng: random.Random, work_id: str = "w",
     problems = validate(w)
     assert not problems, f"random work generator produced invalid work: {problems[:3]}"
     return w
+
+
+def work_with_id_suffix(suffix: str) -> MTNWork:
+    """A valid two-measure work holding one slur pair, whose work id, first
+    measure id, first token id and pair id each end in suffix."""
+    start = simple_chord(step=6, extras=(tok("slur_start", pair="p"),))
+    stop = simple_chord(step=6, extras=(tok("slur_stop", pair="p"),))
+    first, second = work(measure(group(start), id="m1"),
+                         measure(group(stop), id="m2")).parts[0].measures
+    first_id = next(iter_tokens(first)).id
+
+    def rename(token: Token) -> Token:
+        if token.id == first_id:
+            token = token._replace(id=first_id + suffix)
+        if token.pair_id is not None:
+            token = token._replace(pair_id=token.pair_id + suffix)
+        return token
+
+    w = MTNWork("w" + suffix, (Part(1, (first._replace(id="m1" + suffix),
+                                        second)),))
+    return map_tokens(w, rename)

@@ -455,6 +455,30 @@ def test_convert_on_one_cpu_starts_no_pool(tmp_path):
         one_cpu=True) == "0 []"
 
 
+@pytest.mark.parametrize("name, options", [
+    ("simple.musicxml", ["--work-id", "w\x1bx"]),
+    ("a\udcffb.musicxml", []),  # a file name holding the byte 0xFF
+], ids=["escape-in-work-id", "undecodable-file-name"])
+def test_convert_refuses_a_work_id_xml_cannot_hold(tmp_path, name, options):
+    src = tmp_path / name
+    try:
+        src.write_bytes((ROOT / "fixtures" / "musicxml"
+                         / "simple.musicxml").read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses this file name")
+    out = tmp_path / "out"
+    # In a fresh interpreter, whose stderr escapes what UTF-8 cannot encode.
+    done = fresh_mtn((), ["convert", str(src), "-o", str(out), *options])
+    assert done.stdout.splitlines()[-1] == "2 []"
+    work_id = options[1] if options else "a\udcffb"
+    expected = (
+        f"error: {src}: conversion produced an invalid work: [xml-char] "
+        f"{work_id!r}: work_id holds U+{ord(work_id[1]):04X}, which XML 1.0 "
+        "cannot hold\n")
+    assert done.stderr == expected.encode("utf-8", "backslashreplace").decode()
+    assert list(out.iterdir()) == []
+
+
 def convert_in_fresh_interpreter(cwd: Path, inputs: list[Path],
                                  one_cpu: bool) -> tuple:
     """`mtn convert INPUTS -o out --manifest out/manifest.jsonl` run in cwd:

@@ -236,6 +236,25 @@ def test_measure_and_work_fields_of_the_wrong_type():
         serialize_work(w)
 
 
+# One character of each range outside XML 1.0's Char production.
+NOT_XML_CHARS = ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1b", "\x1f",
+                 "\ud800", "\udcff", "\udfff", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", NOT_XML_CHARS,
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_ids_with_a_character_xml_cannot_hold(char):
+    w = B.work_with_id_suffix(char)
+    cannot = f"holds U+{ord(char):04X}, which XML 1.0 cannot hold"
+    assert validate(w) == [
+        Violation("xml-char", repr("w" + char), f"work_id {cannot}"),
+        Violation("xml-char", repr("m1" + char), f"measure id {cannot}"),
+        Violation("xml-char", repr("t1" + char), f"token id {cannot}"),
+        Violation("xml-char", repr("p1" + char), f"pair id {cannot}")]
+    with pytest.raises(InvalidWorkError, match="xml-char"):
+        serialize_work(w)
+
+
 def test_structural_values_of_the_wrong_type():
     # each of these ended validate in a TypeError or an AttributeError
     unplaced = Token("r1", "rest_quarter", None)

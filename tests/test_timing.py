@@ -9,16 +9,18 @@ from mtnkit.model import Node
 from mtnkit.timing import timed_events
 
 
-def test_events_in_document_order_with_paths():
-    inner = B.group(B.simple_chord(step=6, onset=Fraction(1, 2)), beams=1)
+def test_events_are_the_measures_own_nodes_in_document_order():
+    first = B.simple_chord(step=4, onset=0)
+    second = B.simple_chord(step=6, onset=Fraction(1, 2))
+    rest = B.rest("rest_quarter", onset=1)
     m = B.measure(
         B.direction(onset=0),
-        B.group(B.simple_chord(step=4, onset=0), inner, beams=1),
-        B.rest("rest_quarter", onset=1),
+        B.group(first, B.group(second, beams=1), beams=1),
+        rest,
         B.barline(onset=2))
     events = timed_events(m)
-    assert [ev.path for ev in events] == [(1, 1), (1, 2, 1), (2,)]
-    assert [ev.node.kind for ev in events] == ["chord", "chord", "rest"]
+    assert len(events) == 3
+    assert all(ev is node for ev, node in zip(events, [first, second, rest]))
     assert [ev.onset for ev in events] == [0, Fraction(1, 2), 1]
 
 

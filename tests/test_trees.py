@@ -7,7 +7,8 @@ import pytest
 
 import builders as B
 from mtnkit.model import NODE_KINDS, Node
-from mtnkit.trees import project_tree, token_counts
+from mtnkit.trees import NoteMeta, project_tree, token_counts
+from mtnkit.xmlio import parse_work
 
 
 def count_nodes(measure):
@@ -129,3 +130,35 @@ def test_token_counts_tell_tokens_from_empty_nodes():
     m = B.measure(B.group(Node("chord", onset=0)),
                   B.barline(onset=1, label="chord"))
     assert token_counts(project_tree(m)) == Counter({"chord": 1})
+
+
+def test_metadata_only_on_events_of_a_parsed_measure():
+    # Parsed, so every node is its own object. The grammar forbids a chord
+    # in a direction, a rest in a note group and a chord under the measure:
+    # none of them is an event, so none of their leaves carries metadata.
+    # A chord three note groups deep is one.
+    def chord(step, onset):
+        return (f'<chord onset="{onset}"><note><token id="t{step}" '
+                f'label="notehead_black" staff="1" step="{step}"/>'
+                "</note></chord>")
+    data = f"""<?xml version="1.0" encoding="UTF-8"?>
+<work mtn-version="1.0" work_id="w">
+  <part staff_count="1">
+    <measure id="m1">
+      <direction onset="0">{chord(1, 0)}</direction>
+      <note_group>
+        <rest onset="0"><token id="t2" label="rest_quarter" staff="1"/></rest>
+        <note_group><note_group>{chord(3, "1/2")}</note_group></note_group>
+      </note_group>
+      {chord(4, 1)}
+    </measure>
+  </part>
+</work>"""
+    (measure,) = parse_work(data, lambda msg: None).parts[0].measures
+    t = project_tree(measure)
+    assert t.timing_error is None
+    assert [n.meta for n in t.nodes if n.label == "rest_quarter"] == [None]
+    heads = [n for n in t.nodes if n.label == "notehead_black"]
+    assert len(heads) == 3
+    assert [n.meta for n in heads if n.meta is not None] == [
+        NoteMeta(staff=1, step=3, onset=Fraction(1, 2))]

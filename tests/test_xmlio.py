@@ -23,6 +23,8 @@ from mtnkit.xmlio import (
     serialize_work,
 )
 
+CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
+
 
 def test_round_trip_structural_equality():
     w = B.standard_work()
@@ -104,6 +106,14 @@ def test_serialize_refuses_out_of_order_work():
         serialize_work(w)
     assert (info.value.violation.rule, info.value.violation.subject) == (
         "non-canonical", "m1")
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r", "\xa0", "\U0001d11e"],
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_ids_with_any_xml_character_round_trip(char):
+    w = B.work_with_id_suffix(char)
+    assert validate(w) == []
+    assert parse_work(serialize_work(w)) == w
 
 
 def test_malformed_xml_has_position():
@@ -202,6 +212,19 @@ def test_unexpected_text_content():
     doc = ('<work mtn-version="1.0" work_id="w">hello</work>')
     with pytest.raises(MalformedXmlError):
         parse_work(doc)
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000"])
+def test_only_xml_whitespace_between_elements(space):
+    # Space, tab, CR and LF may sit between elements; Unicode's other
+    # spaces are text, and text content is refused with its place.
+    doc = (CORPUS / "motif.mtn.xml").read_text(encoding="utf-8")
+    assert parse_work(doc.replace("    </measure>", "\t \r\n    </measure>")
+                      ) == parse_work(doc)
+    with pytest.raises(MalformedXmlError) as info:
+        parse_work(doc.replace("    </measure>", space + "   </measure>"))
+    assert str(info.value) == (
+        f"unexpected text content {space!r} (line 11, column 1)")
 
 
 def in_measure(*lines: str) -> str:
