@@ -13,10 +13,10 @@ predictions are discarded (and counted), and leftover truth measures
 count as fully missed, entering the metrics as empty predictions unless
 the matched-only switch is set.
 
-Page evaluations are independent, so they can run on a process pool; the
-merge is associative and applied in manifest order, which makes the
-report byte-identical for any worker count. `ordered_map` is that pool for
-both `mtn evaluate` and `mtn convert`.
+Each page is evaluated on its own, to a report of its sums, so pages can
+run on a process pool; the corpus report merges the page reports in
+manifest order, which makes it byte-identical for any worker count.
+`ordered_map` is that pool for both `mtn evaluate` and `mtn convert`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
-from .metrics import CorpusTally, MeasureEval, evaluate_measure, rate
+from .metrics import CorpusTally, evaluate_measure, rate
 from .model import Measure, MTNWork
 from .trees import untimeable
 from .xmlio import FormatError, parse_work
@@ -218,19 +218,6 @@ class EvalConfig(NamedTuple):
     per_measure: bool = False        # include the per-measure cost table
 
 
-class PageOutcome:
-    """What one manifest page adds to the report."""
-
-    __slots__ = ("evals", "matched", "discarded", "missed", "skipped",
-                 "warnings")
-
-    def __init__(self) -> None:
-        self.evals: list[MeasureEval] = []
-        self.matched = self.discarded = self.missed = 0
-        self.skipped = False
-        self.warnings: list[str] = []
-
-
 def _load_work(path: Path, warnings: list[str],
                side: str) -> MTNWork | None:
     try:
@@ -246,22 +233,22 @@ def _load_work(path: Path, warnings: list[str],
         return None
 
 
-def _evaluate_entry(args: tuple) -> PageOutcome:
+def _evaluate_entry(args: tuple) -> EvalReport:
     truth_root, pred_root, entry, config = args
-    out = PageOutcome()
-    truth = _load_work(Path(truth_root) / entry.path, out.warnings, "truth")
+    page = EvalReport(config)
+    page.truth_measures = len(entry.measures)
+    truth = _load_work(Path(truth_root) / entry.path, page.warnings, "truth")
     if truth is None:
-        out.skipped = True
-        return out
-    predicted = _load_work(Path(pred_root) / entry.path, out.warnings,
+        page.skipped_pages = 1
+        return page
+    predicted = _load_work(Path(pred_root) / entry.path, page.warnings,
                            "prediction")
-    alignment = align_measures(entry, truth, predicted)
-    out.discarded = alignment.discarded
-    out.missed = alignment.missed
+    pairs, page.discarded, page.missed = align_measures(entry, truth,
+                                                        predicted)
     name = Path(entry.path).name
-    for t, p in alignment.pairs:
+    for t, p in pairs:
         if p is not None:
-            out.matched += 1
+            page.matched += 1
         elif config.matched_only:
             continue
         try:
@@ -270,15 +257,18 @@ def _evaluate_entry(args: tuple) -> PageOutcome:
         except ValueError as exc:  # raised only for an untimeable truth
             raise untimeable("truth", name, t.id, exc) from None
         if ev.untimed is not None:
-            out.warnings.append(
+            page.warnings.append(
                 f"prediction {name}: measure {ev.measure_id} "
                 f"not timed, its truth events count as missed: {ev.untimed}")
-        out.evals.append(ev)
-    return out
+        page.tally.add(ev)
+        if config.per_measure:
+            page.per_measure.append((ev.measure_id, ev.cost, ev.truth_size))
+    return page
 
 
 class EvalReport:
-    """Corpus counts and tallies, merged page by page in manifest order."""
+    """Counts, tallies, rows and warnings of a page or of a corpus, whose
+    report merges its pages' reports in manifest order."""
 
     __slots__ = ("config", "tally", "truth_measures", "matched", "discarded",
                  "missed", "skipped_pages", "per_measure", "warnings")
@@ -295,6 +285,17 @@ class EvalReport:
     def coverage(self) -> Fraction | None:
         return rate(self.matched, self.truth_measures)
 
+    def merge(self, page: "EvalReport") -> None:
+        """Add another report's counts, tallies, rows and warnings."""
+        self.tally.merge(page.tally)
+        self.truth_measures += page.truth_measures
+        self.matched += page.matched
+        self.discarded += page.discarded
+        self.missed += page.missed
+        self.skipped_pages += page.skipped_pages
+        self.per_measure.extend(page.per_measure)
+        self.warnings.extend(page.warnings)
+
 
 def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
                     entries: list[ManifestEntry],
@@ -306,19 +307,8 @@ def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
     report = EvalReport(config)
     args = [(str(truth_root), str(pred_root), entry, config)
             for entry in entries]
-    for entry, outcome in zip(entries, ordered_map(_evaluate_entry, args,
-                                                   config.jobs)):
-        report.truth_measures += len(entry.measures)
-        report.matched += outcome.matched
-        report.discarded += outcome.discarded
-        report.missed += outcome.missed
-        report.skipped_pages += 1 if outcome.skipped else 0
-        report.warnings.extend(outcome.warnings)
-        for ev in outcome.evals:
-            report.tally.add(ev)
-            if config.per_measure:
-                report.per_measure.append(
-                    (ev.measure_id, Fraction(ev.cost), ev.truth_size))
+    for page in ordered_map(_evaluate_entry, args, config.jobs):
+        report.merge(page)
     return report
 
 

@@ -289,6 +289,13 @@ class CorpusTally:
         merge_tallies(self.classes, ev.tier1)
         self.tier3.add(ev.tier3)
 
+    def merge(self, other: "CorpusTally") -> None:
+        self.cost += other.cost
+        self.truth_nodes += other.truth_nodes
+        self.measures += other.measures
+        merge_tallies(self.classes, other.classes)
+        self.tier3.add(other.tier3)
+
     @property
     def ter(self) -> Fraction | None:
         return rate(self.cost, self.truth_nodes)

@@ -11,17 +11,22 @@ from .model import CHORD, NOTE, NOTE_GROUP, REST, Measure, Node, Token
 
 
 def _check_event(node: Node) -> None:
-    """Raise ValueError for a chord without noteheads or a rest without a
-    rest token: such an event has no head class to score."""
+    """Raise ValueError for an event tier 3 cannot place: one with no onset,
+    a rest with no rest token, a chord with no notehead or a stepless one."""
+    steps = [t.position.step for note in node.children
+             if isinstance(note, Node) and note.kind == NOTE
+             for t in note.children
+             if isinstance(t, Token) and t.label in vocabulary.NOTEHEADS]
+    if node.onset is None:
+        raise ValueError(f"{node.kind} has no onset")
     if node.kind == REST:
         if not any(isinstance(t, Token) and t.label in vocabulary.RESTS
                    for t in node.children):
             raise ValueError("rest node has no rest token")
-    elif not any(isinstance(t, Token) and t.label in vocabulary.NOTEHEADS
-                 for note in node.children
-                 if isinstance(note, Node) and note.kind == NOTE
-                 for t in note.children):
+    elif not steps:
         raise ValueError("chord has no noteheads")
+    elif None in steps:
+        raise ValueError("notehead has no step")
 
 
 def timed_events(measure: Measure) -> list[Node]:
@@ -30,8 +35,8 @@ def timed_events(measure: Measure) -> list[Node]:
     a caller tells them apart by object, not by equality: two equal chords
     are two events.
 
-    Raises ValueError for the first event, in document order, that is a
-    chord without noteheads or a rest without a rest token.
+    Raises ValueError for the first event, in document order, that tier 3
+    cannot place (see _check_event).
     """
     events: list[Node] = []
 

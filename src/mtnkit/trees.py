@@ -97,11 +97,9 @@ def untimeable(side: str, name: str, measure_id: str,
 
 
 def _meta(token: Token, event: Node, is_rest: bool) -> NoteMeta:
-    step, onset = token.position.step, event.onset
     return NoteMeta(staff=token.position.staff,
-                    step=0 if is_rest or step is None else step,
-                    onset=Fraction(0) if onset is None else onset,
-                    is_rest=is_rest)
+                    step=0 if is_rest else token.position.step,
+                    onset=event.onset, is_rest=is_rest)
 
 
 def project_tree(measure: Measure | None) -> LabeledTree:

@@ -674,18 +674,31 @@ def test_diff_unparseable_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def untimeable_pair(tmp_path):
-    """Truth fixture and a copy whose first chord lost its notehead t4."""
+# Edits to the fixture anthem's m1 that leave an event tier 3 cannot
+# place: (text, its replacement, the timing error).
+UNTIMEABLE = {
+    "notehead": ('            <token id="t4" label="notehead_black" '
+                 'staff="1" step="4"/>\n', "", "chord has no noteheads"),
+    "onset": ('<chord onset="1/2">', "<chord>", "chord has no onset"),
+    "step": ('<token id="t6" label="notehead_black" staff="1" step="5"/>',
+             '<token id="t6" label="notehead_black" staff="1"/>',
+             "notehead has no step"),
+}
+
+
+def untimeable_pair(tmp_path, case="notehead"):
+    """Truth fixture and a copy whose m1 had one UNTIMEABLE edit (by
+    default its first chord lost its notehead t4)."""
+    text, replacement, _ = UNTIMEABLE[case]
     truth = tmp_path / "truth"
     pred = tmp_path / "pred"
     truth.mkdir()
     pred.mkdir()
     source = (CORPUS / "anthem.mtn.xml").read_text(encoding="utf-8")
     (truth / "anthem.mtn.xml").write_text(source, encoding="utf-8")
-    lines = [line for line in source.splitlines(keepends=True)
-             if 'id="t4"' not in line]
-    assert len(lines) == len(source.splitlines()) - 1
-    (pred / "anthem.mtn.xml").write_text("".join(lines), encoding="utf-8")
+    edited = source.replace(text, replacement, 1)
+    assert source.index(text) < source.index('<measure id="m2"')
+    (pred / "anthem.mtn.xml").write_text(edited, encoding="utf-8")
     return truth, pred
 
 
@@ -699,8 +712,9 @@ def test_diff_untimeable_prediction_still_scripts(tmp_path, capsys):
         "  missing notehead_black\n")
 
 
-def test_semantic_diff_rejects_untimeable(tmp_path, capsys):
-    truth, pred = untimeable_pair(tmp_path)
+@pytest.mark.parametrize("case", sorted(UNTIMEABLE))
+def test_semantic_diff_rejects_untimeable(tmp_path, capsys, case):
+    truth, pred = untimeable_pair(tmp_path, case)
     # Either side may be the untimeable one; the error names it.
     for args, side in (([pred, truth], "prediction"),
                        ([truth, pred], "truth")):
@@ -709,7 +723,7 @@ def test_semantic_diff_rejects_untimeable(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: {side} anthem.mtn.xml: measure m1 cannot be timed: "
-            "chord has no noteheads\n")
+            f"{UNTIMEABLE[case][2]}\n")
         assert captured.out == ""
 
 
@@ -754,8 +768,9 @@ def test_evaluate_scores_an_untimeable_prediction(tmp_path, capsys):
     assert t3["matched"] == full["matched"] - m1_events
 
 
-def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys):
-    truth, pred = untimeable_pair(tmp_path)
+@pytest.mark.parametrize("case", sorted(UNTIMEABLE))
+def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys, case):
+    truth, pred = untimeable_pair(tmp_path, case)
     # Two pages, so that --jobs 2 runs them on the process pool.
     (entry,) = read_manifest(
         anthem_manifest(tmp_path, truth).read_text(encoding="utf-8"))
@@ -768,8 +783,29 @@ def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == (
             "error: truth anthem.mtn.xml: measure m1 cannot be timed: "
-            "chord has no noteheads\n")
+            f"{UNTIMEABLE[case][2]}\n")
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["onset", "step"])
+def test_evaluate_warns_on_a_prediction_event_with_no_onset_or_step(
+        tmp_path, capsys, case):
+    truth, pred = untimeable_pair(tmp_path, case)
+    rc, report = _evaluate_json(truth, truth, tmp_path)
+    capsys.readouterr()
+    rc, degraded = _evaluate_json(truth, pred, tmp_path)
+    assert rc == 0
+    warning = ("prediction anthem.mtn.xml: measure m1 not timed, its truth "
+               f"events count as missed: {UNTIMEABLE[case][2]}")
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    assert degraded["warnings"] == [warning]
+    # m1's events are not scored at an onset or a step of 0.
+    m1 = project_tree(parse_work(
+        (truth / "anthem.mtn.xml").read_bytes()).parts[0].measures[0])
+    m1_events = sum(1 for n in m1.nodes if n.meta is not None)
+    t3, full = degraded["tier3"], report["tier3"]
+    assert t3["matched"] == full["matched"] - m1_events
+    assert t3["time_shift"] == t3["pitch_shift"] == "0"
 
 
 def mixed_onset_clefs(tmp_path):

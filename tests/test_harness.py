@@ -2,7 +2,10 @@
 
 import json
 import os
+import re
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +15,12 @@ from mtnkit.harness import (
     evaluate_corpus, manifest_for_work, ordered_map, read_manifest,
     render_report, report_to_json, write_manifest,
 )
-from mtnkit.xmlio import serialize_work
+from mtnkit.perturb import shift_step_fraction
+from mtnkit.xmlio import parse_work, serialize_work
 import random
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "fixtures" / "corpus"
 
 
 def measure_ids(w):
@@ -238,6 +245,65 @@ def test_parallel_jobs_identical_report(tmp_path):
         for jobs in (1, 2, 4)
     ]
     assert reports[0] == reports[1] == reports[2]
+
+
+def every_field_corpus(tmp_path):
+    """The fixture corpus, whose predictions are, page by page: perturbed
+    (anthem), untimed (carol), missing (etude) and rejected (motif); then a
+    page with an extra predicted measure and a page whose truth is
+    missing. Returns the roots and the manifest entries."""
+    truth_root, pred_root = tmp_path / "truth", tmp_path / "pred"
+    shutil.copytree(CORPUS, truth_root)
+    pred_root.mkdir()
+    anthem = parse_work((CORPUS / "anthem.mtn.xml").read_bytes())
+    shifted, _ = shift_step_fraction(anthem, "notehead_black", 1,
+                                     Fraction(1, 2))
+    (pred_root / "anthem.mtn.xml").write_bytes(serialize_work(shifted))
+    carol = (CORPUS / "carol.mtn.xml").read_text(encoding="utf-8")
+    (pred_root / "carol.mtn.xml").write_text(  # a chord with no notehead
+        re.sub(r'\s*<token id="t4"[^>]*>', "", carol), encoding="utf-8")
+    (pred_root / "motif.mtn.xml").write_text("<broken", encoding="utf-8")
+    rng = random.Random(31)
+    extra = random_work_checked(rng, work_id="extra", measures_n=2)
+    (truth_root / "extra.mtn.xml").write_bytes(serialize_work(extra))
+    (pred_root / "extra.mtn.xml").write_bytes(serialize_work(rename_measures(
+        random_work_checked(rng, work_id="extra", measures_n=3), "p")))
+    entries = read_manifest(
+        (ROOT / "fixtures" / "manifest.jsonl").read_text(encoding="utf-8"))
+    entries += manifest_for_work(extra, "extra.mtn.xml")
+    entries.append(ManifestEntry("lost", "1", "lost.mtn.xml", ("m1",)))
+    return truth_root, pred_root, entries
+
+
+@pytest.mark.parametrize("per_measure", [False, True])
+@pytest.mark.parametrize("matched_only", [False, True])
+def test_jobs_identical_report_filling_every_merged_field(
+        tmp_path, per_measure, matched_only):
+    truth_root, pred_root, entries = every_field_corpus(tmp_path)
+    reports = []
+    for jobs in (1, 2, 3):
+        report = evaluate_corpus(truth_root, pred_root, entries, EvalConfig(
+            per_measure=per_measure, matched_only=matched_only, jobs=jobs))
+        reports.append((report_to_json(report), render_report(report)))
+    assert reports[0] == reports[1] == reports[2]
+    doc = json.loads(reports[0][0])
+    assert doc["coverage"] == {
+        "truth_measures": 9, "matched": 6, "ratio": "2/3",
+        "discarded_predictions": 1, "missed_measures": 2,
+        "skipped_pages": 1}
+    assert [w.split(":")[0] for w in doc["warnings"]] == [
+        "prediction carol.mtn.xml", "prediction file unreadable",
+        "prediction file motif.mtn.xml rejected", "truth file unreadable"]
+    assert doc["warnings"][0].endswith("chord has no noteheads")
+    assert doc["tier2"]["measures"] == (6 if matched_only else 8)
+    assert doc["tier3"]["pitch_shift"] not in (None, "0")
+    scored = ("anthem", "carol", "extra") if matched_only else (
+        "anthem", "carol", "etude", "motif", "extra")
+    if per_measure:
+        assert [r["id"] for r in doc["tier2"]["per_measure"]] == [
+            mid for e in entries if e.work in scored for mid in e.measures]
+    else:
+        assert "per_measure" not in doc["tier2"]
 
 
 def inverse_and_pid(item: int) -> tuple[Fraction, int]:

@@ -12,7 +12,7 @@ from builders import group, measure, rest, simple_chord
 from mtnkit.harness import (
     EvalConfig, _evaluate_entry, convert_input, read_manifest,
 )
-from mtnkit.metrics import evaluate_measure
+from mtnkit.metrics import MeasureEval, evaluate_measure
 from mtnkit.model import Node, StaffPosition, Token
 from mtnkit.musicxml import ClefState, ConvertOptions
 from mtnkit.ted import EditScript
@@ -95,7 +95,7 @@ def pool_values() -> dict[str, object]:
         "LabeledTree": project_tree(first),
         "untimed LabeledTree": project_tree(untimeable),
         "MeasureEval": evaluate_measure(first, untimeable),
-        "PageOutcome": _evaluate_entry(
+        "page EvalReport": _evaluate_entry(
             (str(CORPUS), str(CORPUS), entry, EvalConfig())),
         "convert_input": convert_input(
             (ROOT / "fixtures" / "musicxml" / "torture.musicxml",
@@ -112,3 +112,32 @@ def test_pool_values_survive_pickling(name):
     assert type(copy) is type(value)
     assert spelled(copy) == spelled(value)
 
+
+def reachable(value):
+    """value and everything held in it, through containers and the slots
+    of mtnkit's classes."""
+    yield value
+    if isinstance(value, dict):
+        held = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple)):
+        held = value
+    elif type(value).__module__.startswith("mtnkit."):
+        held = [getattr(value, name)
+                for name in getattr(type(value), "__slots__", ())]
+    else:
+        return
+    for item in held:
+        yield from reachable(item)
+
+
+@pytest.mark.parametrize("per_measure", [False, True])
+def test_a_page_sends_back_sums_and_rows_only_on_request(per_measure):
+    entry = read_manifest(
+        (ROOT / "fixtures" / "manifest.jsonl").read_text(encoding="utf-8"))[0]
+    page = pickle.loads(pickle.dumps(_evaluate_entry(
+        (str(CORPUS), str(CORPUS), entry,
+         EvalConfig(per_measure=per_measure)))))
+    assert not any(isinstance(v, MeasureEval) for v in reachable(page))
+    assert page.tally.measures == len(entry.measures)
+    rows = [mid for mid, _, _ in page.per_measure]
+    assert rows == (list(entry.measures) if per_measure else [])

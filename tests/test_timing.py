@@ -33,3 +33,19 @@ def test_first_untimeable_event_in_document_order_raises():
         timed_events(B.measure(B.group(headless), tokenless))
     with pytest.raises(ValueError, match="^chord has no noteheads$"):
         timed_events(B.measure(B.group(Node("chord", onset=0))))
+
+
+def test_events_tier3_cannot_place_raise():
+    # An onset or a notehead step would otherwise be read as 0.
+    stepless = B.chord(B.note(), Node("note", (B.tok("notehead_black"),)),
+                       stem_node=B.stem(), onset=0)
+    with pytest.raises(ValueError, match="^notehead has no step$"):
+        timed_events(B.measure(B.group(stepless)))
+    with pytest.raises(ValueError, match="^chord has no onset$"):
+        timed_events(B.measure(B.group(B.simple_chord(onset=None))))
+    with pytest.raises(ValueError, match="^rest has no onset$"):
+        timed_events(B.measure(B.rest()._replace(onset=None)))
+    # The first such event in document order decides the message.
+    with pytest.raises(ValueError, match="^rest has no onset$"):
+        timed_events(B.measure(B.rest()._replace(onset=None),
+                               B.group(stepless)))
