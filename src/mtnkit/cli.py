@@ -9,7 +9,6 @@ or differences found, 2 I/O, format, or usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 from contextlib import closing
@@ -20,7 +19,6 @@ from .harness import (
     EvalConfig, convert_input, evaluate_corpus, ordered_map, read_manifest,
     render_report, report_to_json, write_manifest,
 )
-from .metrics import ter_score
 from .model import iter_nodes, validate
 from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
 from .trees import project_tree, token_counts, untimeable
@@ -69,15 +67,6 @@ def _iter_work_files(paths: list[str]) -> list[Path]:
 
 # -- convert ------------------------------------------------------------------
 
-def _available_cpus() -> int:
-    # Where the affinity call is missing (macOS, Windows), pool processes
-    # are spawned and import mtnkit anew; no run there has shown that to
-    # pay, so those platforms convert in one process.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 def cmd_convert(args: argparse.Namespace) -> int:
     from .musicxml import ConvertOptions
 
@@ -94,9 +83,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     tasks = [(source, target.name, options, args.partition)
              for source, target in zip(sources, targets)]
     # The inputs convert in one process per available CPU, this one among
-    # them; all the command prints and writes happens here, in input
-    # order, as it does in one process.
-    results = ordered_map(convert_input, tasks, _available_cpus())
+    # them (ordered_map caps the processes there); all the command prints
+    # and writes happens here, in input order, as it does in one process.
+    results = ordered_map(convert_input, tasks, len(tasks))
     entries = []
     written: set[Path] = set()
     with closing(results):
@@ -235,8 +224,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
             continue
         differences += 1
         # TER is defined on unit costs.
-        rate = (ter_score(g, p)[0] if args.semantic
-                else Fraction(script.cost) / script.a_size)
+        unit = (tree_edit_distance(g, p, UNIT_COSTS) if args.semantic
+                else script)
+        rate = Fraction(unit.cost) / unit.a_size
         print(f"{truth_m.id}: cost {script.cost} over {script.a_size} "
               f"truth nodes (TER {float(rate):.3f})")
         gn, pn = g.nodes, p.nodes

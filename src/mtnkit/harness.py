@@ -22,6 +22,7 @@ manifest order, which makes it byte-identical for any worker count.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -163,22 +164,32 @@ def align_measures(entry: ManifestEntry, truth: MTNWork,
 # ---------------------------------------------------------------------------
 # Independent work, in order.
 
+def _available_cpus() -> int:
+    # Where the affinity call is missing (macOS, Windows), pool processes
+    # are spawned and import mtnkit anew; no run there has shown that to
+    # pay, so those platforms work in one process.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def ordered_map(function: Callable, items: list,
                 workers: int) -> Iterator:
     """function(item) for each item, yielded in item order.
 
-    min(workers, len(items)) processes share the calls: this one and a
-    pool of the others. This one takes every workers-th item, from the
-    first, each when its result is asked for, while the pool runs the
-    rest ahead; so it works instead of only waiting, and no more
-    processes run than workers. With one process, no pool module is
-    imported. The pool starts by the platform's default method; on Linux
-    before Python 3.14 that is fork, and its processes inherit the
-    imported modules. A call's exception is raised at its turn, and pool
-    calls not yet started are cancelled then, or when the caller closes
-    the generator.
+    min(workers, len(items), available CPUs) processes share the calls:
+    this one and a pool of the others. A pool started by fork starts all
+    its processes at once, hence the CPU cap. This one takes every
+    workers-th item, from the first, each when its result is asked for,
+    while the pool runs the rest ahead; so it works instead of only
+    waiting, and no more processes run than workers. With one process,
+    no pool module is imported. The pool starts by the platform's default
+    method; on Linux before Python 3.14 that is fork, and its processes
+    inherit the imported modules. A call's exception is raised at its
+    turn, and pool calls not yet started are cancelled then, or when the
+    caller closes the generator.
     """
-    workers = min(workers, len(items))
+    workers = min(workers, len(items), _available_cpus())
     if workers < 2:
         yield from map(function, items)
         return
@@ -252,9 +263,9 @@ def _evaluate_entry(args: tuple) -> EvalReport:
         elif config.matched_only:
             continue
         try:
-            ev = evaluate_measure(t, p,
-                                  include_synthetic=config.include_synthetic)
-        except ValueError as exc:  # raised only for an untimeable truth
+            ev = evaluate_measure(t, p, config.include_synthetic,
+                                  config.tiers)
+        except ValueError as exc:  # an untimeable truth, under tier 3 only
             raise untimeable("truth", name, t.id, exc) from None
         if ev.untimed is not None:
             page.warnings.append(
@@ -321,8 +332,7 @@ def _rat(x: Fraction | None) -> str | None:
 
 def report_to_json(report: EvalReport) -> str:
     """Canonical JSON rendering; rationals as exact "num/den" strings."""
-    tier1 = report.tally.tier1()
-    total_truth = tier1.total_truth
+    tally = report.tally
     doc: dict = {
         "tool": {"name": "mtnkit", "version": __version__},
         "config": {
@@ -342,29 +352,30 @@ def report_to_json(report: EvalReport) -> str:
         "warnings": list(report.warnings),
     }
     if 1 in report.config.tiers:
+        total = tally.total_truth
         classes = {}
-        for label, tally in sorted(report.tally.classes.items()):
+        for label, c in sorted(tally.classes.items()):
             classes[label] = {
-                "truth": tally.truth,
-                "predicted": tally.predicted,
-                "matched": tally.matched,
-                "precision": _rat(tally.precision),
-                "recall": _rat(tally.recall),
-                "proportion": _rat(rate(tally.truth, total_truth)),
+                "truth": c.truth,
+                "predicted": c.predicted,
+                "matched": c.matched,
+                "precision": _rat(c.precision),
+                "recall": _rat(c.recall),
+                "proportion": _rat(rate(c.truth, total)),
             }
         doc["tier1"] = {
             "classes": classes,
-            "aggregate_precision": _rat(tier1.aggregate_precision),
-            "aggregate_recall": _rat(tier1.aggregate_recall),
-            "undefined_precision": list(tier1.undefined_precision),
-            "total_truth_tokens": total_truth,
+            "aggregate_precision": _rat(tally.aggregate_precision),
+            "aggregate_recall": _rat(tally.aggregate_recall),
+            "undefined_precision": list(tally.undefined_precision),
+            "total_truth_tokens": total,
         }
     if 2 in report.config.tiers:
         doc["tier2"] = {
-            "ter": _rat(report.tally.ter),
-            "edit_cost": _rat(report.tally.cost),
-            "truth_nodes": report.tally.truth_nodes,
-            "measures": report.tally.measures,
+            "ter": _rat(tally.ter),
+            "edit_cost": _rat(tally.cost),
+            "truth_nodes": tally.truth_nodes,
+            "measures": tally.measures,
         }
         if report.config.per_measure:
             doc["tier2"]["per_measure"] = [
@@ -372,7 +383,7 @@ def report_to_json(report: EvalReport) -> str:
                  "ter": _rat(cost / size)}
                 for mid, cost, size in report.per_measure]
     if 3 in report.config.tiers:
-        t3 = report.tally.tier3
+        t3 = tally.tier3
         doc["tier3"] = {
             "truth_events": t3.truth_events,
             "predicted_events": t3.pred_events,
@@ -406,29 +417,30 @@ def render_report(report: EvalReport) -> str:
         f"({pct}); {report.discarded} extra predictions discarded, "
         f"{report.missed} measures missed, "
         f"{report.skipped_pages} pages skipped")
+    tally = report.tally
     if 1 in report.config.tiers:
-        tier1 = report.tally.tier1()
-        total = tier1.total_truth
+        total = tally.total_truth
         lines.append("")
         lines.append(f"{'Class':<28}{'Precision':>10}{'Recall':>8}"
                      f"{'Counts':>8}{'Prop':>7}")
-        ordered = sorted(report.tally.classes.items(),
+        ordered = sorted(tally.classes.items(),
                          key=lambda kv: (-kv[1].truth, kv[0]))
-        for label, tally in ordered:
-            lines.append(f"{label:<28}{_fmt(tally.precision, 10)}"
-                         f"{_fmt(tally.recall, 8)}{tally.truth:>8}"
-                         f"{_fmt(rate(tally.truth, total), 7)}")
+        for label, c in ordered:
+            lines.append(f"{label:<28}{_fmt(c.precision, 10)}"
+                         f"{_fmt(c.recall, 8)}{c.truth:>8}"
+                         f"{_fmt(rate(c.truth, total), 7)}")
         lines.append(f"{'all (weighted)':<28}"
-                     f"{_fmt(tier1.aggregate_precision, 10)}"
-                     f"{_fmt(tier1.aggregate_recall, 8)}{total:>8}"
+                     f"{_fmt(tally.aggregate_precision, 10)}"
+                     f"{_fmt(tally.aggregate_recall, 8)}{total:>8}"
                      f"{_fmt(rate(total, total), 7)}")
-        if tier1.undefined_precision:
+        undefined = tally.undefined_precision
+        if undefined:
             lines.append("precision undefined (never predicted): "
-                         + ", ".join(tier1.undefined_precision))
+                         + ", ".join(undefined))
     if 2 in report.config.tiers or 3 in report.config.tiers:
-        t3 = report.tally.tier3
+        t3 = tally.tier3
         columns = [
-            ("TER", report.tally.ter if 2 in report.config.tiers else None),
+            ("TER", tally.ter if 2 in report.config.tiers else None),
             ("Time Shift", t3.time_shift),
             ("Pitch Shift", t3.pitch_shift),
             ("Staff Shift", t3.staff_shift),

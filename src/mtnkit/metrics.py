@@ -2,7 +2,8 @@
 
 Tier 1 scores primitive detection: per-class precision and recall over
 the token leaves of the projections, matched per measure as the minimum
-of the two counts, with a truth-frequency-weighted aggregate.
+of the two counts. The truth-frequency-weighted aggregates over the summed
+classes are properties of CorpusTally.
 
 Tier 2 is the tree error rate: edit distance between the tree projections
 under unit costs, normalized by the truth tree size.
@@ -10,7 +11,8 @@ under unit costs, normalized by the truth tree size.
 Tier 3 reads the semantic-cost edit mapping over the same projections and
 scores the matched note events: missed/spurious rates, pitch and staff and
 time precision, and signed average shifts. A note event is a notehead or rest leaf; pitch
-metrics apply to notehead pairs, time metrics to all matched events.
+metrics apply to notehead pairs, time metrics to all matched events. It
+runs only when asked, as it alone needs the truth's events timed.
 
 All counts are accumulated corpus-wide and divided once at the end, so
 every rate is a ratio of sums, never a mean of per-measure ratios. Rates
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 from .model import Measure
 from .trees import LabeledTree, project_tree, token_counts
-from .ted import EditScript, SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
+from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
 
 
 def rate(num: int | Fraction, den: int) -> Fraction | None:
@@ -60,17 +62,6 @@ class ClassTally:
         self.matched += other.matched
 
 
-class Tier1Report(NamedTuple):
-    classes: dict[str, ClassTally]
-    aggregate_precision: Fraction | None
-    aggregate_recall: Fraction | None
-    undefined_precision: tuple[str, ...]  # truth classes never predicted
-
-    @property
-    def total_truth(self) -> int:
-        return sum(t.truth for t in self.classes.values())
-
-
 def tally_terminals(truth: LabeledTree, predicted: LabeledTree,
                     include_synthetic: bool = True) -> dict[str, ClassTally]:
     """Per-class counts for one projected measure pair."""
@@ -82,52 +73,6 @@ def tally_terminals(truth: LabeledTree, predicted: LabeledTree,
                                 predicted=p.get(label, 0),
                                 matched=min(g.get(label, 0), p.get(label, 0)))
     return out
-
-
-def tier1_report(classes: dict[str, ClassTally]) -> Tier1Report:
-    """Weighted aggregate over accumulated class tallies.
-
-    Class weights are truth-count shares; classes absent from the truth
-    have weight zero. A truth class with no predictions contributes zero
-    precision and is listed as undefined.
-    """
-    total = sum(t.truth for t in classes.values())
-    if total == 0:
-        return Tier1Report(classes, None, None, ())
-    precision = Fraction(0)
-    recall = Fraction(0)
-    undefined = []
-    for label, tally in sorted(classes.items()):
-        if tally.truth == 0:
-            continue
-        weight = Fraction(tally.truth, total)
-        recall += weight * tally.recall
-        if tally.precision is None:
-            undefined.append(label)
-        else:
-            precision += weight * tally.precision
-    return Tier1Report(classes, precision, recall, tuple(undefined))
-
-
-def merge_tallies(into: dict[str, ClassTally],
-                  part: dict[str, ClassTally]) -> None:
-    for label, tally in part.items():
-        into.setdefault(label, ClassTally()).add(tally)
-
-
-# ---------------------------------------------------------------------------
-# Tier 2: tree error rate.
-
-def ter_score(truth: LabeledTree,
-              predicted: LabeledTree) -> tuple[Fraction, EditScript]:
-    """(tree error rate, edit script) for one projected measure pair.
-
-    The rate is the unit-cost edit distance divided by the truth tree size;
-    a missing prediction (the empty tree) costs one deletion per truth
-    node, i.e. exactly 1.
-    """
-    script = tree_edit_distance(truth, predicted, UNIT_COSTS)
-    return Fraction(script.cost) / len(truth.nodes), script
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +156,9 @@ def tier3_counts(truth: LabeledTree, predicted: LabeledTree) -> Tier3Counts:
     timed. A prediction that could not be timed has no events, so every
     truth event counts as missed.
     """
-    g, p = truth.timed(), predicted
+    g, p = truth, predicted
+    if g.timing_error is not None:
+        raise g.timing_error
     counts = Tier3Counts()
     counts.truth_events = sum(1 for n in g.nodes if n.meta is not None)
     if p.timing_error is not None:
@@ -257,15 +204,18 @@ class MeasureEval(NamedTuple):
 
 
 def evaluate_measure(truth: Measure, predicted: Measure | None,
-                     include_synthetic: bool = True) -> MeasureEval:
+                     include_synthetic: bool = True,
+                     tiers: tuple[int, ...] = (1, 2, 3)) -> MeasureEval:
+    """Tier-1 counts, unit edit cost and, if tier 3 is in tiers, tier-3
+    counts for one measure pair. A missing prediction (the empty tree)
+    costs one deletion per truth node."""
     g, p = project_tree(truth), project_tree(predicted)
-    _, script = ter_score(g, p)
     return MeasureEval(
         measure_id=truth.id,
-        cost=Fraction(script.cost),
-        truth_size=script.a_size,
+        cost=Fraction(tree_edit_distance(g, p, UNIT_COSTS).cost),
+        truth_size=len(g.nodes),
         tier1=tally_terminals(g, p, include_synthetic),
-        tier3=tier3_counts(g, p),
+        tier3=tier3_counts(g, p) if 3 in tiers else Tier3Counts(),
         untimed=None if p.timing_error is None else str(p.timing_error),
     )
 
@@ -283,22 +233,50 @@ class CorpusTally:
         self.tier3 = Tier3Counts()
 
     def add(self, ev: MeasureEval) -> None:
-        self.cost += ev.cost
-        self.truth_nodes += ev.truth_size
-        self.measures += 1
-        merge_tallies(self.classes, ev.tier1)
-        self.tier3.add(ev.tier3)
+        self._sum(ev.cost, ev.truth_size, 1, ev.tier1, ev.tier3)
 
     def merge(self, other: "CorpusTally") -> None:
-        self.cost += other.cost
-        self.truth_nodes += other.truth_nodes
-        self.measures += other.measures
-        merge_tallies(self.classes, other.classes)
-        self.tier3.add(other.tier3)
+        self._sum(other.cost, other.truth_nodes, other.measures,
+                  other.classes, other.tier3)
+
+    def _sum(self, cost: Fraction, truth_nodes: int, measures: int,
+             classes: dict[str, ClassTally], tier3: Tier3Counts) -> None:
+        self.cost += cost
+        self.truth_nodes += truth_nodes
+        self.measures += measures
+        for label, tally in classes.items():
+            self.classes.setdefault(label, ClassTally()).add(tally)
+        self.tier3.add(tier3)
 
     @property
     def ter(self) -> Fraction | None:
         return rate(self.cost, self.truth_nodes)
 
-    def tier1(self) -> Tier1Report:
-        return tier1_report(self.classes)
+    # -- tier-1 aggregates: class weights are truth-count shares ------------
+
+    @property
+    def total_truth(self) -> int:
+        return sum(t.truth for t in self.classes.values())
+
+    @property
+    def aggregate_recall(self) -> Fraction | None:
+        """The weighted class recall, which is sum matched / sum truth."""
+        return rate(sum(t.matched for t in self.classes.values()),
+                    self.total_truth)
+
+    @property
+    def aggregate_precision(self) -> Fraction | None:
+        """The weighted class precision; a truth class never predicted
+        adds zero."""
+        total = self.total_truth
+        if total == 0:
+            return None
+        return sum((Fraction(t.truth, total) * t.precision
+                    for t in self.classes.values() if t.truth and t.predicted),
+                   Fraction(0))
+
+    @property
+    def undefined_precision(self) -> tuple[str, ...]:
+        """The truth classes never predicted, sorted."""
+        return tuple(sorted(label for label, t in self.classes.items()
+                            if t.truth and not t.predicted))

@@ -77,12 +77,6 @@ class LabeledTree:
         self.nodes = tuple(order)
         self.lml = tuple(lml)
 
-    def timed(self) -> "LabeledTree":
-        """This tree, or the timing error that kept its metadata off."""
-        if self.timing_error is not None:
-            raise self.timing_error
-        return self
-
 
 EMPTY_TREE = LabeledTree(None)
 

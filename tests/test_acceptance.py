@@ -20,7 +20,7 @@ from mtnkit.harness import (
     REFERENCE_BASELINE, EvalConfig, evaluate_corpus, read_manifest,
     render_report, report_to_json,
 )
-from mtnkit.metrics import ter_score, tier3_counts
+from mtnkit.metrics import evaluate_measure, tier3_counts
 from mtnkit.model import BARLINE, CHORD, Token
 from mtnkit.musicxml import convert_path
 from mtnkit.perturb import relabel_fraction
@@ -88,7 +88,7 @@ def test_identity_evaluation_is_exactly_perfect():
         assert report.coverage == 1
         assert report.warnings == []
         assert report.tally.ter == 0
-        tier1 = report.tally.tier1()
+        tier1 = report.tally
         assert tier1.aggregate_precision == 1
         assert tier1.aggregate_recall == 1
         for label, tally in tier1.classes.items():
@@ -112,14 +112,16 @@ def test_error_rate_boundaries():
             w = corpus_work(entry)
             for part in w.parts:
                 for m in part.measures:
-                    rate, _ = ter_score(project_tree(m), project_tree(None))
-                    assert rate == 1, m.id
+                    ev = evaluate_measure(m, None)
+                    assert ev.cost / ev.truth_size == 1, m.id
         motif = parse_work((CORPUS / "motif.mtn.xml").read_bytes())
         relabeled, changed = relabel_fraction(motif, "dyn_p", "dyn_f",
                                               Fraction(1))
         assert changed == 1
-        rate, script = ter_score(project_tree(motif.parts[0].measures[0]),
-                                 project_tree(relabeled.parts[0].measures[0]))
+        script = tree_edit_distance(
+            project_tree(motif.parts[0].measures[0]),
+            project_tree(relabeled.parts[0].measures[0]), UNIT_COSTS)
+        rate = Fraction(script.cost) / script.a_size
         assert script.a_size == 5
         assert script.substitutions == 1
         assert rate == Fraction(1, 5)
@@ -143,7 +145,7 @@ def test_controlled_relabel_recall(tmp_path):
         # the corpus holds 20 black noteheads, 10 per work that has any
         assert total_changed == 2
         report = evaluate_corpus(CORPUS, pred_root, entries)
-        tier1 = report.tally.tier1()
+        tier1 = report.tally
         black = tier1.classes["notehead_black"]
         assert black.recall == Fraction(9, 10)
         assert black.precision == 1

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -785,6 +786,42 @@ def test_evaluate_rejects_an_untimeable_truth(tmp_path, capsys, case):
             "error: truth anthem.mtn.xml: measure m1 cannot be timed: "
             f"{UNTIMEABLE[case][2]}\n")
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("tiers", ["1", "2", "3", "1,2", "1,3", "2,3",
+                                   "1,2,3"])
+def test_an_untimeable_truth_stops_only_a_run_that_asks_for_tier_3(
+        tmp_path, capsys, tiers):
+    # motif's only rest holds a dot instead of its rest token
+    truth = tmp_path / "truth"
+    shutil.copytree(CORPUS, truth)
+    motif = truth / "motif.mtn.xml"
+    text = motif.read_text(encoding="utf-8")
+    assert text.count('label="rest_quarter"') == 1
+    motif.write_text(text.replace('label="rest_quarter"', 'label="dot"'),
+                     encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = main(["evaluate", "--pred", str(CORPUS), "--truth", str(truth),
+               "--manifest", str(ROOT / "fixtures" / "manifest.jsonl"),
+               "--tiers", tiers, "--per-measure", "--quiet", "-o", str(out)])
+    captured = capsys.readouterr()
+    if "3" in tiers:
+        assert rc == 2
+        assert captured.err == (
+            "error: truth motif.mtn.xml: measure m1 cannot be timed: "
+            "rest node has no rest token\n")
+        assert not out.exists()
+        return
+    assert (rc, captured.err) == (0, "")
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["coverage"]["matched"] == 6
+    if "1" in tiers:
+        assert doc["tier1"]["classes"]["dot"]["truth"] == 1
+    if "2" in tiers:
+        # the dot and the rest token are one relabel apart
+        (row,) = [r for r in doc["tier2"]["per_measure"]
+                  if r["cost"] != "0"]
+        assert row["cost"] == "1"
 
 
 @pytest.mark.parametrize("case", ["onset", "step"])

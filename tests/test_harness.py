@@ -1,9 +1,11 @@
 """Harness tests: manifests, alignment, corpus evaluation, reports."""
 
 import json
+import multiprocessing
 import os
 import re
 import shutil
+from contextlib import closing
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,9 @@ from mtnkit.harness import (
     evaluate_corpus, manifest_for_work, ordered_map, read_manifest,
     render_report, report_to_json, write_manifest,
 )
+from mtnkit import metrics
 from mtnkit.perturb import shift_step_fraction
+from mtnkit.ted import SEMANTIC_COSTS, UNIT_COSTS
 from mtnkit.xmlio import parse_work, serialize_work
 import random
 
@@ -177,9 +181,8 @@ def test_truth_vs_truth_report(tmp_path):
     report = evaluate_corpus(truth_root, pred_root, entries)
     assert report.coverage == 1
     assert report.tally.ter == 0
-    tier1 = report.tally.tier1()
-    assert tier1.aggregate_precision == 1
-    assert tier1.aggregate_recall == 1
+    assert report.tally.aggregate_precision == 1
+    assert report.tally.aggregate_recall == 1
     assert report.tally.tier3.missed_note_rate == 0
     assert report.warnings == []
 
@@ -247,6 +250,27 @@ def test_parallel_jobs_identical_report(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("tiers", [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
+                                   (1, 2, 3)])
+def test_semantic_edit_distance_runs_only_for_tier_3(monkeypatch, tiers):
+    calls = {UNIT_COSTS: 0, SEMANTIC_COSTS: 0}
+    engine = metrics.tree_edit_distance
+
+    def counted(a, b, costs):
+        calls[costs] += 1
+        return engine(a, b, costs)
+
+    monkeypatch.setattr(metrics, "tree_edit_distance", counted)
+    entries = read_manifest(
+        (ROOT / "fixtures" / "manifest.jsonl").read_text(encoding="utf-8"))
+    report = evaluate_corpus(CORPUS, CORPUS, entries, EvalConfig(tiers=tiers))
+    pairs = report.tally.measures
+    assert pairs == 6
+    # The unit cost feeds the per-measure rows whatever the tiers.
+    assert calls == {UNIT_COSTS: pairs,
+                     SEMANTIC_COSTS: pairs if 3 in tiers else 0}
+
+
 def every_field_corpus(tmp_path):
     """The fixture corpus, whose predictions are, page by page: perturbed
     (anthem), untimed (carol), missing (etude) and rejected (motif); then a
@@ -311,7 +335,14 @@ def inverse_and_pid(item: int) -> tuple[Fraction, int]:
     return Fraction(1, item), os.getpid()
 
 
-def test_ordered_map_shares_the_items_with_the_caller():
+def available_cpus(monkeypatch, count: int) -> None:
+    """Make the process's CPU affinity read count CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def test_ordered_map_shares_the_items_with_the_caller(monkeypatch):
+    available_cpus(monkeypatch, 3)
     items = [1, 2, 3, 4, 5, 6, 7]
     results = list(ordered_map(inverse_and_pid, items, 3))
     assert [value for value, _ in results] == [Fraction(1, i) for i in items]
@@ -319,6 +350,17 @@ def test_ordered_map_shares_the_items_with_the_caller():
     assert here == [True, False, False, True, False, False, True]
     assert all(pid == os.getpid()
                for _, pid in ordered_map(inverse_and_pid, items, 1))
+
+
+def test_ordered_map_pool_is_capped_at_the_available_cpus(monkeypatch):
+    # A pool started by fork starts all its processes at the first submit,
+    # so six workers asked for on two CPUs would fork five.
+    available_cpus(monkeypatch, 2)
+    results = ordered_map(abs, [-1, -2, -3, -4, -5, -6], 6)
+    with closing(results):
+        assert next(results) == 1
+        assert len(multiprocessing.active_children()) <= 1
+        assert list(results) == [2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("items", [[1, 0, 3], [1, 2, 0]],

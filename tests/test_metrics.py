@@ -7,7 +7,7 @@ from builders import (
 )
 from mtnkit.metrics import (
     ClassTally, CorpusTally, MeasureEval, Tier3Counts, evaluate_measure,
-    merge_tallies, tally_terminals, ter_score, tier1_report, tier3_counts,
+    tally_terminals, tier3_counts,
 )
 from mtnkit.model import Measure, Token
 from mtnkit.trees import project_tree
@@ -33,6 +33,15 @@ def relabel_first(m: Measure, old: str, new: str) -> Measure:
     out = fix(m)
     assert done[0], f"no token labeled {old}"
     return out
+
+
+def tally_of(*classes: dict[str, ClassTally]) -> CorpusTally:
+    """A corpus tally of one measure per class-count dict."""
+    tally = CorpusTally()
+    for i, tier1 in enumerate(classes):
+        tally.add(MeasureEval(f"m{i}", cost=Fraction(0), truth_size=1,
+                              tier1=tier1, tier3=Tier3Counts()))
+    return tally
 
 
 # -- tier 1 -------------------------------------------------------------------
@@ -65,9 +74,9 @@ def test_matched_is_per_measure_min():
     t2 = measure(group(simple_chord(4, 0)), id="m2")
     p2 = measure(group(simple_chord(4, 0)), group(simple_chord(5, 1)),
                  id="m2")
-    classes: dict[str, ClassTally] = {}
-    merge_tallies(classes, tally_terminals(project_tree(t1), project_tree(p1)))
-    merge_tallies(classes, tally_terminals(project_tree(t2), project_tree(p2)))
+    classes = tally_of(
+        tally_terminals(project_tree(t1), project_tree(p1)),
+        tally_terminals(project_tree(t2), project_tree(p2))).classes
     heads = classes["notehead_black"]
     assert heads.truth == heads.predicted == 3
     assert heads.matched == 2  # min(2,1) + min(1,2)
@@ -78,7 +87,7 @@ def test_aggregate_weights():
         "a": ClassTally(truth=8, predicted=8, matched=8),
         "b": ClassTally(truth=2, predicted=2, matched=1),
     }
-    report = tier1_report(classes)
+    report = tally_of(classes)
     assert report.aggregate_recall == Fraction(9, 10)
     assert report.aggregate_precision == Fraction(8, 10) + \
         Fraction(2, 10) * Fraction(1, 2)
@@ -89,14 +98,14 @@ def test_aggregate_undefined_precision():
         "a": ClassTally(truth=9, predicted=9, matched=9),
         "b": ClassTally(truth=1, predicted=0, matched=0),
     }
-    report = tier1_report(classes)
+    report = tally_of(classes)
     assert report.undefined_precision == ("b",)
     assert report.aggregate_precision == Fraction(9, 10)
     assert report.aggregate_recall == Fraction(9, 10)
 
 
 def test_empty_truth_report():
-    report = tier1_report({})
+    report = tally_of({})
     assert report.aggregate_precision is None
     assert report.aggregate_recall is None
 
@@ -112,9 +121,9 @@ def test_missing_prediction_tallies():
 
 def test_ter_zero_on_identity():
     m = standard_measure()
-    rate, script = ter_score(project_tree(m), project_tree(m))
-    assert rate == 0
-    assert script.cost == 0
+    ev = evaluate_measure(m, m)
+    assert ev.cost / ev.truth_size == 0
+    assert ev.cost == 0
 
 
 def test_ter_one_leaf_relabeled():
@@ -122,15 +131,15 @@ def test_ter_one_leaf_relabeled():
     truth = measure(rest("rest_quarter", onset=0),
                     direction("dyn_p", onset=0))
     pred = relabel_first(truth, "rest_quarter", "rest_half")
-    rate, script = ter_score(project_tree(truth), project_tree(pred))
-    assert script.a_size == 5
-    assert rate == Fraction(1, 5)
+    ev = evaluate_measure(truth, pred)
+    assert ev.truth_size == 5
+    assert ev.cost / ev.truth_size == Fraction(1, 5)
 
 
 def test_ter_missing_prediction_is_one():
     m = standard_measure()
-    rate, _ = ter_score(project_tree(m), project_tree(None))
-    assert rate == 1
+    ev = evaluate_measure(m, None)
+    assert ev.cost / ev.truth_size == 1
 
 
 def test_ter_corpus_ratio_of_sums():
@@ -259,8 +268,7 @@ def test_truth_vs_truth_full_stack():
     for m in w.parts[0].measures:
         tally.add(evaluate_measure(m, m))
     assert tally.ter == 0
-    report = tally.tier1()
-    assert report.aggregate_precision == 1
-    assert report.aggregate_recall == 1
+    assert tally.aggregate_precision == 1
+    assert tally.aggregate_recall == 1
     assert tally.tier3.missed_note_rate == 0
     assert tally.tier3.false_positive_rate == 0

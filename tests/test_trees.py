@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import builders as B
+from mtnkit.metrics import tier3_counts
 from mtnkit.model import NODE_KINDS, Node
 from mtnkit.trees import NoteMeta, project_tree, token_counts
 from mtnkit.xmlio import parse_work
@@ -118,9 +119,10 @@ def test_untimeable_measure_keeps_labels_and_the_error():
     assert all(n.meta is None for n in t.nodes)
     assert str(t.timing_error) == "chord has no noteheads"
     with pytest.raises(ValueError, match="chord has no noteheads"):
-        t.timed()
+        tier3_counts(t, t)
     timed = project_tree(B.standard_measure())
-    assert timed.timing_error is None and timed.timed() is timed
+    assert timed.timing_error is None
+    assert tier3_counts(timed, timed).missed_note_rate == 0
 
 
 def test_token_counts_tell_tokens_from_empty_nodes():
