@@ -82,9 +82,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     targets = [out_dir / (source.stem + ".mtn.xml") for source in sources]
     tasks = [(source, target.name, options, args.partition)
              for source, target in zip(sources, targets)]
-    # The inputs convert in one process per available CPU, this one among
-    # them (ordered_map caps the processes there); all the command prints
-    # and writes happens here, in input order, as it does in one process.
+    # The inputs convert in one process per available CPU (ordered_map's
+    # cap), this one among them; all the command prints and writes happens
+    # here, in input order, as it does in one process.
     results = ordered_map(convert_input, tasks, len(tasks))
     entries = []
     written: set[Path] = set()
