@@ -22,7 +22,7 @@ from operator import is_not, itemgetter
 
 from .model import (
     ATTR_STAFF, ATTRIBUTES, CHORD, CLEF, KEY, Measure, MTNWork, NOTE,
-    NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token, map_tokens,
+    NOTE_GROUP, Node, Part, STEM, TIME_SIG, TOP_LEVEL_RANK, Token,
 )
 
 
@@ -169,20 +169,33 @@ def canonicalize_work(work: MTNWork) -> MTNWork:
 
 def assign_ids(work: MTNWork) -> MTNWork:
     """Renumber token ids (t1, t2, ...) and pair ids (p1, p2, ...) in
-    canonical document order.
+    document order.
 
     Serialization is byte-stable across construction orders only after the
-    measures are canonicalized and ids are normalized; converters call this
-    as their final step.
+    measures are canonicalized and ids are normalized. Renumbering moves no
+    sibling, since sort keys read no token id and only whether a pair id is
+    present; so a work that canonicalize_work has ordered stays ordered,
+    and the converter renumbers it just before writing.
     """
     token_numbers = itertools.count(1)
     pair_ids: dict[str, str] = {}
 
-    def new_token(tok: Token) -> Token:
-        pair = tok.pair_id
-        if pair is not None:
-            pair = pair_ids.setdefault(pair, f"p{len(pair_ids) + 1}")
-        return Token(f"t{next(token_numbers)}", tok.label, tok.position, pair,
-                     tok.numeric_value)
+    def renumber(node: Node) -> Node:
+        kind, children, onset, synthetic = node
+        out = []
+        for child in children:
+            if isinstance(child, Node):
+                out.append(renumber(child))
+                continue
+            _, label, position, pair, value = child
+            if pair is not None:
+                pair = pair_ids.setdefault(pair, f"p{len(pair_ids) + 1}")
+            out.append(Token(f"t{next(token_numbers)}", label, position, pair,
+                             value))
+        return Node(kind, tuple(out), onset, synthetic)
 
-    return map_tokens(work, new_token)
+    return MTNWork(work.work_id, tuple(
+        Part(part.staff_count, tuple(
+            Measure(m.id, tuple(map(renumber, m.children)), m.line_start)
+            for m in part.measures))
+        for part in work.parts))

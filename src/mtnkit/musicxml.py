@@ -35,7 +35,7 @@ from .model import (
     TIME_SIG, Token, map_tokens,
 )
 from .vocabulary import DYNAMICS, REPEATS, RESTS
-from .xmlio import InvalidWorkError, serialize_work
+from .xmlio import InvalidWorkError, _serialize_ordered
 
 _LETTERS = {"C": 0, "D": 1, "E": 2, "F": 3, "G": 4, "A": 5, "B": 6}
 
@@ -331,7 +331,7 @@ class ConvertOptions(NamedTuple):
 class ConversionResult(NamedTuple):
     work: MTNWork
     warnings: list[str]
-    data: bytes  # serialize_work(work)
+    data: bytes  # the .mtn.xml bytes of work
 
 
 class _Converter:
@@ -429,9 +429,12 @@ class _Converter:
             # a dropped wedge empties its direction node, which goes with it
             work = map_tokens(work, lambda tok: None if tok.pair_id in dangling
                               else tok)
+        # One order pass: renumbering moves no sibling, so the writer skips
+        # validate's order check. The drop above stays before it, since a
+        # dropped token changes its note's fingerprint.
         work = assign_ids(canonicalize_work(work))
         try:
-            data = serialize_work(work)
+            data = _serialize_ordered(work)
         except InvalidWorkError as exc:
             raise ConversionError(
                 f"conversion produced an invalid work: {exc}") from None

@@ -31,7 +31,8 @@ from typing import Callable
 
 from .canonical import CanonicalizeError, canonicalize
 from .model import (
-    MTNWork, Measure, NODE_KINDS, Node, Part, StaffPosition, Token, validate,
+    MTNWork, Measure, NODE_KINDS, Node, Part, StaffPosition, Token,
+    _validate_ordered, validate,
 )
 
 MTN_VERSION = "1.0"
@@ -132,7 +133,17 @@ def serialize_work(work: MTNWork) -> bytes:
     Raises InvalidWorkError with the first violation when the work does not
     validate (including non-canonical sibling order).
     """
-    problems = validate(work)
+    return _write_work(work, validate(work))
+
+
+def _serialize_ordered(work: MTNWork) -> bytes:
+    """serialize_work for a work whose every measure canonicalize has
+    returned: every validate rule runs but the order check. The converter
+    writes through this, so that it orders each measure once."""
+    return _write_work(work, _validate_ordered(work))
+
+
+def _write_work(work: MTNWork, problems: list) -> bytes:
     if problems:
         raise InvalidWorkError(problems[0])
     out = [_HEADER.rstrip("\n"),

@@ -11,7 +11,7 @@ import pytest
 
 from test_golden_line_starts import BOTH, BREAK, CASES, two_staff
 
-from mtnkit.canonical import assign_ids
+from mtnkit.canonical import assign_ids, canonicalize
 from mtnkit.cli import main
 from mtnkit.model import (
     ATTRIBUTES, BARLINE, CHORD, DIRECTION, NOTE_GROUP, REST, Token,
@@ -21,7 +21,7 @@ from mtnkit.musicxml import (
     ClefState, ConversionError, ConvertOptions, TimeCursor, clef_state,
     convert_path, convert_score, key_signature_steps, pitch_to_step,
 )
-from mtnkit.xmlio import serialize_work
+from mtnkit.xmlio import parse_work, serialize_work
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "musicxml"
 
@@ -438,6 +438,45 @@ def test_dangling_slur_is_pruned():
     assert not [t for t in tokens_of(measure) if t.label.startswith("slur_")]
     assert any("never completed" in w for w in result.warnings)
     assert validate(result.work) == []
+
+
+def test_dangling_pair_drops_before_ordering():
+    # Two groups that tie on onset, position and stem, so their notes'
+    # tokens order them: with the dangling slur_start the tenuto group
+    # sorts first, without it the staccato group does. The writer skips
+    # the order check, so only the drop's place keeps the output canonical.
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 4, "quarter", "<voice>1</voice><stem>up</stem>"
+                   '<notations><slur type="start"/>'
+                   "<articulations><tenuto/></articulations></notations>")
+            + "<backup><duration>4</duration></backup>"
+            + note("C", 5, 4, "quarter", "<voice>2</voice><stem>up</stem>"
+                   "<notations><articulations><staccato/></articulations>"
+                   "</notations>")
+            + "</measure>")
+    result = convert_score(score(body))
+    assert result.warnings == [
+        "spanner pair q1 never completed; its token was dropped"]
+    assert validate(result.work) == []
+    groups = [c for c in result.work.parts[0].measures[0].children
+              if c.kind == NOTE_GROUP]
+    assert [outline(g) for g in groups] == [
+        "note_group@0[chord@0[stem[stem_up] note[notehead_black/7 "
+        f"{mark}]]]" for mark in ("staccato", "tenuto")]
+
+
+def test_converted_fixtures_are_canonical():
+    # The converter orders each measure once and writes it without a
+    # second order check: what it returns, and the bytes it writes, must
+    # already be in canonical order.
+    for path in sorted(FIXTURES.iterdir()):
+        result = convert_path(path)
+        for part in result.work.parts:
+            for m in part.measures:
+                assert canonicalize(m) is m, (path.name, m.id)
+        warnings = []
+        assert parse_work(result.data, warnings.append) == result.work
+        assert warnings == []
 
 
 def test_tie_tokens():
