@@ -20,8 +20,6 @@ from .harness import (
     render_report, report_to_json, write_manifest,
 )
 from .model import iter_nodes, validate
-from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
-from .trees import project_tree, token_counts, untimeable
 from .xmlio import FormatError, parse_work, serialize_work
 
 
@@ -136,6 +134,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -- stats --------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .trees import project_tree, token_counts
+
     counts: Counter[str] = Counter()
     measures = 0
     for path in _iter_work_files(args.inputs):
@@ -200,6 +200,9 @@ def _measure_index(work):
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
+    from .trees import project_tree, untimeable
+
     pred = _read_work(Path(args.pred))
     truth = _read_work(Path(args.truth))
     costs = SEMANTIC_COSTS if args.semantic else UNIT_COSTS

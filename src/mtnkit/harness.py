@@ -17,6 +17,8 @@ Each page is evaluated on its own, to a report of its sums, so pages can
 run on a process pool; the corpus report merges the page reports in
 manifest order, which makes it byte-identical for any worker count.
 `ordered_map` is that pool for both `mtn evaluate` and `mtn convert`.
+The scoring modules (metrics, trees, ted) are imported by the functions
+that score, so `mtn convert` loads none of them.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
-from .metrics import CorpusTally, evaluate_measure, rate
 from .model import Measure, MTNWork
-from .trees import untimeable
 from .xmlio import FormatError, parse_work
 
 
@@ -245,6 +245,9 @@ def _load_work(path: Path, warnings: list[str],
 
 
 def _evaluate_entry(args: tuple) -> EvalReport:
+    from .metrics import evaluate_measure
+    from .trees import untimeable
+
     truth_root, pred_root, entry, config = args
     page = EvalReport(config)
     page.truth_measures = len(entry.measures)
@@ -285,6 +288,8 @@ class EvalReport:
                  "missed", "skipped_pages", "per_measure", "warnings")
 
     def __init__(self, config: EvalConfig) -> None:
+        from .metrics import CorpusTally
+
         self.config = config
         self.tally = CorpusTally()
         self.truth_measures = self.matched = self.discarded = 0
@@ -294,6 +299,8 @@ class EvalReport:
 
     @property
     def coverage(self) -> Fraction | None:
+        from .metrics import rate
+
         return rate(self.matched, self.truth_measures)
 
     def merge(self, page: "EvalReport") -> None:
@@ -332,6 +339,8 @@ def _rat(x: Fraction | None) -> str | None:
 
 def report_to_json(report: EvalReport) -> str:
     """Canonical JSON rendering; rationals as exact "num/den" strings."""
+    from .metrics import rate
+
     tally = report.tally
     doc: dict = {
         "tool": {"name": "mtnkit", "version": __version__},
@@ -409,6 +418,8 @@ def _fmt(x: Fraction | None, width: int = 0) -> str:
 
 def render_report(report: EvalReport) -> str:
     """Human-readable text tables for the terminal."""
+    from .metrics import rate
+
     lines: list[str] = []
     cov = report.coverage
     pct = "-" if cov is None else f"{float(cov) * 100:.1f}%"

@@ -441,7 +441,8 @@ def test_evaluate_imports_only_what_it_runs():
 
 
 def test_convert_imports_only_what_it_runs(tmp_path):
-    unused = ("dataclasses", "inspect", "mtnkit.perturb", "concurrent.futures")
+    unused = ("dataclasses", "inspect", "mtnkit.perturb", "concurrent.futures",
+              "mtnkit.ted", "mtnkit.metrics", "mtnkit.trees", "mtnkit.timing")
     assert loaded_modules(unused, [
         "convert", str(ROOT / "fixtures" / "musicxml" / "simple.musicxml"),
         "-o", str(tmp_path)]) == "0 []"
@@ -909,16 +910,16 @@ def test_deep_nesting_is_a_format_error(tmp_path, capsys):
 def test_diff_runs_one_edit_distance_per_differing_measure(
         tmp_path, capsys, monkeypatch):
     # Counted wherever diff could reach it, so a second (TER) run would show.
-    import mtnkit.cli as cli
     import mtnkit.metrics as metrics
+    import mtnkit.ted as ted
     calls = []
-    real = cli.tree_edit_distance
+    real = ted.tree_edit_distance
 
     def counting(a, b, costs):
         calls.append(costs)
         return real(a, b, costs)
 
-    monkeypatch.setattr(cli, "tree_edit_distance", counting)
+    monkeypatch.setattr(ted, "tree_edit_distance", counting)
     monkeypatch.setattr(metrics, "tree_edit_distance", counting)
     truth = standard_work(n_measures=3)
     pred, changed = relabel_fraction(truth, "notehead_black",
