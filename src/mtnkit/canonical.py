@@ -22,7 +22,7 @@ from operator import is_not, itemgetter
 
 from .model import (
     ATTR_STAFF, ATTRIBUTES, CHORD, CLEF, KEY, Measure, MTNWork, NOTE,
-    NOTE_GROUP, Node, Part, STEM, TIME_SIG, TOP_LEVEL_RANK, Token,
+    NOTE_GROUP, Node, STEM, TIME_SIG, TOP_LEVEL_RANK, Token, map_tokens,
 )
 
 
@@ -180,22 +180,10 @@ def assign_ids(work: MTNWork) -> MTNWork:
     token_numbers = itertools.count(1)
     pair_ids: dict[str, str] = {}
 
-    def renumber(node: Node) -> Node:
-        kind, children, onset, synthetic = node
-        out = []
-        for child in children:
-            if isinstance(child, Node):
-                out.append(renumber(child))
-                continue
-            _, label, position, pair, value = child
-            if pair is not None:
-                pair = pair_ids.setdefault(pair, f"p{len(pair_ids) + 1}")
-            out.append(Token(f"t{next(token_numbers)}", label, position, pair,
-                             value))
-        return Node(kind, tuple(out), onset, synthetic)
+    def new_token(tok: Token) -> Token:
+        _, label, position, pair, value = tok
+        if pair is not None:
+            pair = pair_ids.setdefault(pair, f"p{len(pair_ids) + 1}")
+        return Token(f"t{next(token_numbers)}", label, position, pair, value)
 
-    return MTNWork(work.work_id, tuple(
-        Part(part.staff_count, tuple(
-            Measure(m.id, tuple(map(renumber, m.children)), m.line_start)
-            for m in part.measures))
-        for part in work.parts))
+    return map_tokens(work, new_token)

@@ -78,6 +78,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     )
     sources = [Path(raw) for raw in args.inputs]
     targets = [out_dir / (source.stem + ".mtn.xml") for source in sources]
+    seen: set[Path] = set()
+    for target in targets:
+        if target in seen:
+            raise ValueError(f"two inputs map to the same output {target}")
+        seen.add(target)
     tasks = [(source, target.name, options, args.partition)
              for source, target in zip(sources, targets)]
     # The inputs convert in one process per available CPU (ordered_map's
@@ -85,15 +90,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     # here, in input order, as it does in one process.
     results = ordered_map(convert_input, tasks, len(tasks))
     entries = []
-    written: set[Path] = set()
     with closing(results):
         for source, target, (warnings, data, file_entries) in zip(
                 sources, targets, results):
             for warning in warnings:
                 print(f"{source.name}: {warning}", file=sys.stderr)
-            if target in written:
-                raise ValueError(f"two inputs map to the same output {target}")
-            written.add(target)
             target.write_bytes(data)
             print(f"wrote {target}")
             entries.extend(file_entries)

@@ -165,16 +165,16 @@ def map_tokens(work: MTNWork,
     def children(items: tuple) -> tuple:
         out = []
         for child in items:
-            new = fn(child) if isinstance(child, Token) else node(child)
-            if new is not None:
-                out.append(new)
+            if isinstance(child, Token):
+                child = fn(child)
+            else:
+                kind, kids, onset, synthetic = child
+                new_kids = children(kids)
+                child = (Node(kind, new_kids, onset, synthetic)
+                         if new_kids or not kids else None)
+            if child is not None:
+                out.append(child)
         return tuple(out)
-
-    def node(item: Node) -> Node | None:
-        kids = children(item.children)
-        if item.children and not kids:
-            return None
-        return Node(item.kind, kids, item.onset, item.synthetic)
 
     return MTNWork(work.work_id, tuple(
         Part(part.staff_count, tuple(
@@ -194,7 +194,7 @@ class Violation(NamedTuple):
     subject: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         return f"[{self.rule}] {self.subject}: {self.message}"
 
 

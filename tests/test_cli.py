@@ -79,16 +79,21 @@ def test_convert_writes_output_and_manifest(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_convert_duplicate_target_fails(tmp_path, capsys):
-    for sub in ("a", "b"):
-        d = tmp_path / sub
-        d.mkdir()
-        (d / "x.musicxml").write_text(MUSICXML, encoding="utf-8")
-    rc = main(["convert", str(tmp_path / "a" / "x.musicxml"),
-               str(tmp_path / "b" / "x.musicxml"),
-               "-o", str(tmp_path / "out")])
+@pytest.mark.parametrize("names", [("a/x.musicxml", "b/x.musicxml"),
+                                   ("x.musicxml", "x.mxl")])
+def test_convert_duplicate_target_fails(tmp_path, capsys, names):
+    sources = [tmp_path / name for name in names]
+    for source in sources:
+        source.parent.mkdir(exist_ok=True)
+    sources[0].write_text(MUSICXML, encoding="utf-8")
+    # the second input is no score at all: a convert would fail on it
+    sources[1].write_text("not a score", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["convert", *map(str, sources), "-o", str(out)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", f"error: two inputs map to the same output {out / 'x.mtn.xml'}\n")
+    assert list(out.iterdir()) == []
 
 
 def test_convert_missing_input(tmp_path, capsys):

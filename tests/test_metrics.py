@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from builders import (
-    direction, group, measure, rest, simple_chord, standard_measure, work,
+    chord, direction, group, measure, note, rest, simple_chord,
+    standard_measure, tok, work,
 )
 from mtnkit.metrics import (
     ClassTally, CorpusTally, MeasureEval, Tier3Counts, evaluate_measure,
@@ -219,6 +220,21 @@ def test_tier3_rests_count_as_events():
     assert counts.matched == 2
     assert counts.matched_notes == 1
     assert counts.time_precision == 1
+
+
+def test_tier3_rest_and_notehead_never_match():
+    # The semantic costs pair rest_quarter with notehead_black, so the edit
+    # mapping aligns the dotted rest with the dotted note; a rest event and
+    # a note event are no like-for-like pair, so neither is matched.
+    truth = measure(rest("rest_quarter", 0, extras=(tok("dot"),)))
+    pred = measure(group(chord(note("notehead_black", 4,
+                                    extras=(tok("dot"),)))))
+    counts = tier3_counts(project_tree(truth), project_tree(pred))
+    assert counts.truth_events == 1
+    assert counts.pred_events == 1
+    assert counts.matched == 0
+    assert counts.missed_note_rate == 1
+    assert counts.false_positive_rate == 1
 
 
 def test_tier3_time_shift():

@@ -375,6 +375,19 @@ def test_whole_measure_rest():
     assert rests[0].children[0].label == "rest_whole"
 
 
+def test_typeless_rest_shorter_than_a_64th_is_a_128th():
+    # one division of 32 per quarter: below every duration in the table
+    body = ('<measure number="1">'
+            + ATTRS_44.replace("<divisions>4<", "<divisions>32<")
+            + "<note><rest/><duration>1</duration></note></measure>")
+    result = convert_score(score(body))
+    measure = result.work.parts[0].measures[0]
+    rests = [c for c in measure.children if c.kind == REST]
+    assert [r.children[0].label for r in rests] == ["rest_128th"]
+    assert result.warnings == [
+        "part P1 measure 1: typeless rest classified by duration"]
+
+
 def test_dot_and_accidental():
     body = (f'<measure number="1">{ATTRS_44}'
             + note("F", 4, 6, "quarter",
@@ -1243,6 +1256,16 @@ def test_mxl_missing_rootfile_is_a_conversion_error(tmp_path):
     with pytest.raises(ConversionError,
                        match="archive has no member 'gone.xml'"):
         convert_path(mxl)
+
+
+def test_mxl_without_a_score_is_a_conversion_error(tmp_path):
+    # no META-INF/container.xml names a rootfile, and no .xml member is left
+    mxl = tmp_path / "piece.mxl"
+    with zipfile.ZipFile(mxl, "w") as zf:
+        zf.writestr("README.txt", "no score here")
+    with pytest.raises(ConversionError) as info:
+        convert_path(mxl)
+    assert str(info.value) == f"{mxl}: no score file in archive"
 
 
 def _mxl(path, xml: str, method: int = zipfile.ZIP_DEFLATED,
