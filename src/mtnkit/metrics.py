@@ -21,12 +21,15 @@ are exact fractions; callers format them as floats.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .model import Measure
 from .trees import LabeledTree, project_tree, token_counts
 from .ted import SEMANTIC_COSTS, UNIT_COSTS, tree_edit_distance
+
+_Counts = TypeVar("_Counts", "ClassTally", "Tier3Counts")  # count records
 
 
 def rate(num: int | Fraction, den: int) -> Fraction | None:
@@ -37,16 +40,12 @@ def rate(num: int | Fraction, den: int) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # Tier 1: primitive detection.
 
-class ClassTally:
-    """Counts for one token class, summable across measures."""
+class ClassTally(NamedTuple):
+    """Counts for one token class; _plus sums them across measures."""
 
-    __slots__ = ("truth", "predicted", "matched")
-
-    def __init__(self, truth: int = 0, predicted: int = 0,
-                 matched: int = 0) -> None:
-        self.truth = truth
-        self.predicted = predicted
-        self.matched = matched
+    truth: int = 0
+    predicted: int = 0
+    matched: int = 0
 
     @property
     def precision(self) -> Fraction | None:
@@ -55,11 +54,6 @@ class ClassTally:
     @property
     def recall(self) -> Fraction | None:
         return rate(self.matched, self.truth)
-
-    def add(self, other: "ClassTally") -> None:
-        self.truth += other.truth
-        self.predicted += other.predicted
-        self.matched += other.matched
 
 
 def tally_terminals(truth: LabeledTree, predicted: LabeledTree,
@@ -78,36 +72,24 @@ def tally_terminals(truth: LabeledTree, predicted: LabeledTree,
 # ---------------------------------------------------------------------------
 # Tier 3: semantic note metrics.
 
-class Tier3Counts:
-    """Accumulated note-event counts; rates are derived properties.
+class Tier3Counts(NamedTuple):
+    """Note-event counts; _plus sums them, rates are derived properties.
 
     truth_events/pred_events count notehead and rest leaves; matched is
     |M|. Pitch fields cover only the matched notehead pairs.
     """
 
-    __slots__ = ("truth_events", "pred_events", "matched", "matched_notes",
-                 "step_correct", "staff_correct", "tuple_correct",
-                 "time_correct", "step_diff", "staff_diff", "time_diff")
-
-    def __init__(self) -> None:
-        self.truth_events = self.pred_events = self.matched = 0
-        self.matched_notes = self.step_correct = self.staff_correct = 0
-        self.tuple_correct = self.time_correct = 0
-        self.step_diff = self.staff_diff = 0
-        self.time_diff = Fraction(0)
-
-    def add(self, other: "Tier3Counts") -> None:
-        self.truth_events += other.truth_events
-        self.pred_events += other.pred_events
-        self.matched += other.matched
-        self.matched_notes += other.matched_notes
-        self.step_correct += other.step_correct
-        self.staff_correct += other.staff_correct
-        self.tuple_correct += other.tuple_correct
-        self.time_correct += other.time_correct
-        self.step_diff += other.step_diff
-        self.staff_diff += other.staff_diff
-        self.time_diff += other.time_diff
+    truth_events: int = 0
+    pred_events: int = 0
+    matched: int = 0
+    matched_notes: int = 0
+    step_correct: int = 0
+    staff_correct: int = 0
+    tuple_correct: int = 0
+    time_correct: int = 0
+    step_diff: int = 0
+    staff_diff: int = 0
+    time_diff: Fraction = Fraction(0)
 
     # -- rates -------------------------------------------------------------
 
@@ -159,34 +141,35 @@ def tier3_counts(truth: LabeledTree, predicted: LabeledTree) -> Tier3Counts:
     g, p = truth, predicted
     if g.timing_error is not None:
         raise g.timing_error
-    counts = Tier3Counts()
-    counts.truth_events = sum(1 for n in g.nodes if n.meta is not None)
+    truth_events = sum(1 for n in g.nodes if n.meta is not None)
     if p.timing_error is not None:
-        return counts
+        return Tier3Counts(truth_events=truth_events)
     script = tree_edit_distance(g, p, SEMANTIC_COSTS)
-    counts.pred_events = sum(1 for n in p.nodes if n.meta is not None)
+    matched = matched_notes = step_correct = staff_correct = 0
+    tuple_correct = time_correct = step_diff = staff_diff = 0
+    time_diff = Fraction(0)
     for gi, pi in script.mapping:
         gm = g.nodes[gi].meta
         pm = p.nodes[pi].meta
-        if gm is None or pm is None:
-            continue
-        if gm.is_rest != pm.is_rest:
+        if gm is None or pm is None or gm.is_rest != pm.is_rest:
             continue  # only like-for-like event pairs enter M
-        counts.matched += 1
-        if gm.onset == pm.onset:
-            counts.time_correct += 1
-        counts.time_diff += pm.onset - gm.onset
+        matched += 1
+        time_correct += gm.onset == pm.onset
+        time_diff += pm.onset - gm.onset
         if not gm.is_rest:
-            counts.matched_notes += 1
-            if gm.step == pm.step:
-                counts.step_correct += 1
-            if gm.staff == pm.staff:
-                counts.staff_correct += 1
-            if gm.step == pm.step and gm.staff == pm.staff:
-                counts.tuple_correct += 1
-            counts.step_diff += pm.step - gm.step
-            counts.staff_diff += pm.staff - gm.staff
-    return counts
+            matched_notes += 1
+            step_correct += gm.step == pm.step
+            staff_correct += gm.staff == pm.staff
+            tuple_correct += gm.step == pm.step and gm.staff == pm.staff
+            step_diff += pm.step - gm.step
+            staff_diff += pm.staff - gm.staff
+    return Tier3Counts(
+        truth_events=truth_events,
+        pred_events=sum(1 for n in p.nodes if n.meta is not None),
+        matched=matched, matched_notes=matched_notes,
+        step_correct=step_correct, staff_correct=staff_correct,
+        tuple_correct=tuple_correct, time_correct=time_correct,
+        step_diff=step_diff, staff_diff=staff_diff, time_diff=time_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +203,11 @@ def evaluate_measure(truth: Measure, predicted: Measure | None,
     )
 
 
+def _plus(a: _Counts, b: _Counts) -> _Counts:
+    """The field-by-field sum of two count records of one type."""
+    return a._make(map(operator.add, a, b))
+
+
 class CorpusTally:
     """Ratio-of-sums accumulator over measure evaluations."""
 
@@ -245,8 +233,9 @@ class CorpusTally:
         self.truth_nodes += truth_nodes
         self.measures += measures
         for label, tally in classes.items():
-            self.classes.setdefault(label, ClassTally()).add(tally)
-        self.tier3.add(tier3)
+            self.classes[label] = _plus(
+                self.classes.get(label, ClassTally()), tally)
+        self.tier3 = _plus(self.tier3, tier3)
 
     @property
     def ter(self) -> Fraction | None:

@@ -174,24 +174,28 @@ class TimeCursor:
             self.high_water = self.now
         return onset
 
-    def backup(self, duration_divisions: int) -> None:
+    def backup(self, duration_divisions: int) -> bool:
+        """Move back a duration, stopping at 0; returns whether it
+        stopped there short of the whole duration."""
         self.now -= self.quarters(duration_divisions)
         if self.now < 0:
             self.now = Fraction(0)
+            return True
+        return False
 
 
 # ---------------------------------------------------------------------------
 # Conversion context and event types.
 
 _TYPE_FLAGS = {"eighth": 1, "16th": 2, "32nd": 3, "64th": 4, "128th": 5,
-               "256th": 6}
+               "256th": 6, "512th": 7, "1024th": 8}
 
 
 # ---------------------------------------------------------------------------
 # Notation families as tables. A family maps a tag to its row: (token
 # labels, warning or None). An _IN_X family holds the tags of <X>'s
-# children, the others the texts of one element. A tag with no row gets the
-# family's default labels (none for most) and its "unsupported" warning.
+# children, the others the texts of one element. A tag with no row gets no
+# labels and the family's "unsupported" warning.
 # {tag} in a warning is the tag looked up. _Converter.lookup reads them all.
 
 _Row = tuple[tuple[str, ...], str | None]
@@ -200,7 +204,6 @@ _Row = tuple[tuple[str, ...], str | None]
 class _Family(NamedTuple):
     rows: dict[str, _Row]
     unsupported: str | None
-    default: tuple[str, ...] = ()
 
 
 def _silent(labels: Iterable[str], prefix: str = "") -> dict[str, _Row]:
@@ -267,15 +270,20 @@ _IN_ORNAMENTS = _Family({
 # Spanners, <articulations> and <ornaments> are read before this table.
 _IN_NOTATIONS = _Family(_silent(("fermata", "arpeggiate")),
                         "notation <{tag}> unsupported")
-# (notehead label, chord kind) of a note that is neither grace nor cue.
+# (notehead label, chord kind) of a note that is neither grace nor cue, for
+# every MusicXML note type. head_class classifies a type with no row by its
+# duration, with its own warning, before it looks the type up.
 _NOTE_TYPES = _Family({
+    **dict.fromkeys(("1024th", "512th", "256th", "128th", "64th", "32nd",
+                     "16th", "eighth", "quarter"),
+                    (("notehead_black", "black"), None)),
     "breve": (("notehead_breve", "breve"), None),
     **dict.fromkeys(("long", "maxima"), (
         ("notehead_breve", "breve"),
         "note type {tag!r} approximated as a breve")),
     "whole": (("notehead_white", "whole"), None),
     "half": (("notehead_white", "half"), None),
-}, None, ("notehead_black", "black"))
+}, None)
 # No labels: every notehead shape is drawn as a normal one.
 _NOTEHEADS = _Family({"normal": ((), None)},
                      "notehead {tag!r} converted as a normal notehead")
@@ -350,8 +358,7 @@ class _Converter:
 
     def lookup(self, family: _Family, tag: str | None) -> tuple[str, ...]:
         """The labels of tag's row in family, after warning its warning."""
-        labels, warning = (family.rows.get(tag)
-                           or (family.default, family.unsupported))
+        labels, warning = family.rows.get(tag) or ((), family.unsupported)
         if warning is not None:
             self.warn(warning.format(tag=tag))
         return labels
@@ -484,7 +491,8 @@ class _Converter:
             elif tag == "note":
                 self.handle_note(elem, state, events, top)
             elif tag == "backup":
-                state.cursor.backup(self._duration(elem))
+                if state.cursor.backup(self._duration(elem)):
+                    self.warn("backup before measure start; clamped")
             elif tag == "forward":
                 state.cursor.advance(self._duration(elem))
             elif tag == "direction":
@@ -621,6 +629,9 @@ class _Converter:
                         Node(KEY, tuple(tokens)))
 
         for te in elem.findall("time"):
+            if len(te.findall("beats")) != len(te.findall("beat-type")):
+                self.warn("unpaired <beats> or <beat-type> in time "
+                          "signature dropped")
             for staff in self.target_staves(te, "time number", state):
                 tokens = self.time_tokens(te, staff)
                 if tokens:
@@ -807,20 +818,27 @@ class _Converter:
 
     def head_class(self, elem: ET.Element, ntype: str | None, duration: int,
                    state: _PartState, grace: bool) -> tuple[str, ...]:
-        """(notehead token label, chord kind) for one note element."""
+        """(notehead token label, chord kind) for one note element. A type
+        with no row, or a missing one on a note neither grace nor cue, is
+        classified by the note's duration."""
+        cue = elem.find("cue") is not None
+        if ntype not in _NOTE_TYPES.rows and not (
+                ntype is None and (grace or cue)):
+            quarters = state.cursor.quarters(duration) if duration else Fraction(1)
+            guess = ("breve" if quarters >= 8 else "whole" if quarters >= 4
+                     else "half" if quarters >= 2 else "quarter")
+            what = ("note without type" if ntype is None
+                    else f"note type {ntype!r} unsupported")
+            self.warn(f"{what}; assuming {guess} from duration")
+            ntype = guess
         if grace:
             return "notehead_grace_black", "black"
-        if elem.find("cue") is not None:
+        if cue:
             if ntype == "half":
                 return "notehead_cue_white", "half"
             if ntype in ("whole", "breve", "long", "maxima"):
                 return "notehead_cue_white", "whole"
             return "notehead_cue_black", "black"
-        if ntype is None:
-            quarters = state.cursor.quarters(duration) if duration else Fraction(1)
-            ntype = ("breve" if quarters >= 8 else "whole" if quarters >= 4
-                     else "half" if quarters >= 2 else "quarter")
-            self.warn(f"note without type; assuming {ntype} from duration")
         return self.lookup(_NOTE_TYPES, ntype)
 
     def note_modifiers(self, elem: ET.Element, tokens: list[Token]) -> None:

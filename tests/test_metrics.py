@@ -269,6 +269,26 @@ def test_tier3_accumulation():
 
 # -- combined -----------------------------------------------------------------
 
+def test_corpus_tally_sums_every_count_field():
+    # every field holds its own value, so a count left out of the sum or
+    # added into another field changes the totals; three records, two
+    # added and one merged, so that no such fault cancels itself out
+    def ev(scale: int, time_diff: Fraction, **tier1: ClassTally):
+        return MeasureEval("m", Fraction(1), 2, tier1, Tier3Counts(
+            *(scale * k for k in range(1, 11)), time_diff))
+
+    tally, other = CorpusTally(), CorpusTally()
+    tally.add(ev(1, Fraction(1, 2), x=ClassTally(1, 2, 3)))
+    tally.add(ev(10, Fraction(1, 3), x=ClassTally(10, 20, 30),
+                 y=ClassTally(4, 5, 6)))
+    other.add(ev(100, Fraction(1, 5), x=ClassTally(100, 200, 300)))
+    tally.merge(other)
+    assert tally.classes == {"x": ClassTally(111, 222, 333),
+                             "y": ClassTally(4, 5, 6)}
+    assert tally.tier3 == Tier3Counts(111, 222, 333, 444, 555, 666, 777,
+                                      888, 999, 1110, Fraction(31, 30))
+
+
 def test_evaluate_measure_fields():
     m = standard_measure()
     ev = evaluate_measure(m, m)

@@ -149,6 +149,14 @@ def test_cursor_advance_and_backup():
     assert cur.now == Fraction(2, 3)
 
 
+def test_cursor_backup_stops_at_the_measure_start():
+    cur = TimeCursor(4)
+    cur.advance(4)
+    assert cur.backup(4) is False
+    assert cur.backup(1) is True
+    assert cur.now == 0
+
+
 # -- basic conversion ---------------------------------------------------------
 
 def test_single_quarter_note():
@@ -791,6 +799,25 @@ FAMILY_ROWS = [
      ["arpeggiate", _WHITE], []),
     *((_whole_with(f"<notations><{tag}/></notations>"), [_WHITE],
        [f"notation <{tag}> unsupported"]) for tag in _UNSUPPORTED_NOTATIONS),
+    *((note("C", 5, 1, ntype), sorted(
+        ["flag"] * flags + ["notehead_black", "stem_down"]), [])
+      for ntype, flags in [
+          ("quarter", 0), ("eighth", 1), ("16th", 2), ("32nd", 3),
+          ("64th", 4), ("128th", 5), ("256th", 6), ("512th", 7),
+          ("1024th", 8)]),
+    # a type with no row is classified by duration, as a typeless note is
+    *((note("C", 5, duration, ntype, extra), labels,
+       [f"note type {ntype!r} unsupported; assuming {guess} from duration"])
+      for ntype, duration, extra, guess, labels in [
+          ("fourth", 1, "", "quarter", ["notehead_black", "stem_down"]),
+          ("fourth", 2, "", "half", [_WHITE, "stem_down"]),
+          (" whole ", 4, "", "whole", [_WHITE]),
+          ("fourth", 4, "<cue/>", "whole", ["notehead_cue_white"])]),
+    (note("C", 5, 2, "", "<type/>"), [_WHITE, "stem_down"],
+     ["note type '' unsupported; assuming half from duration"]),
+    ("<note><grace/><pitch><step>C</step><octave>5</octave></pitch>"
+     "<type>fourth</type></note>", ["notehead_grace_black", "stem_down"],
+     ["note type 'fourth' unsupported; assuming quarter from duration"]),
     (note("C", 5, 8, "breve"), ["notehead_breve"], []),
     (note("C", 5, 16, "long"), ["notehead_breve"],
      ["note type 'long' approximated as a breve"]),
@@ -854,6 +881,30 @@ def test_unread_attributes_warn_once_per_tag():
     assert result.warnings == [
         f"part P1 measure {n}: unhandled attributes content <{tag}>"
         for n in (1, 2) for tag in ("staff-details", "transpose")]
+
+
+def test_unpaired_time_signature_warns_once_for_every_staff():
+    # a 3 with no beat type: no time-signature node on either staff
+    attrs = _attrs_with_time("<time><beats>3</beats></time>").replace(
+        "</attributes>", "<staves>2</staves></attributes>")
+    result = convert_score(score(f'<measure number="1">{attrs}{_WHOLE}'
+                                 "</measure>"))
+    labels = [t.label for t in iter_tokens(result.work)]
+    assert "timesig_number" not in labels
+    assert result.warnings == [
+        "part P1 measure 1: unpaired <beats> or <beat-type> in time "
+        "signature dropped"]
+
+
+def test_clamped_backup_starts_the_next_note_at_zero():
+    body = (f'<measure number="1">{ATTRS_44}'
+            + note("C", 5, 8, "half") + "<backup><duration>12</duration>"
+            "</backup>" + note("E", 4, 8, "half", "<voice>2</voice>")
+            + "</measure>")
+    result = convert_score(score(body))
+    assert chord_onsets(result.work.parts[0].measures[0]) == [0, 0]
+    assert result.warnings == [
+        "part P1 measure 1: backup before measure start; clamped"]
 
 
 def test_unknown_notation_is_reported():

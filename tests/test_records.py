@@ -12,7 +12,9 @@ from builders import group, measure, rest, simple_chord
 from mtnkit.harness import (
     EvalConfig, _evaluate_entry, convert_input, read_manifest,
 )
-from mtnkit.metrics import MeasureEval, evaluate_measure
+from mtnkit.metrics import (
+    ClassTally, MeasureEval, Tier3Counts, evaluate_measure,
+)
 from mtnkit.model import Node, StaffPosition, Token
 from mtnkit.musicxml import ClefState, ConvertOptions
 from mtnkit.ted import EditScript
@@ -37,6 +39,9 @@ def records() -> dict[str, tuple]:
                                      ((0, 0), (1, 1)), 2, 2),
             "ClefState": ClefState("clef_G", 4, 28),
             "ConvertOptions": ConvertOptions(explicit_breaks=("3",)),
+            "ClassTally": ClassTally(truth=3, predicted=2, matched=2),
+            "Tier3Counts": Tier3Counts(truth_events=3, matched=2,
+                                       time_diff=Fraction(1, 3)),
         }
     first, second = build(), build()
     return {name: (first[name], second[name]) for name in first}
@@ -44,7 +49,8 @@ def records() -> dict[str, tuple]:
 
 @pytest.mark.parametrize("name, field", [
     ("Token", "label"), ("Node", "children"), ("TreeNode", "meta"),
-    ("EditScript", "cost")])
+    ("EditScript", "cost"), ("ClassTally", "matched"),
+    ("Tier3Counts", "time_diff")])
 def test_assigning_a_field_raises(name, field):
     record = records()[name][0]
     with pytest.raises(AttributeError):
@@ -64,6 +70,14 @@ def test_replace_keeps_the_type(name):
     record = records()[name][0]
     field = record._fields[-1]
     copy = record._replace(**{field: getattr(record, field)})
+    assert type(copy) is type(record)
+    assert copy == record
+
+
+@pytest.mark.parametrize("name", sorted(records()))
+def test_records_survive_pickling(name):
+    record = records()[name][0]
+    copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     assert copy == record
 
