@@ -333,145 +333,125 @@ def evaluate_corpus(truth_root: str | Path, pred_root: str | Path,
 # ---------------------------------------------------------------------------
 # Report serialization.
 
-def _rat(x: Fraction | None) -> str | None:
-    return None if x is None else str(Fraction(x))
+# The tier-3 rates in the text table's column order, each with its column
+# heading; step precision has no column, so only the JSON reports it.
+_TIER3_RATES = (
+    ("time_shift", "Time Shift"), ("pitch_shift", "Pitch Shift"),
+    ("staff_shift", "Staff Shift"), ("time_precision", "Time Prec."),
+    ("pitch_precision", "Pitch Prec."), ("staff_precision", "Staff Prec."),
+    ("false_positive_rate", "FPR"), ("missed_note_rate", "MNR"),
+    ("step_precision", None))
+
+
+def _measure_rows(report: EvalReport) -> list[dict]:
+    return [{"id": mid, "cost": cost, "truth_nodes": size, "ter": cost / size}
+            for mid, cost, size in report.per_measure]
+
+
+def _report_doc(report: EvalReport) -> dict:
+    """The JSON report's document, rates as exact fractions or None (the
+    rate is undefined). Both renderings print its figures."""
+    from .metrics import rate
+
+    config, tally = report.config, report.tally
+    doc: dict = {
+        "tool": {"name": "mtnkit", "version": __version__},
+        "config": {"tiers": sorted(config.tiers),
+                   "include_synthetic": config.include_synthetic,
+                   "matched_only": config.matched_only,
+                   "partition": config.partition},
+        "coverage": {"truth_measures": report.truth_measures,
+                     "matched": report.matched, "ratio": report.coverage,
+                     "discarded_predictions": report.discarded,
+                     "missed_measures": report.missed,
+                     "skipped_pages": report.skipped_pages},
+        "warnings": list(report.warnings)}
+    if 1 in config.tiers:
+        total = tally.total_truth
+        doc["tier1"] = {
+            "classes": {label: dict(c._asdict(), precision=c.precision,
+                                    recall=c.recall,
+                                    proportion=rate(c.truth, total))
+                        for label, c in sorted(tally.classes.items())},
+            "aggregate_precision": tally.aggregate_precision,
+            "aggregate_recall": tally.aggregate_recall,
+            "undefined_precision": list(tally.undefined_precision),
+            "total_truth_tokens": total}
+    if 2 in config.tiers:
+        doc["tier2"] = {"ter": tally.ter, "edit_cost": tally.cost,
+                        "truth_nodes": tally.truth_nodes,
+                        "measures": tally.measures}
+        if config.per_measure:
+            doc["tier2"]["per_measure"] = _measure_rows(report)
+    if 3 in config.tiers:
+        t3 = tally.tier3
+        doc["tier3"] = {"truth_events": t3.truth_events,
+                        "predicted_events": t3.pred_events,
+                        "matched": t3.matched,
+                        "matched_notes": t3.matched_notes,
+                        **{key: getattr(t3, key) for key, _ in _TIER3_RATES}}
+    return doc
+
+
+def _exact(x: object) -> str:
+    """A fraction of the report as its exact "num/den" string."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"a report holds no {type(x).__name__}: {x!r}")
 
 
 def report_to_json(report: EvalReport) -> str:
     """Canonical JSON rendering; rationals as exact "num/den" strings."""
-    from .metrics import rate
-
-    tally = report.tally
-    doc: dict = {
-        "tool": {"name": "mtnkit", "version": __version__},
-        "config": {
-            "tiers": sorted(report.config.tiers),
-            "include_synthetic": report.config.include_synthetic,
-            "matched_only": report.config.matched_only,
-            "partition": report.config.partition,
-        },
-        "coverage": {
-            "truth_measures": report.truth_measures,
-            "matched": report.matched,
-            "ratio": _rat(report.coverage),
-            "discarded_predictions": report.discarded,
-            "missed_measures": report.missed,
-            "skipped_pages": report.skipped_pages,
-        },
-        "warnings": list(report.warnings),
-    }
-    if 1 in report.config.tiers:
-        total = tally.total_truth
-        classes = {}
-        for label, c in sorted(tally.classes.items()):
-            classes[label] = {
-                "truth": c.truth,
-                "predicted": c.predicted,
-                "matched": c.matched,
-                "precision": _rat(c.precision),
-                "recall": _rat(c.recall),
-                "proportion": _rat(rate(c.truth, total)),
-            }
-        doc["tier1"] = {
-            "classes": classes,
-            "aggregate_precision": _rat(tally.aggregate_precision),
-            "aggregate_recall": _rat(tally.aggregate_recall),
-            "undefined_precision": list(tally.undefined_precision),
-            "total_truth_tokens": total,
-        }
-    if 2 in report.config.tiers:
-        doc["tier2"] = {
-            "ter": _rat(tally.ter),
-            "edit_cost": _rat(tally.cost),
-            "truth_nodes": tally.truth_nodes,
-            "measures": tally.measures,
-        }
-        if report.config.per_measure:
-            doc["tier2"]["per_measure"] = [
-                {"id": mid, "cost": _rat(cost), "truth_nodes": size,
-                 "ter": _rat(cost / size)}
-                for mid, cost, size in report.per_measure]
-    if 3 in report.config.tiers:
-        t3 = tally.tier3
-        doc["tier3"] = {
-            "truth_events": t3.truth_events,
-            "predicted_events": t3.pred_events,
-            "matched": t3.matched,
-            "matched_notes": t3.matched_notes,
-            "missed_note_rate": _rat(t3.missed_note_rate),
-            "false_positive_rate": _rat(t3.false_positive_rate),
-            "pitch_precision": _rat(t3.pitch_precision),
-            "step_precision": _rat(t3.step_precision),
-            "staff_precision": _rat(t3.staff_precision),
-            "time_precision": _rat(t3.time_precision),
-            "pitch_shift": _rat(t3.pitch_shift),
-            "staff_shift": _rat(t3.staff_shift),
-            "time_shift": _rat(t3.time_shift),
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_report_doc(report), indent=2, sort_keys=True,
+                      default=_exact) + "\n"
 
 
-def _fmt(x: Fraction | None, width: int = 0) -> str:
-    text = "-" if x is None else f"{float(x):.3f}"
-    return text.rjust(width) if width else text
+def _fmt(x: Fraction | None, width: int) -> str:
+    return ("-" if x is None else f"{float(x):.3f}").rjust(width)
 
 
 def render_report(report: EvalReport) -> str:
-    """Human-readable text tables for the terminal."""
-    from .metrics import rate
-
-    lines: list[str] = []
-    cov = report.coverage
-    pct = "-" if cov is None else f"{float(cov) * 100:.1f}%"
-    lines.append(
-        f"Coverage: {report.matched}/{report.truth_measures} measures "
-        f"({pct}); {report.discarded} extra predictions discarded, "
-        f"{report.missed} measures missed, "
-        f"{report.skipped_pages} pages skipped")
-    tally = report.tally
-    if 1 in report.config.tiers:
-        total = tally.total_truth
-        lines.append("")
-        lines.append(f"{'Class':<28}{'Precision':>10}{'Recall':>8}"
-                     f"{'Counts':>8}{'Prop':>7}")
-        ordered = sorted(tally.classes.items(),
-                         key=lambda kv: (-kv[1].truth, kv[0]))
-        for label, c in ordered:
-            lines.append(f"{label:<28}{_fmt(c.precision, 10)}"
-                         f"{_fmt(c.recall, 8)}{c.truth:>8}"
-                         f"{_fmt(rate(c.truth, total), 7)}")
+    """Human-readable text tables of the JSON report's figures, rounded to
+    three places; the per-measure rows print under any tiers."""
+    doc = _report_doc(report)
+    cov = doc["coverage"]
+    pct = "-" if cov["ratio"] is None else f"{float(cov['ratio']) * 100:.1f}%"
+    lines = [
+        f"Coverage: {cov['matched']}/{cov['truth_measures']} measures "
+        f"({pct}); {cov['discarded_predictions']} extra predictions "
+        f"discarded, {cov['missed_measures']} measures missed, "
+        f"{cov['skipped_pages']} pages skipped"]
+    if "tier1" in doc:
+        t1 = doc["tier1"]
+        total = t1["total_truth_tokens"]
+        lines += ["", f"{'Class':<28}{'Precision':>10}{'Recall':>8}"
+                      f"{'Counts':>8}{'Prop':>7}"]
+        for label, c in sorted(t1["classes"].items(),
+                               key=lambda kv: (-kv[1]["truth"], kv[0])):
+            lines.append(f"{label:<28}{_fmt(c['precision'], 10)}"
+                         f"{_fmt(c['recall'], 8)}{c['truth']:>8}"
+                         f"{_fmt(c['proportion'], 7)}")
+        # the proportions of the classes sum to one
         lines.append(f"{'all (weighted)':<28}"
-                     f"{_fmt(tally.aggregate_precision, 10)}"
-                     f"{_fmt(tally.aggregate_recall, 8)}{total:>8}"
-                     f"{_fmt(rate(total, total), 7)}")
-        undefined = tally.undefined_precision
-        if undefined:
+                     f"{_fmt(t1['aggregate_precision'], 10)}"
+                     f"{_fmt(t1['aggregate_recall'], 8)}{total:>8}"
+                     f"{'1.000' if total else '-':>7}")
+        if t1["undefined_precision"]:
             lines.append("precision undefined (never predicted): "
-                         + ", ".join(undefined))
-    if 2 in report.config.tiers or 3 in report.config.tiers:
-        t3 = tally.tier3
-        columns = [
-            ("TER", tally.ter if 2 in report.config.tiers else None),
-            ("Time Shift", t3.time_shift),
-            ("Pitch Shift", t3.pitch_shift),
-            ("Staff Shift", t3.staff_shift),
-            ("Time Prec.", t3.time_precision),
-            ("Pitch Prec.", t3.pitch_precision),
-            ("Staff Prec.", t3.staff_precision),
-            ("FPR", t3.false_positive_rate),
-            ("MNR", t3.missed_note_rate),
-        ]
-        if 3 not in report.config.tiers:
-            columns = columns[:1]
-        lines.append("")
-        lines.append("  ".join(name.rjust(max(len(name), 6))
-                               for name, _ in columns))
-        lines.append("  ".join(_fmt(value, max(len(name), 6))
-                               for name, value in columns))
-    if report.config.per_measure and report.per_measure:
-        lines.append("")
-        lines.append(f"{'Measure':<24}{'Cost':>8}{'Nodes':>7}{'TER':>8}")
-        for mid, cost, size in report.per_measure:
-            lines.append(f"{mid:<24}{_fmt(cost, 8)}{size:>7}"
-                         f"{_fmt(cost / size, 8)}")
+                         + ", ".join(t1["undefined_precision"]))
+    if "tier2" in doc or "tier3" in doc:
+        columns = [("TER", doc.get("tier2", {}).get("ter"))]
+        if "tier3" in doc:
+            columns += [(heading, doc["tier3"][key])
+                        for key, heading in _TIER3_RATES if heading]
+        lines += ["", "  ".join(name.rjust(max(len(name), 6))
+                                for name, _ in columns),
+                  "  ".join(_fmt(value, max(len(name), 6))
+                            for name, value in columns)]
+    rows = _measure_rows(report) if report.config.per_measure else []
+    if rows:
+        lines += ["", f"{'Measure':<24}{'Cost':>8}{'Nodes':>7}{'TER':>8}"]
+        for row in rows:
+            lines.append(f"{row['id']:<24}{_fmt(row['cost'], 8)}"
+                         f"{row['truth_nodes']:>7}{_fmt(row['ter'], 8)}")
     return "\n".join(lines) + "\n"

@@ -34,7 +34,7 @@ from .model import (
     Measure, NOTE, NOTE_GROUP, Node, Part, REST, STEM, StaffPosition,
     TIME_SIG, Token, map_tokens,
 )
-from .vocabulary import DYNAMICS, REPEATS, RESTS
+from .vocabulary import DYNAMICS, REPEATS
 from .xmlio import InvalidWorkError, _serialize_ordered
 
 _LETTERS = {"C": 0, "D": 1, "E": 2, "F": 3, "G": 4, "A": 5, "B": 6}
@@ -185,13 +185,6 @@ class TimeCursor:
 
 
 # ---------------------------------------------------------------------------
-# Conversion context and event types.
-
-_TYPE_FLAGS = {"eighth": 1, "16th": 2, "32nd": 3, "64th": 4, "128th": 5,
-               "256th": 6, "512th": 7, "1024th": 8}
-
-
-# ---------------------------------------------------------------------------
 # Notation families as tables. A family maps a tag to its row: (token
 # labels, warning or None). An _IN_X family holds the tags of <X>'s
 # children, the others the texts of one element. A tag with no row gets no
@@ -270,26 +263,63 @@ _IN_ORNAMENTS = _Family({
 # Spanners, <articulations> and <ornaments> are read before this table.
 _IN_NOTATIONS = _Family(_silent(("fermata", "arpeggiate")),
                         "notation <{tag}> unsupported")
-# (notehead label, chord kind) of a note that is neither grace nor cue, for
-# every MusicXML note type. head_class classifies a type with no row by its
-# duration, with its own warning, before it looks the type up.
-_NOTE_TYPES = _Family({
-    **dict.fromkeys(("1024th", "512th", "256th", "128th", "64th", "32nd",
-                     "16th", "eighth", "quarter"),
-                    (("notehead_black", "black"), None)),
-    "breve": (("notehead_breve", "breve"), None),
-    **dict.fromkeys(("long", "maxima"), (
-        ("notehead_breve", "breve"),
-        "note type {tag!r} approximated as a breve")),
-    "whole": (("notehead_white", "whole"), None),
-    "half": (("notehead_white", "half"), None),
-}, None)
+
+
+class _NoteType(NamedTuple):
+    quarters: Fraction  # its length
+    kind: str  # the kind of chord it heads; long: longer than a breve
+    flags: int
+    rest: str | None  # None: a rest of the type is classified by duration
+
+
+# Every MusicXML note type, longest first.
+_NOTE_TYPES = {
+    "maxima": _NoteType(Fraction(32), "long", 0, "rest_maxima"),
+    "long": _NoteType(Fraction(16), "long", 0, "rest_long"),
+    "breve": _NoteType(Fraction(8), "breve", 0, "rest_breve"),
+    "whole": _NoteType(Fraction(4), "whole", 0, "rest_whole"),
+    "half": _NoteType(Fraction(2), "half", 0, "rest_half"),
+    "quarter": _NoteType(Fraction(1), "black", 0, "rest_quarter"),
+    "eighth": _NoteType(Fraction(1, 2), "black", 1, "rest_eighth"),
+    "16th": _NoteType(Fraction(1, 4), "black", 2, "rest_16th"),
+    "32nd": _NoteType(Fraction(1, 8), "black", 3, "rest_32nd"),
+    "64th": _NoteType(Fraction(1, 16), "black", 4, "rest_64th"),
+    "128th": _NoteType(Fraction(1, 32), "black", 5, "rest_128th"),
+    "256th": _NoteType(Fraction(1, 64), "black", 6, "rest_128th"),
+    "512th": _NoteType(Fraction(1, 128), "black", 7, None),
+    "1024th": _NoteType(Fraction(1, 256), "black", 8, None),
+}
+
+
+def _heads(approximated: str, other: tuple[str, str],
+           **heads: tuple[str, str]) -> _Family:
+    """A row per note type: the (notehead label, chord kind) of its kind in
+    heads, else other, which warns approximated unless it is of that kind."""
+    return _Family({tag: (head, None if head[1] == t.kind else approximated)
+                    for tag, t in _NOTE_TYPES.items()
+                    for head in [heads.get(t.kind, other)]}, None)
+
+
+# head_class classifies a type with no row by its duration, with its own
+# warning, before it looks the type up in one of these.
+_PLAIN_HEADS = _heads("note type {tag!r} approximated as a breve",
+                      ("notehead_breve", "breve"),
+                      black=("notehead_black", "black"),
+                      half=("notehead_white", "half"),
+                      whole=("notehead_white", "whole"))
+_CUE_HEADS = _heads("cue note type {tag!r} approximated as a cue whole",
+                    ("notehead_cue_white", "whole"),
+                    black=("notehead_cue_black", "black"),
+                    half=("notehead_cue_white", "half"))
+_GRACE_HEADS = _heads(  # the vocabulary has one grace head
+    "grace note type {tag!r} approximated as a black grace head",
+    ("notehead_grace_black", "black"))
 # No labels: every notehead shape is drawn as a normal one.
 _NOTEHEADS = _Family({"normal": ((), None)},
                      "notehead {tag!r} converted as a normal notehead")
 # A rest type with no row is classified by its duration.
-_REST_TYPES = _Family({**_silent(RESTS, "rest_"),
-                       "256th": (("rest_128th",), None)},
+_REST_TYPES = _Family({tag: ((t.rest,), None)
+                       for tag, t in _NOTE_TYPES.items() if t.rest},
                       "rest type {tag!r} unsupported; using duration")
 
 # Spanner token prefix -> (name in warnings, types that open a pair, types
@@ -621,6 +651,8 @@ class _Converter:
                 self.warn("key without fifths")
                 continue
             fifths = self.integer(raw, "fifths")
+            if abs(fifths) > 7:
+                self.warn(f"key with {fifths} fifths clipped to 7 accidentals")
             for staff in target_staves:
                 tokens = self.key_tokens(fifths, staff, state)
                 state.fifths[staff] = fifths
@@ -632,11 +664,12 @@ class _Converter:
             if len(te.findall("beats")) != len(te.findall("beat-type")):
                 self.warn("unpaired <beats> or <beat-type> in time "
                           "signature dropped")
-            for staff in self.target_staves(te, "time number", state):
-                tokens = self.time_tokens(te, staff)
-                if tokens:
-                    per_staff.setdefault(staff, []).append(
-                        Node(TIME_SIG, tuple(tokens)))
+            target_staves = self.target_staves(te, "time number", state)
+            placed = self.time_signature(te)
+            for staff in target_staves if placed else ():
+                per_staff.setdefault(staff, []).append(Node(TIME_SIG, tuple(
+                    self.token(label, staff, step, value=value)
+                    for label, step, value in placed)))
 
         for tag in dict.fromkeys(child.tag for child in elem):
             self.lookup(_IN_ATTRIBUTES, tag)
@@ -665,20 +698,19 @@ class _Converter:
             _, steps = key_signature_steps(previous, clef)
             return [self.token("accidental_natural", staff, s) for s in steps]
         label, steps = key_signature_steps(fifths, clef)
-        if abs(fifths) > 7:
-            self.warn(f"key with {fifths} fifths clipped to 7 accidentals")
         return [self.token(label, staff, s) for s in steps]
 
-    def time_tokens(self, te: ET.Element, staff: int) -> list[Token]:
+    def time_signature(self, te: ET.Element) -> list[tuple]:
+        """The (label, step, value) of each token a <time> puts on a staff."""
         symbol = te.get("symbol")
         if te.find("senza-misura") is not None:
             self.warn("senza-misura time signature has no tokens")
             return []
         if symbol in ("common", "cut"):
-            return [self.token(f"timesig_{symbol}", staff)]
+            return [(f"timesig_{symbol}", None, None)]
         if symbol not in (None, "normal"):
             self.warn(f"time symbol {symbol!r} rendered as numbers")
-        tokens: list[Token] = []
+        tokens: list[tuple] = []
         beats_list = te.findall("beats")
         types_list = te.findall("beat-type")
         for be, ty in zip(beats_list, types_list):
@@ -688,8 +720,7 @@ class _Converter:
                     if not (piece.isascii() and piece.isdecimal()):
                         self.warn(f"non-numeric time signature part {raw!r}")
                         continue
-                    tokens.append(self.token("timesig_number", staff, step,
-                                             value=int(piece)))
+                    tokens.append(("timesig_number", step, int(piece)))
         if len(beats_list) > 1:
             self.warn("compound interchangeable time signature flattened")
         return tokens
@@ -810,11 +841,11 @@ class _Converter:
             event.beams[level] = (be.text or "").strip()
         # Note groups are built from level-1 beams only. Every chord gets the
         # flags of its type, and stem_node drops them inside a beamed group.
-        if ntype in _TYPE_FLAGS:
+        if ntype in _NOTE_TYPES and _NOTE_TYPES[ntype].flags:
             if event.beams and 1 not in event.beams:
                 self.warn("beam without a level-1 beam ignored; "
                           "the note keeps its flags")
-            event.flags = _TYPE_FLAGS[ntype]
+            event.flags = _NOTE_TYPES[ntype].flags
 
     def head_class(self, elem: ET.Element, ntype: str | None, duration: int,
                    state: _PartState, grace: bool) -> tuple[str, ...]:
@@ -822,7 +853,7 @@ class _Converter:
         with no row, or a missing one on a note neither grace nor cue, is
         classified by the note's duration."""
         cue = elem.find("cue") is not None
-        if ntype not in _NOTE_TYPES.rows and not (
+        if ntype not in _NOTE_TYPES and not (
                 ntype is None and (grace or cue)):
             quarters = state.cursor.quarters(duration) if duration else Fraction(1)
             guess = ("breve" if quarters >= 8 else "whole" if quarters >= 4
@@ -831,15 +862,8 @@ class _Converter:
                     else f"note type {ntype!r} unsupported")
             self.warn(f"{what}; assuming {guess} from duration")
             ntype = guess
-        if grace:
-            return "notehead_grace_black", "black"
-        if cue:
-            if ntype == "half":
-                return "notehead_cue_white", "half"
-            if ntype in ("whole", "breve", "long", "maxima"):
-                return "notehead_cue_white", "whole"
-            return "notehead_cue_black", "black"
-        return self.lookup(_NOTE_TYPES, ntype)
+        family = _GRACE_HEADS if grace else _CUE_HEADS if cue else _PLAIN_HEADS
+        return self.lookup(family, ntype or "quarter")  # typeless: black
 
     def note_modifiers(self, elem: ET.Element, tokens: list[Token]) -> None:
         """Append the modifiers of a note or rest to tokens, which holds its
@@ -991,15 +1015,9 @@ class _Converter:
 
 
 def _rest_for_duration(quarters: Fraction) -> str:
-    ordered = [("rest_maxima", Fraction(32)), ("rest_long", Fraction(16)),
-               ("rest_breve", Fraction(8)), ("rest_whole", Fraction(4)),
-               ("rest_half", Fraction(2)), ("rest_quarter", Fraction(1)),
-               ("rest_eighth", Fraction(1, 2)), ("rest_16th", Fraction(1, 4)),
-               ("rest_32nd", Fraction(1, 8)), ("rest_64th", Fraction(1, 16))]
-    for label, dur in ordered:
-        if quarters >= dur:
-            return label
-    return "rest_128th"
+    """The rest of the longest type no longer than quarters."""
+    return next((t.rest for t in _NOTE_TYPES.values()
+                 if t.rest and t.quarters <= quarters), "rest_128th")
 
 
 # ---------------------------------------------------------------------------

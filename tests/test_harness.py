@@ -420,3 +420,74 @@ def test_tier_selection_trims_report(tmp_path):
     assert "tier2" not in doc and "tier3" not in doc
     text = render_report(report)
     assert "TER" not in text
+
+
+def three(value: str | None) -> str:
+    """A fraction of the JSON report as the text tables print it."""
+    return "-" if value is None else f"{float(Fraction(value)):.3f}"
+
+
+# The rate columns of the text report and the JSON figures they print.
+_TEXT_COLUMNS = {
+    "TER": ("tier2", "ter"), "Time Shift": ("tier3", "time_shift"),
+    "Pitch Shift": ("tier3", "pitch_shift"),
+    "Staff Shift": ("tier3", "staff_shift"),
+    "Time Prec.": ("tier3", "time_precision"),
+    "Pitch Prec.": ("tier3", "pitch_precision"),
+    "Staff Prec.": ("tier3", "staff_precision"),
+    "FPR": ("tier3", "false_positive_rate"),
+    "MNR": ("tier3", "missed_note_rate"),
+}
+
+
+@pytest.mark.parametrize("tiers", [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
+                                   (1, 2, 3)])
+def test_text_tables_print_the_json_reports_fractions(tmp_path, tiers):
+    truth_root, pred_root, entries = every_field_corpus(tmp_path)
+    runs = []
+    for asked in (tiers, (1, 2, 3)):
+        report = evaluate_corpus(truth_root, pred_root, entries, EvalConfig(
+            tiers=asked, per_measure=True))
+        runs.append((json.loads(report_to_json(report)),
+                     render_report(report)))
+    (doc, text), (full, _) = runs
+    sections = text.rstrip("\n").split("\n\n")
+    ratio = Fraction(doc["coverage"]["ratio"])
+    assert f"({float(ratio) * 100:.1f}%)" in sections.pop(0)
+    if 1 in tiers:
+        t1 = doc["tier1"]
+        header, *lines = sections.pop(0).splitlines()
+        assert header.split() == ["Class", "Precision", "Recall", "Counts",
+                                  "Prop"]
+        assert lines.pop() == ("precision undefined (never predicted): "
+                               + ", ".join(t1["undefined_precision"]))
+        rows = {line[:28].rstrip(): line[28:].split() for line in lines}
+        assert rows.pop("all (weighted)") == [
+            three(t1["aggregate_precision"]), three(t1["aggregate_recall"]),
+            str(t1["total_truth_tokens"]), "1.000"]
+        assert rows == {
+            label: [three(c["precision"]), three(c["recall"]),
+                    str(c["truth"]), three(c["proportion"])]
+            for label, c in t1["classes"].items()}
+    if 2 in tiers or 3 in tiers:
+        names, values = sections.pop(0).splitlines()
+        headings = re.split(r"\s{2,}", names.strip())
+        assert headings == (list(_TEXT_COLUMNS) if 3 in tiers else ["TER"])
+        assert values.split() == [
+            three(doc[tier][key]) if tier in doc else "-"
+            for tier, key in map(_TEXT_COLUMNS.get, headings)]
+    # The per-measure rows print under any tiers; the JSON has them under
+    # tier 2.
+    header, *lines = sections.pop(0).splitlines()
+    assert header.split() == ["Measure", "Cost", "Nodes", "TER"]
+    assert [line.split() for line in lines] == [
+        [row["id"], three(row["cost"]), str(row["truth_nodes"]),
+         three(row["ter"])] for row in full["tier2"]["per_measure"]]
+    assert sections == []
+
+
+def test_json_report_refuses_a_value_it_cannot_write_exactly(tmp_path):
+    report = eval_standard(tmp_path)
+    report.warnings.append(Path("stray"))  # neither JSON nor a fraction
+    with pytest.raises(TypeError):
+        report_to_json(report)

@@ -831,10 +831,23 @@ FAMILY_ROWS = [
       for ntype, labels in [
           ("quarter", ["notehead_cue_black", "stem_down"]),
           ("half", ["notehead_cue_white", "stem_down"]),
-          ("whole", ["notehead_cue_white"]),
-          ("breve", ["notehead_cue_white"]),
-          ("long", ["notehead_cue_white"]),
-          ("maxima", ["notehead_cue_white"])]),
+          ("whole", ["notehead_cue_white"])]),
+    # the vocabulary has no cue breve
+    *((note("C", 5, 1, ntype, "<cue/>"), ["notehead_cue_white"],
+       [f"cue note type {ntype!r} approximated as a cue whole"])
+      for ntype in ("breve", "long", "maxima")),
+    # nor a grace head other than a black one
+    *((f"<note><grace/><pitch><step>C</step><octave>5</octave></pitch>"
+       f"<type>{ntype}</type></note>",
+       sorted(["flag"] * flags + ["notehead_grace_black", "stem_down"]), [])
+      for ntype, flags in [("quarter", 0), ("eighth", 1), ("1024th", 8)]),
+    *((f"<note><grace/><pitch><step>C</step><octave>5</octave></pitch>"
+       f"<type>{ntype}</type></note>", ["notehead_grace_black", "stem_down"],
+       [f"grace note type {ntype!r} approximated as a black grace head"])
+      for ntype in ("half", "whole", "breve", "long", "maxima")),
+    ("<note><grace/><pitch><step>C</step><octave>5</octave></pitch></note>",
+     ["notehead_grace_black", "stem_down"], []),
+    (note("C", 5, 1, "", "<cue/>"), ["notehead_cue_black", "stem_down"], []),
     *((f"<attributes><{tag}/></attributes>", [], [])
       for tag in _SILENT_ATTRIBUTES),
     *((f"<attributes><{tag}/></attributes>", [],
@@ -894,6 +907,35 @@ def test_unpaired_time_signature_warns_once_for_every_staff():
     assert result.warnings == [
         "part P1 measure 1: unpaired <beats> or <beat-type> in time "
         "signature dropped"]
+
+
+@pytest.mark.parametrize("time, fifths, warnings, values", [
+    ("<time><beats>3</beats><beat-type>4</beat-type><beats>2</beats>"
+     "<beat-type>x</beat-type></time>", 0,
+     ["non-numeric time signature part 'x'",
+      "compound interchangeable time signature flattened"], [2, 3, 4]),
+    ('<time symbol="dotted-note"><beats>6</beats><beat-type>8</beat-type>'
+     "</time>", 0, ["time symbol 'dotted-note' rendered as numbers"], [6, 8]),
+    ("<time><senza-misura/></time>", 0,
+     ["senza-misura time signature has no tokens"], []),
+    ("<time><beats>4</beats><beat-type>4</beat-type></time>", 9,
+     ["key with 9 fifths clipped to 7 accidentals"], [4, 4]),
+], ids=["compound", "symbol", "senza-misura", "key"])
+def test_a_time_or_key_warns_once_for_every_staff(time, fifths, warnings,
+                                                  values):
+    attrs = _attrs_with_time(time).replace(
+        "<fifths>0</fifths>", f"<fifths>{fifths}</fifths>").replace(
+        "</attributes>", "<staves>2</staves></attributes>")
+    result = convert_score(score(f'<measure number="1">{attrs}{_WHOLE}'
+                                 "</measure>"))
+    assert result.warnings == [f"part P1 measure 1: {w}" for w in warnings]
+    tokens = list(iter_tokens(result.work))
+    for staff in (1, 2):
+        assert sorted(t.numeric_value for t in tokens
+                      if t.label == "timesig_number"
+                      and t.position.staff == staff) == values
+        assert sum(t.label == "accidental_sharp" and t.position.staff == staff
+                   for t in tokens) == (7 if fifths else 0)
 
 
 def test_clamped_backup_starts_the_next_note_at_zero():
