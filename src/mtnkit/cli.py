@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes that share the pages, this one "
                    "included; at least 1")
     p.add_argument("--per-measure", action="store_true",
-                   help="include the per-measure cost table")
+                   help="add the per-measure cost rows to tier 2")
     p.add_argument("-o", "--out", help="write the JSON report here")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the text tables")

@@ -15,7 +15,8 @@ the matched-only switch is set.
 
 Each page is evaluated on its own, to a report of its sums, so pages can
 run on a process pool; the corpus report merges the page reports in
-manifest order, which makes it byte-identical for any worker count.
+manifest order, which makes it byte-identical for any worker count. A
+page computes only the asked tiers; the per-measure rows are tier 2's.
 `ordered_map` is that pool for both `mtn evaluate` and `mtn convert`.
 The scoring modules (metrics, trees, ted) are imported by the functions
 that score, so `mtn convert` loads none of them.
@@ -226,7 +227,7 @@ class EvalConfig(NamedTuple):
     matched_only: bool = False       # drop missed measures from tier 2/3
     partition: str | None = None
     jobs: int = 1
-    per_measure: bool = False        # include the per-measure cost table
+    per_measure: bool = False        # add the per-measure rows to tier 2
 
 
 def _load_work(path: Path, warnings: list[str],
@@ -275,7 +276,7 @@ def _evaluate_entry(args: tuple) -> EvalReport:
                 f"prediction {name}: measure {ev.measure_id} "
                 f"not timed, its truth events count as missed: {ev.untimed}")
         page.tally.add(ev)
-        if config.per_measure:
+        if config.per_measure and 2 in config.tiers:
             page.per_measure.append((ev.measure_id, ev.cost, ev.truth_size))
     return page
 
@@ -343,11 +344,6 @@ _TIER3_RATES = (
     ("step_precision", None))
 
 
-def _measure_rows(report: EvalReport) -> list[dict]:
-    return [{"id": mid, "cost": cost, "truth_nodes": size, "ter": cost / size}
-            for mid, cost, size in report.per_measure]
-
-
 def _report_doc(report: EvalReport) -> dict:
     """The JSON report's document, rates as exact fractions or None (the
     rate is undefined). Both renderings print its figures."""
@@ -382,7 +378,10 @@ def _report_doc(report: EvalReport) -> dict:
                         "truth_nodes": tally.truth_nodes,
                         "measures": tally.measures}
         if config.per_measure:
-            doc["tier2"]["per_measure"] = _measure_rows(report)
+            doc["tier2"]["per_measure"] = [
+                {"id": mid, "cost": cost, "truth_nodes": size,
+                 "ter": cost / size}
+                for mid, cost, size in report.per_measure]
     if 3 in config.tiers:
         t3 = tally.tier3
         doc["tier3"] = {"truth_events": t3.truth_events,
@@ -412,7 +411,8 @@ def _fmt(x: Fraction | None, width: int) -> str:
 
 def render_report(report: EvalReport) -> str:
     """Human-readable text tables of the JSON report's figures, rounded to
-    three places; the per-measure rows print under any tiers."""
+    three places; the per-measure rows print with tier 2, as the JSON
+    holds them."""
     doc = _report_doc(report)
     cov = doc["coverage"]
     pct = "-" if cov["ratio"] is None else f"{float(cov['ratio']) * 100:.1f}%"
@@ -448,7 +448,7 @@ def render_report(report: EvalReport) -> str:
                                 for name, _ in columns),
                   "  ".join(_fmt(value, max(len(name), 6))
                             for name, value in columns)]
-    rows = _measure_rows(report) if report.config.per_measure else []
+    rows = doc.get("tier2", {}).get("per_measure")
     if rows:
         lines += ["", f"{'Measure':<24}{'Cost':>8}{'Nodes':>7}{'TER':>8}"]
         for row in rows:

@@ -189,15 +189,17 @@ class MeasureEval(NamedTuple):
 def evaluate_measure(truth: Measure, predicted: Measure | None,
                      include_synthetic: bool = True,
                      tiers: tuple[int, ...] = (1, 2, 3)) -> MeasureEval:
-    """Tier-1 counts, unit edit cost and, if tier 3 is in tiers, tier-3
-    counts for one measure pair. A missing prediction (the empty tree)
-    costs one deletion per truth node."""
+    """The counts of the asked tiers for one measure pair: tier-1 tallies,
+    unit edit cost (tier 2) and tier-3 counts. A tier not asked gets its
+    empty value, which no report prints. A missing prediction (the empty
+    tree) costs one deletion per truth node."""
     g, p = project_tree(truth), project_tree(predicted)
     return MeasureEval(
         measure_id=truth.id,
-        cost=Fraction(tree_edit_distance(g, p, UNIT_COSTS).cost),
+        cost=(Fraction(tree_edit_distance(g, p, UNIT_COSTS).cost)
+              if 2 in tiers else Fraction(0)),
         truth_size=len(g.nodes),
-        tier1=tally_terminals(g, p, include_synthetic),
+        tier1=tally_terminals(g, p, include_synthetic) if 1 in tiers else {},
         tier3=tier3_counts(g, p) if 3 in tiers else Tier3Counts(),
         untimed=None if p.timing_error is None else str(p.timing_error),
     )

@@ -151,10 +151,6 @@ class EditScript(NamedTuple):
     a_size: int
     b_size: int
 
-    @property
-    def operations(self) -> int:
-        return self.substitutions + self.deletions + self.insertions
-
 
 def _identity_cost(a: LabeledTree, b: LabeledTree,
                    costs: CostModel) -> tuple[Cost, int] | None:

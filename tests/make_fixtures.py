@@ -1,8 +1,8 @@
 """Regenerates the shipped fixture corpus under fixtures/.
 
-Run from the repository root:
+Run from the repository root, with the source tree on the path:
 
-    python3 tests/make_fixtures.py
+    PYTHONPATH=src python3 tests/make_fixtures.py
 
 Keep the pieces hand-countable: several tests freeze exact token counts
 derived from these files (the acceptance suite relabels exactly 10% of

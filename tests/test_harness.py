@@ -252,22 +252,27 @@ def test_parallel_jobs_identical_report(tmp_path):
 
 @pytest.mark.parametrize("tiers", [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
                                    (1, 2, 3)])
-def test_semantic_edit_distance_runs_only_for_tier_3(monkeypatch, tiers):
-    calls = {UNIT_COSTS: 0, SEMANTIC_COSTS: 0}
-    engine = metrics.tree_edit_distance
+def test_each_tier_runs_its_own_work_only(monkeypatch, tiers):
+    calls = {UNIT_COSTS: 0, SEMANTIC_COSTS: 0, "tally": 0}
+    engine, tally = metrics.tree_edit_distance, metrics.tally_terminals
 
-    def counted(a, b, costs):
+    def counted_distance(a, b, costs):
         calls[costs] += 1
         return engine(a, b, costs)
 
-    monkeypatch.setattr(metrics, "tree_edit_distance", counted)
+    def counted_tally(*args):
+        calls["tally"] += 1
+        return tally(*args)
+
+    monkeypatch.setattr(metrics, "tree_edit_distance", counted_distance)
+    monkeypatch.setattr(metrics, "tally_terminals", counted_tally)
     entries = read_manifest(
         (ROOT / "fixtures" / "manifest.jsonl").read_text(encoding="utf-8"))
     report = evaluate_corpus(CORPUS, CORPUS, entries, EvalConfig(tiers=tiers))
     pairs = report.tally.measures
     assert pairs == 6
-    # The unit cost feeds the per-measure rows whatever the tiers.
-    assert calls == {UNIT_COSTS: pairs,
+    assert calls == {"tally": pairs if 1 in tiers else 0,
+                     UNIT_COSTS: pairs if 2 in tiers else 0,
                      SEMANTIC_COSTS: pairs if 3 in tiers else 0}
 
 
@@ -444,13 +449,9 @@ _TEXT_COLUMNS = {
                                    (1, 2, 3)])
 def test_text_tables_print_the_json_reports_fractions(tmp_path, tiers):
     truth_root, pred_root, entries = every_field_corpus(tmp_path)
-    runs = []
-    for asked in (tiers, (1, 2, 3)):
-        report = evaluate_corpus(truth_root, pred_root, entries, EvalConfig(
-            tiers=asked, per_measure=True))
-        runs.append((json.loads(report_to_json(report)),
-                     render_report(report)))
-    (doc, text), (full, _) = runs
+    report = evaluate_corpus(truth_root, pred_root, entries, EvalConfig(
+        tiers=tiers, per_measure=True))
+    doc, text = json.loads(report_to_json(report)), render_report(report)
     sections = text.rstrip("\n").split("\n\n")
     ratio = Fraction(doc["coverage"]["ratio"])
     assert f"({float(ratio) * 100:.1f}%)" in sections.pop(0)
@@ -476,13 +477,13 @@ def test_text_tables_print_the_json_reports_fractions(tmp_path, tiers):
         assert values.split() == [
             three(doc[tier][key]) if tier in doc else "-"
             for tier, key in map(_TEXT_COLUMNS.get, headings)]
-    # The per-measure rows print under any tiers; the JSON has them under
-    # tier 2.
-    header, *lines = sections.pop(0).splitlines()
-    assert header.split() == ["Measure", "Cost", "Nodes", "TER"]
-    assert [line.split() for line in lines] == [
-        [row["id"], three(row["cost"]), str(row["truth_nodes"]),
-         three(row["ter"])] for row in full["tier2"]["per_measure"]]
+    # The per-measure rows print with tier 2, where the JSON holds them.
+    if 2 in tiers:
+        header, *lines = sections.pop(0).splitlines()
+        assert header.split() == ["Measure", "Cost", "Nodes", "TER"]
+        assert [line.split() for line in lines] == [
+            [row["id"], three(row["cost"]), str(row["truth_nodes"]),
+             three(row["ter"])] for row in doc["tier2"]["per_measure"]]
     assert sections == []
 
 

@@ -33,7 +33,7 @@ def test_identical_trees_cost_zero():
     b = tree("m", t("x", t("y")), t("z"))
     script = tree_edit_distance(a, b)
     assert script.cost == 0
-    assert script.operations == 0
+    assert script.substitutions == script.deletions == script.insertions == 0
     assert script.mapping == tuple((i, i) for i in range(4))
 
 
