@@ -511,10 +511,3 @@ def validate(work: MTNWork) -> list[Violation]:
     itself included, is a field-type violation.
     """
     return _Validator(work).run()
-
-
-def _validate_ordered(work: MTNWork) -> list[Violation]:
-    """validate(work) without the canonical-order check, for a work whose
-    every measure canonicalize has returned (renumbered since or not:
-    ids never move a sibling)."""
-    return _Validator(work, check_order=False).run()

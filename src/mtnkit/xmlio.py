@@ -12,13 +12,13 @@ measure under part, nodes under a measure or a node, tokens under a node,
 and nothing under a token; an element anywhere else is misplaced. Values
 must be in the writer's form: an int is 0 or -?[1-9][0-9]* (ASCII), a
 fraction an int or n/d in lowest terms with d > 1, a flag "true" (a false
-flag is omitted, so "false" is refused); any other is a FractionSyntaxError
-at the start tag. Between elements only space, tab, CR and LF may sit; any
-other text is a MalformedXmlError. Files whose sibling order is not
-canonical are accepted, reordered, and reported through the warning
-callback. The writer refuses a work that does not validate, so no id it
-writes holds a character outside XML 1.0's Char production (validate's
-xml-char rule).
+flag is omitted, so "false" is refused); any other is refused at the start
+tag. Between elements only space, tab, CR and LF may sit; any other text is
+refused where it starts. Every refusal is a FormatError whose message names
+the broken rule. Files whose sibling order is not canonical are accepted,
+reordered, and reported through the warning callback. The writer refuses a
+work that does not validate, so no id it writes holds a character outside
+XML 1.0's Char production (validate's xml-char rule).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 from .canonical import CanonicalizeError, canonicalize
 from .model import (
     MTNWork, Measure, NODE_KINDS, Node, Part, StaffPosition, Token,
-    _validate_ordered, validate,
+    _Validator, validate,
 )
 
 MTN_VERSION = "1.0"
@@ -44,8 +44,8 @@ _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
 class FormatError(ValueError):
-    """Base for parse errors; carries the 1-based line and column. Its
-    args are the constructor's, so that a pickled copy reads the same."""
+    """A parse error; carries the 1-based line and column. Its args are
+    the constructor's, so that a pickled copy reads the same."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(message, line, column)
@@ -54,26 +54,6 @@ class FormatError(ValueError):
 
     def __str__(self) -> str:
         return f"{self.args[0]} (line {self.line}, column {self.column})"
-
-
-class MalformedXmlError(FormatError):
-    pass
-
-
-class UnknownElementError(FormatError):
-    pass
-
-
-class UnknownAttributeError(FormatError):
-    pass
-
-
-class FractionSyntaxError(FormatError):
-    """An attribute value (onset, step, flag, ...) not in the writer's form."""
-
-
-class DuplicateIdError(FormatError):
-    pass
 
 
 class InvalidWorkError(ValueError):
@@ -138,9 +118,10 @@ def serialize_work(work: MTNWork) -> bytes:
 
 def _serialize_ordered(work: MTNWork) -> bytes:
     """serialize_work for a work whose every measure canonicalize has
-    returned: every validate rule runs but the order check. The converter
-    writes through this, so that it orders each measure once."""
-    return _write_work(work, _validate_ordered(work))
+    returned (renumbered since or not: ids never move a sibling): every
+    validate rule runs but the order check. The converter writes through
+    this, so that it orders each measure once."""
+    return _write_work(work, _Validator(work, check_order=False).run())
 
 
 def _write_work(work: MTNWork, problems: list) -> bytes:
@@ -218,43 +199,37 @@ class _Parser:
         self.stack: list[tuple[str, dict, list]] = [("", {}, [])]
         self.ids: set[tuple[str, str]] = set()  # (element, id) pairs
 
-    def err(self, cls, message: str):
-        raise cls(message, self.expat.CurrentLineNumber,
-                  self.expat.CurrentColumnNumber + 1)
+    def err(self, message: str):
+        raise FormatError(message, self.expat.CurrentLineNumber,
+                          self.expat.CurrentColumnNumber + 1)
 
     def start(self, name: str, attrs: dict[str, str]) -> None:
         spec = _ELEMENTS.get(name)
         if spec is None:
-            self.err(UnknownElementError, f"unknown element <{name}>")
+            self.err(f"unknown element <{name}>")
         readers, required, parents = spec
         if self.stack[-1][0] not in parents:
-            self.err(UnknownElementError, f"misplaced <{name}>")
+            self.err(f"misplaced <{name}>")
         # the document, work, part and measure frames sit above the nodes
         if name in NODE_KINDS and len(self.stack) > MAX_NODE_DEPTH + 3:
-            self.err(FormatError, f"<{name}> nested deeper than "
-                     f"{MAX_NODE_DEPTH} nodes")
+            self.err(f"<{name}> nested deeper than {MAX_NODE_DEPTH} nodes")
         values = {}
         for key, raw in attrs.items():
             read = readers.get(key)
             if read is None:
-                self.err(UnknownAttributeError,
-                         f"unknown attribute {key!r} on <{name}>")
+                self.err(f"unknown attribute {key!r} on <{name}>")
             try:
                 values[key] = read(raw)
             except ValueError:
-                self.err(FractionSyntaxError,
-                         f"bad {key} {raw!r} on <{name}>")
+                self.err(f"bad {key} {raw!r} on <{name}>")
         for key in required:
             if key not in values:
-                self.err(UnknownAttributeError,
-                         f"<{name}> is missing attribute {key!r}")
+                self.err(f"<{name}> is missing attribute {key!r}")
         if name == "work" and values["mtn-version"] != MTN_VERSION:
-            self.err(UnknownAttributeError,
-                     f"unsupported mtn-version {values['mtn-version']!r}")
+            self.err(f"unsupported mtn-version {values['mtn-version']!r}")
         if "id" in values:
             if (name, values["id"]) in self.ids:
-                self.err(DuplicateIdError,
-                         f"{name} id {values['id']!r} already used")
+                self.err(f"{name} id {values['id']!r} already used")
             self.ids.add((name, values["id"]))
         self.stack.append((name, values, []))
 
@@ -280,8 +255,7 @@ class _Parser:
         # Only XML's own whitespace may sit between elements.
         text = data.strip(" \t\r\n")
         if text:
-            self.err(MalformedXmlError,
-                     f"unexpected text content {text[:20]!r}")
+            self.err(f"unexpected text content {text[:20]!r}")
 
     def _canonical(self, measure: Measure) -> Measure:
         try:
@@ -297,7 +271,7 @@ class _Parser:
         try:
             self.expat.Parse(data, True)
         except xml.parsers.expat.ExpatError as exc:
-            raise MalformedXmlError(
+            raise FormatError(
                 xml.parsers.expat.errors.messages[exc.code],
                 exc.lineno, exc.offset + 1) from exc
         (work,) = self.stack[0][2]
@@ -308,10 +282,10 @@ def parse_work(data: bytes | str,
                on_warning: Callable[[str], None] | None = None) -> MTNWork:
     """Parse canonical XML bytes into a work.
 
-    Strict: unknown elements and attributes, misplaced elements (raised as
-    UnknownElementError "misplaced <x>"), values not in the writer's form
-    and duplicate ids raise FormatError subclasses with line/column. Sibling
-    order is repaired to canonical form with a warning rather than rejected.
+    Strict: unknown elements and attributes, misplaced elements, values not
+    in the writer's form, duplicate ids and malformed XML each raise a
+    FormatError with line/column. Sibling order is repaired to canonical
+    form with a warning rather than rejected.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")

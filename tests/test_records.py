@@ -19,7 +19,7 @@ from mtnkit.model import Node, StaffPosition, Token
 from mtnkit.musicxml import ClefState, ConvertOptions
 from mtnkit.ted import EditScript
 from mtnkit.trees import NoteMeta, TreeNode, project_tree
-from mtnkit.xmlio import UnknownElementError, parse_work
+from mtnkit.xmlio import FormatError, parse_work
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "fixtures" / "corpus"
@@ -114,8 +114,7 @@ def pool_values() -> dict[str, object]:
         "convert_input": convert_input(
             (ROOT / "fixtures" / "musicxml" / "torture.musicxml",
              "torture.mtn.xml", ConvertOptions(), "test")),
-        "UnknownElementError": UnknownElementError(
-            "unknown element <x>", 3, 4),
+        "FormatError": FormatError("unknown element <x>", 3, 4),
     }
 
 
