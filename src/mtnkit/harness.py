@@ -235,7 +235,7 @@ def _load_work(path: Path, warnings: list[str],
     try:
         data = path.read_bytes()
     except OSError as exc:
-        warnings.append(f"{side} file unreadable: {exc}")
+        warnings.append(f"{side} file {path.name} unreadable: {exc.strerror}")
         return None
     try:
         return parse_work(data, on_warning=lambda msg: warnings.append(

@@ -383,8 +383,7 @@ class _Converter:
         self.part_scope = ""  # spanners never pair across parts
 
     def warn(self, message: str) -> None:
-        self.warnings.append(f"{self.where}: {message}" if self.where
-                             else message)
+        self.warnings.append(f"{self.where}: {message}")
 
     def lookup(self, family: _Family, tag: str | None) -> tuple[str, ...]:
         """The labels of tag's row in family, after warning its warning."""

@@ -139,36 +139,28 @@ _RELABEL_FLOOR = {CostModel.substitute: 1,
 class EditScript(NamedTuple):
     """Optimal edit script between two trees.
 
-    mapping holds (a_index, b_index) pairs into the postorder node lists;
-    substitutions counts mapped pairs with nonzero relabel cost.
+    mapping holds (a_index, b_index) pairs into the postorder node lists,
+    and defines the whole script: the unmapped nodes of a are deleted, the
+    unmapped nodes of b are inserted, and a mapped pair is a substitution
+    when the cost model charges it.
     """
 
     cost: Cost
-    substitutions: int
-    deletions: int
-    insertions: int
     mapping: tuple[tuple[int, int], ...]
     a_size: int
     b_size: int
 
 
 def _identity_cost(a: LabeledTree, b: LabeledTree,
-                   costs: CostModel) -> tuple[Cost, int] | None:
-    """Cost of mapping node i to node i and the number of those pairs with
-    a nonzero relabel cost, or None if the shapes differ.
+                   costs: CostModel) -> Cost | None:
+    """Cost of mapping node i to node i, or None if the shapes differ.
 
     Equal leftmost-leaf arrays mean equal shapes: node i's subtree is the
     postorder interval lml[i]..i.
     """
     if a.lml != b.lml:
         return None
-    total = changed = 0
-    for x, y in zip(a.nodes, b.nodes):
-        c = costs.substitute(x, y)
-        if c:
-            total += c
-            changed += 1
-    return total, changed
+    return sum(map(costs.substitute, a.nodes, b.nodes))
 
 
 def _histogram_floor(a: LabeledTree, b: LabeledTree,
@@ -375,10 +367,9 @@ class _Tables:
 def tree_edit_distance(a: LabeledTree, b: LabeledTree,
                        costs: CostModel = UNIT_COSTS) -> EditScript:
     """Minimum-cost edit script turning tree a into tree b."""
-    identity = _identity_cost(a, b, costs)
-    bound = floor = None
-    if identity is not None:
-        bound, changed = identity
+    bound = _identity_cost(a, b, costs)
+    floor = None
+    if bound is not None:
         n = len(a.nodes)
         if bound:
             # The bound at j = 1 on any other mapping (module docstring).
@@ -390,8 +381,7 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree,
         if not bound or bound < least:
             if bound.denominator == 1:  # an int, as _Tables.cost() gives
                 bound = bound.numerator
-            return EditScript(bound, changed, 0, 0,
-                              tuple((i, i) for i in range(n)), n, n)
+            return EditScript(bound, tuple((i, i) for i in range(n)), n, n)
     if floor is None:
         floor = _histogram_floor(a, b, costs)
     t = _Tables(a, b, costs, bound, floor)
@@ -400,7 +390,6 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree,
     al, bl, mp, at, starts = t.al, t.bl, t.mp, t.at, t.starts
     na, nb = len(al), len(bl)
     mapping: list[tuple[int, int]] = []
-    deletions = insertions = substitutions = 0
     todo = [(0, na - 1, 0, nb - 1, t.root)]
     while todo:
         alo, ahi, blo, bhi, fd = todo.pop()
@@ -412,22 +401,15 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree,
             i, j = alo + x - 1, blo + y - 1
             total = at(fd, c, x, y)
             li, lj = al[i] - alo, bl[j] - blo
-            k = j - starts[i]  # (i, j)'s entry in mp and subs
+            k = j - starts[i]  # (i, j)'s entry in mp
             if (0 <= k < len(mp[i])
                     and at(fd, c, li, lj) + mp[i][k] == total):
                 mapping.append((i, j))
-                if t.subs[i][k]:
-                    substitutions += 1
                 todo.append((al[i], i - 1, bl[j], j - 1, None))
                 x, y = li, lj
             elif at(fd, c, x - 1, y) + t.dels[i] == total:
-                deletions += 1
                 x -= 1
             else:
-                insertions += 1
                 y -= 1
-        deletions += x
-        insertions += y
     mapping.sort()
-    return EditScript(t.cost(), substitutions, deletions, insertions,
-                      tuple(mapping), na, nb)
+    return EditScript(t.cost(), tuple(mapping), na, nb)

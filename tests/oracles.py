@@ -6,6 +6,9 @@ ancestry and left-to-right order, which is equivalent to preserving both the
 preorder and postorder index order pairwise. Exponential, fine for the tiny
 trees the tests feed it, and it shares no code with the package engine.
 
+operation_counts reads the substitutions, deletions and insertions of an
+edit script off its mapping.
+
 The canonical-order reference sorts each sibling list by the canonical
 module's five documented rules, recomputing every key from the subtree.
 """
@@ -81,6 +84,17 @@ def brute_force_distance(a: LabeledTree, b: LabeledTree, costs):
 
     extend(0, [], frozenset(), 0)
     return best[0]
+
+
+def operation_counts(script, a: LabeledTree, b: LabeledTree, costs):
+    """(substitutions, deletions, insertions) of an edit script from a to
+    b, read off its mapping: the unmapped nodes of a are deleted, the
+    unmapped nodes of b are inserted, and a mapped pair is a substitution
+    when costs charge it."""
+    an, bn, mapped = a.nodes, b.nodes, len(script.mapping)
+    substitutions = sum(1 for i, j in script.mapping
+                        if costs.substitute(an[i], bn[j]))
+    return substitutions, len(an) - mapped, len(bn) - mapped
 
 
 # -- canonical order ----------------------------------------------------------

@@ -15,7 +15,7 @@ from builders import (
     barline, group, measure, random_tree, random_work_checked, simple_chord,
     treble_attributes, work,
 )
-from oracles import brute_force_distance
+from oracles import brute_force_distance, operation_counts
 from mtnkit.harness import (
     REFERENCE_BASELINE, EvalConfig, evaluate_corpus, read_manifest,
     render_report, report_to_json,
@@ -118,12 +118,12 @@ def test_error_rate_boundaries():
         relabeled, changed = relabel_fraction(motif, "dyn_p", "dyn_f",
                                               Fraction(1))
         assert changed == 1
-        script = tree_edit_distance(
-            project_tree(motif.parts[0].measures[0]),
-            project_tree(relabeled.parts[0].measures[0]), UNIT_COSTS)
+        truth = project_tree(motif.parts[0].measures[0])
+        pred = project_tree(relabeled.parts[0].measures[0])
+        script = tree_edit_distance(truth, pred, UNIT_COSTS)
         rate = Fraction(script.cost) / script.a_size
         assert script.a_size == 5
-        assert script.substitutions == 1
+        assert operation_counts(script, truth, pred, UNIT_COSTS) == (1, 0, 0)
         assert rate == Fraction(1, 5)
         assert float(rate) == 0.200
 

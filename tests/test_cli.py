@@ -79,6 +79,25 @@ def test_convert_writes_output_and_manifest(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_convert_no_print_breaks_ignores_print_elements(tmp_path, capsys):
+    # the second measure starts a page, so it starts a line unless the
+    # score's print breaks are ignored
+    src = tmp_path / "paged.musicxml"
+    src.write_text(MUSICXML.replace("</measure></part>", """</measure>
+  <measure number="2"><print new-page="yes"/>
+    <note><pitch><step>D</step><octave>4</octave></pitch>
+      <duration>8</duration><type>whole</type></note>
+  </measure></part>"""), encoding="utf-8")
+    starts = []
+    for flags in ([], ["--no-print-breaks"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["convert", str(src), "-o", str(out), *flags]) == 0
+        w = parse_work((out / "paged.mtn.xml").read_bytes())
+        starts.append([m.line_start for m in w.parts[0].measures])
+    assert starts == [[True, True], [True, False]]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("names", [("a/x.musicxml", "b/x.musicxml"),
                                    ("x.musicxml", "x.mxl")])
 def test_convert_duplicate_target_fails(tmp_path, capsys, names):

@@ -321,8 +321,10 @@ def test_jobs_identical_report_filling_every_merged_field(
         "discarded_predictions": 1, "missed_measures": 2,
         "skipped_pages": 1}
     assert [w.split(":")[0] for w in doc["warnings"]] == [
-        "prediction carol.mtn.xml", "prediction file unreadable",
-        "prediction file motif.mtn.xml rejected", "truth file unreadable"]
+        "prediction carol.mtn.xml",
+        "prediction file etude.mtn.xml unreadable",
+        "prediction file motif.mtn.xml rejected",
+        "truth file lost.mtn.xml unreadable"]
     assert doc["warnings"][0].endswith("chord has no noteheads")
     assert doc["tier2"]["measures"] == (6 if matched_only else 8)
     assert doc["tier3"]["pitch_shift"] not in (None, "0")
@@ -333,6 +335,25 @@ def test_jobs_identical_report_filling_every_merged_field(
             mid for e in entries if e.work in scored for mid in e.measures]
     else:
         assert "per_measure" not in doc["tier2"]
+
+
+def test_report_is_the_same_for_relative_and_absolute_roots(
+        tmp_path, monkeypatch):
+    # A missing file is named as the manifest names it, so the report does
+    # not carry the roots as they were spelled.
+    truth_root, pred_root, entries = every_field_corpus(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for roots in ((truth_root, pred_root), ("truth", "pred"),
+                  ("./truth", "../" + tmp_path.name + "/pred")):
+        report = evaluate_corpus(*roots, entries)
+        reports.append((report_to_json(report), render_report(report)))
+    assert reports[0] == reports[1] == reports[2]
+    warnings = json.loads(reports[0][0])["warnings"]
+    assert ("prediction file etude.mtn.xml unreadable: "
+            "No such file or directory") in warnings
+    assert ("truth file lost.mtn.xml unreadable: "
+            "No such file or directory") in warnings
 
 
 def inverse_and_pid(item: int) -> tuple[Fraction, int]:

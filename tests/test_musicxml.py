@@ -1156,19 +1156,24 @@ def test_less_common_notation_tokens():
 
 # -- line starts --------------------------------------------------------------
 
-def test_print_new_system_marks_line_start():
+@pytest.mark.parametrize("use_print_breaks", [True, False])
+@pytest.mark.parametrize("attribute", ["new-system", "new-page"])
+def test_print_new_system_marks_line_start(attribute, use_print_breaks):
+    # a system or page break starts a line, unless print breaks are ignored
     m1 = f'<measure number="1">{ATTRS_44}' + note("C", 5, 16, "whole") + "</measure>"
     m2 = '<measure number="2">' + note("D", 5, 16, "whole") + "</measure>"
-    m3 = ('<measure number="3"><print new-system="yes"/>'
+    m3 = (f'<measure number="3"><print {attribute}="yes"/>'
           + note("E", 5, 16, "whole") + "</measure>")
-    work = convert_score(score(m1 + m2 + m3)).work
+    options = ConvertOptions(use_print_breaks=use_print_breaks)
+    work = convert_score(score(m1 + m2 + m3), options).work
     measures = work.parts[0].measures
-    assert [m.line_start for m in measures] == [True, False, True]
+    assert [m.line_start for m in measures] == [True, False,
+                                                 use_print_breaks]
     synth = [c for c in measures[2].children
              if c.kind == ATTRIBUTES and c.synthetic]
-    assert len(synth) == 1
+    assert len(synth) == use_print_breaks
     clef_tokens = tokens_of(measures[2])
-    assert any(t.label == "clef_G" for t in clef_tokens)
+    assert any(t.label == "clef_G" for t in clef_tokens) == use_print_breaks
     # measure 2 got no synthetic restatement
     assert not any(c.kind == ATTRIBUTES for c in measures[1].children)
 

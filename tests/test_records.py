@@ -35,8 +35,8 @@ def records() -> dict[str, tuple]:
             "Token": token,
             "Node": Node("note", (token,)),
             "TreeNode": TreeNode("note", (leaf,)),
-            "EditScript": EditScript(Fraction(1, 2), 1, 0, 0,
-                                     ((0, 0), (1, 1)), 2, 2),
+            "EditScript": EditScript(Fraction(1, 2), ((0, 0), (1, 1)),
+                                     2, 2),
             "ClefState": ClefState("clef_G", 4, 28),
             "ConvertOptions": ConvertOptions(explicit_breaks=("3",)),
             "ClassTally": ClassTally(truth=3, predicted=2, matched=2),

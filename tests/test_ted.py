@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from builders import random_tree
-from oracles import brute_force_distance
+from oracles import brute_force_distance, operation_counts
 
 from mtnkit import ted
 from mtnkit.model import NOTE_GROUP, Node
@@ -33,7 +33,7 @@ def test_identical_trees_cost_zero():
     b = tree("m", t("x", t("y")), t("z"))
     script = tree_edit_distance(a, b)
     assert script.cost == 0
-    assert script.substitutions == script.deletions == script.insertions == 0
+    assert operation_counts(script, a, b, UNIT_COSTS) == (0, 0, 0)
     assert script.mapping == tuple((i, i) for i in range(4))
 
 
@@ -42,18 +42,18 @@ def test_single_relabel():
     b = tree("m", t("x"), t("q"))
     script = tree_edit_distance(a, b)
     assert script.cost == 1
-    assert script.substitutions == 1
-    assert script.deletions == 0 and script.insertions == 0
+    assert operation_counts(script, a, b, UNIT_COSTS) == (1, 0, 0)
 
 
 def test_empty_tree_against_tree_costs_size():
     b = tree("m", t("x", t("y")), t("z"))
-    script = tree_edit_distance(LabeledTree(None), b)
+    empty = LabeledTree(None)
+    script = tree_edit_distance(empty, b)
     assert script.cost == 4
-    assert script.insertions == 4
-    reverse = tree_edit_distance(b, LabeledTree(None))
+    assert operation_counts(script, empty, b, UNIT_COSTS) == (0, 0, 4)
+    reverse = tree_edit_distance(b, empty)
     assert reverse.cost == 4
-    assert reverse.deletions == 4
+    assert operation_counts(reverse, b, empty, UNIT_COSTS) == (0, 4, 0)
 
 
 def test_both_empty():
@@ -64,10 +64,10 @@ def test_both_empty():
 
 def test_root_only_against_tree():
     # roots match, the n-1 other nodes are inserted
-    b = tree("m", t("x"), t("y", t("z")))
-    script = tree_edit_distance(tree("m"), b)
+    a, b = tree("m"), tree("m", t("x"), t("y", t("z")))
+    script = tree_edit_distance(a, b)
     assert script.cost == 3
-    assert script.insertions == 3
+    assert operation_counts(script, a, b, UNIT_COSTS) == (0, 0, 3)
     assert script.mapping == ((0, 3),)
 
 
@@ -77,7 +77,7 @@ def test_known_shape_change():
     b = tree("m", t("p"), t("q", t("x")))
     script = tree_edit_distance(a, b)
     assert script.cost == 2
-    assert script.deletions == 1 and script.insertions == 1
+    assert operation_counts(script, a, b, UNIT_COSTS) == (0, 1, 1)
 
 
 def test_mapping_is_order_preserving():
@@ -98,8 +98,8 @@ def test_mapping_is_order_preserving():
         cost = sum(UNIT_COSTS.substitute(an[i], bn[j]) for i, j in pairs)
         cost += (len(an) - len(mapped_a)) + (len(bn) - len(mapped_b))
         assert cost == script.cost
-        assert script.deletions == len(an) - len(mapped_a)
-        assert script.insertions == len(bn) - len(mapped_b)
+        assert operation_counts(script, a, b, UNIT_COSTS)[1:] == (
+            len(an) - len(mapped_a), len(bn) - len(mapped_b))
 
 
 def test_engine_matches_oracle_unit_costs():
@@ -230,9 +230,9 @@ def test_same_postorder_labels_different_shape():
 
 
 def test_golden_edit_scripts():
-    # Frozen full EditScripts (cost, counts, mapping, sizes) for seeded
-    # measure pairs under both cost models; an engine or projection change
-    # must reproduce them exactly.
+    # Frozen full EditScripts (cost, mapping, sizes), with the operation
+    # counts the mapping defines, for seeded measure pairs under both cost
+    # models; an engine or projection change must reproduce them exactly.
     import hashlib
     from builders import random_measure
     from mtnkit.trees import project_tree
@@ -248,9 +248,9 @@ def test_golden_edit_scripts():
         g, p = project_tree(g), project_tree(p)
         for costs in (UNIT_COSTS, SEMANTIC_COSTS):
             s = tree_edit_distance(g, p, costs)
-            h.update(repr((str(s.cost), s.substitutions, s.deletions,
-                           s.insertions, s.mapping, s.a_size,
-                           s.b_size)).encode())
+            h.update(repr((str(s.cost),
+                           *operation_counts(s, g, p, costs), s.mapping,
+                           s.a_size, s.b_size)).encode())
     assert h.hexdigest() == (
         "8b3720d8defb2150386eb359fb16b7c16b43264965477723a680b059d6ff2062")
 
@@ -307,9 +307,9 @@ def test_golden_differential_scripts():
     for g, p in pairs:
         for costs in (UNIT_COSTS, SEMANTIC_COSTS):
             s = tree_edit_distance(g, p, costs)
-            h.update(repr((str(s.cost), s.substitutions, s.deletions,
-                           s.insertions, s.mapping, s.a_size,
-                           s.b_size)).encode())
+            h.update(repr((str(s.cost),
+                           *operation_counts(s, g, p, costs), s.mapping,
+                           s.a_size, s.b_size)).encode())
     assert h.hexdigest() == (
         "bfd1365a32574885053eb8b719048199e5b287a38cbd86eb4d9178fc6b5c0770")
 
@@ -395,9 +395,9 @@ def test_golden_band_scripts():
             models += (FreeA(),)
         for costs in models:
             s = tree_edit_distance(g, p, costs)
-            h.update(repr((str(s.cost), s.substitutions, s.deletions,
-                           s.insertions, s.mapping, s.a_size,
-                           s.b_size)).encode())
+            h.update(repr((str(s.cost),
+                           *operation_counts(s, g, p, costs), s.mapping,
+                           s.a_size, s.b_size)).encode())
     assert h.hexdigest() == (
         "6c55834241160e2c41615a2eb3b362e4a2c5b404341d28459b2494a16ce02264")
 
@@ -494,10 +494,10 @@ def test_identity_cost_at_the_threshold_goes_through_the_tables(monkeypatch):
     # U = 2 equals one delete plus one insert: the tables break the tie and
     # still prefer the two relabels.
     built = _count_tables(monkeypatch)
-    script = tree_edit_distance(tree("r", t("a"), t("b")),
-                                tree("r", t("b"), t("a")))
-    assert script == ted.EditScript(2, 2, 0, 0, ((0, 0), (1, 1), (2, 2)),
-                                    3, 3)
+    a, b = tree("r", t("a"), t("b")), tree("r", t("b"), t("a"))
+    script = tree_edit_distance(a, b)
+    assert script == ted.EditScript(2, ((0, 0), (1, 1), (2, 2)), 3, 3)
+    assert operation_counts(script, a, b, UNIT_COSTS) == (2, 0, 0)
     assert type(script.cost) is int
     assert built
 
@@ -508,15 +508,16 @@ def test_identity_cost_below_the_threshold_skips_the_tables(monkeypatch):
     a = tree("m", head(1, 4), head(1, 6), head(2, 3))
     b = tree("m", head(1, 5), head(2, 6), head(2, 3, "notehead_white"))
     script = tree_edit_distance(a, b, SEMANTIC_COSTS)
-    assert script == ted.EditScript(Fraction(3, 2), 3, 0, 0,
+    assert script == ted.EditScript(Fraction(3, 2),
                                     tuple((i, i) for i in range(4)), 4, 4)
+    assert operation_counts(script, a, b, SEMANTIC_COSTS) == (3, 0, 0)
     assert type(script.cost) is Fraction
     # two halves and an unchanged head: U = 1, returned as an int
     a = tree("m", head(1, 4), head(1, 6), head(2, 3))
     b = tree("m", head(1, 5), head(1, 6), head(2, 2))
     script = tree_edit_distance(a, b, SEMANTIC_COSTS)
-    assert script == ted.EditScript(1, 2, 0, 0,
-                                    tuple((i, i) for i in range(4)), 4, 4)
+    assert script == ted.EditScript(1, tuple((i, i) for i in range(4)), 4, 4)
+    assert operation_counts(script, a, b, SEMANTIC_COSTS) == (2, 0, 0)
     assert type(script.cost) is int
     assert not built
 
@@ -534,9 +535,9 @@ def test_tables_store_only_the_band():
     assert max(map(len, tables.subs + tables.td + tables.mp)) <= width
     assert max(map(len, tables.root[1:])) <= width + 1
     script = tree_edit_distance(a, b)
-    assert script == ted.EditScript(3, 3, 0, 0,
-                                    tuple((i, i) for i in range(301)),
+    assert script == ted.EditScript(3, tuple((i, i) for i in range(301)),
                                     301, 301)
+    assert operation_counts(script, a, b, UNIT_COSTS) == (3, 0, 0)
 
 
 def _glued(rng, target):
@@ -610,10 +611,9 @@ def test_relabel_only_pair_skips_the_tables(monkeypatch):
     built = _count_tables(monkeypatch)
     script = tree_edit_distance(a, b)
     assert not built
-    k = script.substitutions
+    k, _, _ = operation_counts(script, a, b, UNIT_COSTS)
     assert k >= 3
-    assert script == ted.EditScript(k, k, 0, 0,
-                                    tuple((i, i) for i in range(n)), n, n)
+    assert script == ted.EditScript(k, tuple((i, i) for i in range(n)), n, n)
     monkeypatch.setattr(ted, "_RELABEL_FLOOR", {})
     assert tree_edit_distance(a, b) == script
     assert built
@@ -632,8 +632,8 @@ def test_relabels_that_swap_labels_go_through_the_tables(monkeypatch):
     built = _count_tables(monkeypatch)
     script = tree_edit_distance(a, b)
     assert built
-    assert script == ted.EditScript(2, 2, 0, 0,
-                                    tuple((i, i) for i in range(9)), 9, 9)
+    assert script == ted.EditScript(2, tuple((i, i) for i in range(9)), 9, 9)
+    assert operation_counts(script, a, b, UNIT_COSTS) == (2, 0, 0)
     # At U = n - common + 1 = 2, the bound on the next-best mapping, one
     # can tie: mapping the two "a" leaves costs a delete and an insert.
     built.clear()
@@ -653,7 +653,8 @@ def test_semantic_relabel_floor_is_a_half():
     b = tree("m", *(head(1, s) for s in range(1, 6)),
              *(head(1, s, "notehead_breve") for s in range(10)))
     script = tree_edit_distance(a, b, SEMANTIC_COSTS)
-    assert (script.cost, script.deletions, script.insertions) == (7, 1, 1)
+    assert script.cost == 7
+    assert operation_counts(script, a, b, SEMANTIC_COSTS)[1:] == (1, 1)
 
 
 class Quarters(SemanticCostModel):
@@ -699,5 +700,5 @@ def test_unknown_substitute_matches_oracle():
     b = tree("m", *(head(1, s) for s in range(1, 6)),
              *(head(1, s, "notehead_breve") for s in range(10)))
     script = tree_edit_distance(a, b, costs)
-    assert (script.cost, script.deletions, script.insertions) == (
-        Fraction(9, 2), 1, 1)
+    assert script.cost == Fraction(9, 2)
+    assert operation_counts(script, a, b, costs)[1:] == (1, 1)
